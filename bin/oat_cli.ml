@@ -44,16 +44,24 @@ let policy_arg =
   Arg.(value & opt string "rww" & info [ "policy" ] ~docv:"POLICY" ~doc)
 
 let build_tree kind n seed =
+  let build f =
+    if n < 1 then Error (Printf.sprintf "--nodes must be at least 1 (got %d)" n)
+    else
+      match f () with
+      | tree -> Ok tree
+      | exception (Invalid_argument msg | Tree.Invalid_tree msg) -> Error msg
+  in
   match kind with
-  | "path" -> Ok (Tree.Build.path n)
-  | "star" -> Ok (Tree.Build.star n)
-  | "binary" -> Ok (Tree.Build.binary n)
-  | "ternary" -> Ok (Tree.Build.kary ~k:3 n)
+  | "path" -> build (fun () -> Tree.Build.path n)
+  | "star" -> build (fun () -> Tree.Build.star n)
+  | "binary" -> build (fun () -> Tree.Build.binary n)
+  | "ternary" -> build (fun () -> Tree.Build.kary ~k:3 n)
   | "caterpillar" ->
-    let spine = max 1 (n / 4) in
-    let legs = max 1 ((n / spine) - 1) in
-    Ok (Tree.Build.caterpillar ~spine ~legs)
-  | "random" -> Ok (Tree.Build.random (Sm.create (seed + 17)) n)
+    build (fun () ->
+        let spine = max 1 (n / 4) in
+        let legs = max 1 ((n / spine) - 1) in
+        Tree.Build.caterpillar ~spine ~legs)
+  | "random" -> build (fun () -> Tree.Build.random (Sm.create (seed + 17)) n)
   | other -> Error (Printf.sprintf "unknown tree kind %S" other)
 
 let parse_ab s =
@@ -102,6 +110,22 @@ let or_die = function
   | Error msg ->
     prerr_endline ("oat: " ^ msg);
     exit 2
+
+(* Output files named by --trace/--metrics/--series: their directory is
+   checked before the run starts, so a bad path costs no simulation; a
+   write that still fails ends in the same one-line error. *)
+let check_out_file opt = function
+  | None -> ()
+  | Some path ->
+    let dir = Filename.dirname path in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      or_die (Error (Printf.sprintf "%s %s: no such directory %s" opt path dir));
+    if Sys.file_exists path && Sys.is_directory path then
+      or_die (Error (Printf.sprintf "%s %s: is a directory" opt path))
+
+let write_out path contents =
+  try Telemetry.Export.write_file path contents
+  with Sys_error msg -> or_die (Error msg)
 
 (* ---- instrumented mechanism runs (simulate --trace/--metrics, metrics) ---- *)
 
@@ -291,6 +315,9 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
     metrics_out series_out report_flag faults domains partition_strategy churn
     =
   let tree = or_die (build_tree tree_kind n seed) in
+  check_out_file "--trace" trace_out;
+  check_out_file "--metrics" metrics_out;
+  check_out_file "--series" series_out;
   let rng = Sm.create seed in
   let sigma =
     Workload.Generate.mixed
@@ -390,7 +417,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
     end;
     (match trace_out with
     | Some path ->
-      Telemetry.Export.write_file path (Simul.Sharded.fleet_trace sh);
+      write_out path (Simul.Sharded.fleet_trace sh);
       let n_ev = List.length (Simul.Sharded.fleet_events sh) in
       let dropped = Simul.Sharded.trace_dropped sh in
       Printf.printf "trace:             %s (%d events across %d shard tracks%s)\n"
@@ -400,7 +427,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
     | None -> ());
     (match metrics_out with
     | Some path ->
-      Telemetry.Export.write_file path
+      write_out path
         (metrics_body path (Simul.Sharded.fleet_metrics sh));
       Printf.printf "metrics:           %s (fleet-merged)\n" path
     | None -> ());
@@ -410,7 +437,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
         if Filename.check_suffix path ".json" then Telemetry.Series.to_json series
         else Telemetry.Series.to_csv series
       in
-      Telemetry.Export.write_file path body;
+      write_out path body;
       Printf.printf "series:            %s (%d windows sampled%s)\n" path
         (Telemetry.Series.length series)
         (let d = Telemetry.Series.dropped series in
@@ -443,7 +470,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
        else "VIOLATED");
     (match metrics_out with
     | Some path ->
-      Telemetry.Export.write_file path (metrics_body path metrics);
+      write_out path (metrics_body path metrics);
       Printf.printf "metrics:           %s\n" path
     | None -> ());
     if o.R.causal_violations > 0 then exit 1
@@ -489,7 +516,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
       (match (trace_out, ring) with
       | Some path, Some r ->
         let events = Telemetry.Sink.ring_events r in
-        Telemetry.Export.write_file path
+        write_out path
           (Telemetry.Export.chrome_trace ~kind_name
              ~n_nodes:(Tree.n_nodes tree) events);
         let dropped = Telemetry.Sink.ring_dropped r in
@@ -500,7 +527,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
       | _ -> ());
       (match metrics_out with
       | Some path ->
-        Telemetry.Export.write_file path (metrics_body path metrics);
+        write_out path (metrics_body path metrics);
         Printf.printf "metrics:           %s\n" path
       | None -> ());
       (match series_out with
@@ -510,7 +537,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
             Telemetry.Series.to_json series
           else Telemetry.Series.to_csv series
         in
-        Telemetry.Export.write_file path body;
+        write_out path body;
         Printf.printf "series:            %s (%d requests sampled)\n" path
           (Telemetry.Series.length series)
       | None -> ())

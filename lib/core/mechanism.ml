@@ -106,27 +106,26 @@ module Make (Op : Agg.Operator.S) = struct
     probed : int array;  (* # masks containing this slot *)
     nbr_epoch : int array;  (* last epoch heard; -1 none *)
     shipped : int array;  (* ghost: gwrites prefix already sent *)
-    (* uaw[v] as a sorted-ascending int window [head, head+len) — ids
-       arrive in increasing order on FIFO channels, so adds are O(1)
-       appends and release trims advance [head]. *)
-    uaw_buf : int array array;
-    uaw_head : int array;
-    uaw_len : int array;
-    (* Per-channel log of forwarded updates, replacing the paper's
-       global [sntupdates] set.  Entry [j] records that the update
-       received under [sl_rcv.(s).(j)] was forwarded under
-       [sl_snt.(s).(j)].  Both sequences are strictly increasing (FIFO
-       receipt of a sender's monotone counter; [upcntr] is monotone), so
-       [onrelease] can locate the paper's beta by binary search, and
-       entries whose rcvid can never again be the minimum of [uaw] are
-       pruned from the front.  [sl_pruned] remembers the largest pruned
-       sntid: a released window reaching at most that far is known to be
-       fully consumed without consulting the (gone) entries. *)
-    sl_rcv : int array array;
-    sl_snt : int array array;
-    sl_start : int array;
-    sl_len : int array;
-    sl_pruned : int array;
+    (* The update log: one record per update received from the slot's
+       neighbour since the last reset, holding its id and, when T5
+       forwarded it, its sntid.  [uaw[v]] is the ids from the head on;
+       the live [sntupdates] tuples are the forwarded records with
+       sntid above [lg_mark].  Both ids (FIFO receipt of a monotone
+       counter) and sntids ([upcntr]) strictly increase, so a record is
+       two byte-coded deltas from the previous id and sntid (see
+       [log_put]; sntid delta 0 = not forwarded).  [lg_hid]/[lg_hsnt]
+       are the bases of the head record, [lg_id]/[lg_snt] of the tail:
+       the last id received and last sntid forwarded, which run on
+       across resets until a new incarnation clears the channel. *)
+    lg_buf : Bytes.t array;
+    lg_head : int array;  (* byte offset of the head record *)
+    lg_tail : int array;  (* byte offset past the last record *)
+    lg_count : int array;  (* records in [head, tail) = |uaw[v]| *)
+    lg_hid : int array;
+    lg_hsnt : int array;
+    lg_id : int array;
+    lg_snt : int array;
+    lg_mark : int array;
     subcut : IntSet.t array;  (* unreachable roots this slot reported *)
     (* requester slots: 0..deg-1 = neighbours, deg = self *)
     pndg : Bytes.t;
@@ -231,150 +230,123 @@ module Make (Op : Agg.Operator.S) = struct
     end
 
   (* ------------------------------------------------------------------ *)
-  (* sntlog maintenance (on global slot index [s]).                     *)
+  (* The update log (on global slot index [s]).                         *)
 
-  let sntlog_length a s = a.sl_len.(s) - a.sl_start.(s)
-
-  let sntlog_append t s ~rcvid ~sntid =
-    let a = t.a in
-    let cap = Array.length a.sl_rcv.(s) in
-    if a.sl_len.(s) = cap then begin
-      let start = a.sl_start.(s) in
-      let live = a.sl_len.(s) - start in
-      if start > 0 && live * 2 <= cap then begin
-        (* plenty of pruned slack at the front: compact in place *)
-        Array.blit a.sl_rcv.(s) start a.sl_rcv.(s) 0 live;
-        Array.blit a.sl_snt.(s) start a.sl_snt.(s) 0 live
-      end
-      else begin
-        let ncap = max 8 (2 * cap) in
-        let r = Array.make ncap 0 and sn = Array.make ncap 0 in
-        Array.blit a.sl_rcv.(s) start r 0 live;
-        Array.blit a.sl_snt.(s) start sn 0 live;
-        a.sl_rcv.(s) <- r;
-        a.sl_snt.(s) <- sn
-      end;
-      a.sl_start.(s) <- 0;
-      a.sl_len.(s) <- live
-    end;
-    let l = a.sl_len.(s) in
-    a.sl_rcv.(s).(l) <- rcvid;
-    a.sl_snt.(s).(l) <- sntid;
-    a.sl_len.(s) <- l + 1
-
-  (* Drop the prefix of entries whose rcvid is no longer reachable by a
-     future release window: once uaw[v] has been trimmed (or reset), any
-     entry with [rcvid <= min uaw] — all of them when uaw is empty — can
-     never again contribute a beta with a live effect, because a later
-     release either lands past it ([sl_pruned] answers) or inside the
-     remaining live entries. *)
-  let sntlog_prune t s ~has_min ~min:m =
-    let a = t.a in
-    let keep_from =
-      if not has_min then a.sl_len.(s)
-      else begin
-        let j = ref a.sl_start.(s) in
-        while !j < a.sl_len.(s) && a.sl_rcv.(s).(!j) <= m do
-          incr j
-        done;
-        !j
-      end
-    in
-    if keep_from > a.sl_start.(s) then begin
-      a.sl_pruned.(s) <- a.sl_snt.(s).(keep_from - 1);
-      a.sl_start.(s) <- keep_from;
-      if a.sl_start.(s) = a.sl_len.(s) then begin
-        a.sl_start.(s) <- 0;
-        a.sl_len.(s) <- 0
-      end
-    end
-
-  let sntlog_clear a s =
-    a.sl_start.(s) <- 0;
-    a.sl_len.(s) <- 0;
-    a.sl_pruned.(s) <- 0
-
-  (* ------------------------------------------------------------------ *)
-  (* uaw maintenance (sorted windows + sntlog co-pruning).              *)
-
-  (* Make room for one more element at the window's right edge. *)
-  let uaw_room a s =
-    let buf = a.uaw_buf.(s) in
-    let cap = Array.length buf in
-    let head = a.uaw_head.(s) and len = a.uaw_len.(s) in
-    if head + len = cap then begin
-      if head > 0 && len * 2 <= cap then
-        Array.blit buf head buf 0 len
-      else begin
-        let nb = Array.make (max 8 (2 * cap)) 0 in
-        Array.blit buf head nb 0 len;
-        a.uaw_buf.(s) <- nb
-      end;
-      a.uaw_head.(s) <- 0
-    end
-
-  let uaw_reset t u i =
-    let s = t.c.slot_base.(u) + i in
-    t.a.uaw_head.(s) <- 0;
-    t.a.uaw_len.(s) <- 0;
-    sntlog_prune t s ~has_min:false ~min:0
-
-  (* Hot path: ids from one sender arrive in increasing order (FIFO
-     channel, monotone counter), so the common case is an O(1) append.
-     The sorted-insert fallback covers stale traffic from dead
-     incarnations, which plain-network fault drivers may deliver out of
-     order. *)
-  let uaw_add t u i id =
-    let a = t.a in
-    let s = t.c.slot_base.(u) + i in
-    let len = a.uaw_len.(s) in
-    if len = 0 || id > a.uaw_buf.(s).(a.uaw_head.(s) + len - 1) then begin
-      uaw_room a s;
-      a.uaw_buf.(s).(a.uaw_head.(s) + len) <- id;
-      a.uaw_len.(s) <- len + 1
+  (* A delta below 255 is one byte; a larger one is 0xFF followed by the
+     delta as 8 bytes.  [log_delta]/[log_width] decode the delta at
+     [pos] and its encoded size. *)
+  let log_put b pos d =
+    if d < 255 then begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr d);
+      pos + 1
     end
     else begin
-      let buf = a.uaw_buf.(s) and head = a.uaw_head.(s) in
-      let lo = ref head and hi = ref (head + len) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if buf.(mid) >= id then hi := mid else lo := mid + 1
-      done;
-      if not (!lo < head + len && buf.(!lo) = id) then begin
-        uaw_room a s;
-        (* re-locate: [uaw_room] may have shifted the window *)
-        let buf = a.uaw_buf.(s) and head = a.uaw_head.(s) in
-        let lo = ref head and hi = ref (head + len) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if buf.(mid) >= id then hi := mid else lo := mid + 1
-        done;
-        Array.blit buf !lo buf (!lo + 1) (head + len - !lo);
-        buf.(!lo) <- id;
-        a.uaw_len.(s) <- len + 1
-      end
+      Bytes.unsafe_set b pos '\255';
+      Frame.set_int b (pos + 1) d;
+      pos + 9
     end
 
-  (* Keep only ids >= [lo_id]: the window is sorted, so the survivors
-     are a suffix — advance [head].  Co-prunes the sntlog under the new
-     minimum, as the old set-valued assignment did. *)
-  let uaw_trim_ge t u i lo_id =
-    let a = t.a in
-    let s = t.c.slot_base.(u) + i in
-    let head = a.uaw_head.(s) and len = a.uaw_len.(s) in
-    if len > 0 then begin
-      let buf = a.uaw_buf.(s) in
-      let lo = ref head and hi = ref (head + len) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if buf.(mid) >= lo_id then hi := mid else lo := mid + 1
-      done;
-      a.uaw_head.(s) <- !lo;
-      a.uaw_len.(s) <- head + len - !lo
+  let log_delta b pos =
+    let d = Char.code (Bytes.unsafe_get b pos) in
+    if d < 255 then d else Frame.get_int b (pos + 1)
+
+  let log_width b pos = if Bytes.unsafe_get b pos = '\255' then 9 else 1
+
+  (* The paper's [uaw[v] := {}], which also retires every sntupdates
+     tuple of the channel: the watermark moves up to the last sntid.  A
+     few stores and no scan — every combine resets its taken slots. *)
+  let log_reset a s =
+    a.lg_head.(s) <- 0;
+    a.lg_tail.(s) <- 0;
+    a.lg_count.(s) <- 0;
+    a.lg_hid.(s) <- a.lg_id.(s);
+    a.lg_hsnt.(s) <- a.lg_snt.(s);
+    a.lg_mark.(s) <- a.lg_snt.(s)
+
+  (* A new incarnation at either end restarts both counters. *)
+  let log_clear a s =
+    a.lg_id.(s) <- 0;
+    a.lg_snt.(s) <- 0;
+    log_reset a s
+
+  (* T5's record of update [id], forwarded under [snt] (0: not
+     forwarded).  Room for the widest record (18 bytes) comes first: the
+     live bytes move to the front when the consumed prefix is at least
+     half the buffer, otherwise the buffer grows by half, which leaves
+     18 bytes free because it is at least 36 long. *)
+  let log_append a s ~id ~snt =
+    if id <= a.lg_id.(s) then
+      failwith
+        (Printf.sprintf
+           "Mechanism: update id %d arrived after id %d on its channel" id
+           a.lg_id.(s));
+    let head = a.lg_head.(s) and tail = a.lg_tail.(s) in
+    let cap = Bytes.length a.lg_buf.(s) in
+    if tail + 18 > cap then begin
+      let live = tail - head in
+      if head > 0 && 2 * (live + 18) <= cap then
+        Bytes.blit a.lg_buf.(s) head a.lg_buf.(s) 0 live
+      else begin
+        let nb = Bytes.create (max 36 (cap + (cap / 2))) in
+        Bytes.blit a.lg_buf.(s) head nb 0 live;
+        a.lg_buf.(s) <- nb
+      end;
+      a.lg_head.(s) <- 0;
+      a.lg_tail.(s) <- live
     end;
-    if a.uaw_len.(s) = 0 then sntlog_prune t s ~has_min:false ~min:0
-    else
-      sntlog_prune t s ~has_min:true ~min:a.uaw_buf.(s).(a.uaw_head.(s))
+    let b = a.lg_buf.(s) in
+    let p = log_put b a.lg_tail.(s) (id - a.lg_id.(s)) in
+    a.lg_tail.(s) <- log_put b p (if snt = 0 then 0 else snt - a.lg_snt.(s));
+    a.lg_id.(s) <- id;
+    if snt > 0 then a.lg_snt.(s) <- snt;
+    a.lg_count.(s) <- a.lg_count.(s) + 1
+
+  (* [onrelease]'s trim, given a released minimum [m] with
+     [lg_mark < m <= lg_snt]: the paper's beta is the first forwarded
+     record with sntid >= [m], which is live, and [uaw[v]] keeps the
+     ids from beta's on.  The scan from the head drops every record it
+     passes, so it is amortized O(1).  Beta becomes the head and its
+     sntid the watermark: a later release whose beta is at or below it
+     leaves [uaw[v]] as it is. *)
+  let log_trim a s m =
+    let b = a.lg_buf.(s) in
+    let pos = ref a.lg_head.(s)
+    and id = ref a.lg_hid.(s)
+    and snt = ref a.lg_hsnt.(s)
+    and dropped = ref 0
+    and beta = ref 0 in
+    while !beta = 0 do
+      let q = !pos + log_width b !pos in
+      let ds = log_delta b q in
+      if ds > 0 && !snt + ds >= m then beta := !snt + ds
+      else begin
+        id := !id + log_delta b !pos;
+        snt := !snt + ds;
+        pos := q + log_width b q;
+        incr dropped
+      end
+    done;
+    a.lg_head.(s) <- !pos;
+    a.lg_hid.(s) <- !id;
+    a.lg_hsnt.(s) <- !snt;
+    a.lg_count.(s) <- a.lg_count.(s) - !dropped;
+    a.lg_mark.(s) <- !beta
+
+  (* Cold decoder: [f id snt] per record from the head, [snt] = 0 for
+     an update that was not forwarded. *)
+  let log_iter a s f =
+    let b = a.lg_buf.(s) in
+    let pos = ref a.lg_head.(s)
+    and id = ref a.lg_hid.(s)
+    and snt = ref a.lg_hsnt.(s) in
+    while !pos < a.lg_tail.(s) do
+      id := !id + log_delta b !pos;
+      let q = !pos + log_width b !pos in
+      let ds = log_delta b q in
+      pos := q + log_width b q;
+      snt := !snt + ds;
+      f !id (if ds = 0 then 0 else !snt)
+    done
 
   (* ------------------------------------------------------------------ *)
   (* Cut tracking: which subtree roots are unreachable.                 *)
@@ -470,7 +442,7 @@ module Make (Op : Agg.Operator.S) = struct
           uaw_size =
             (fun w ->
               let i = slot t u w in
-              if i >= 0 then t.a.uaw_len.(sb + i) else 0);
+              if i >= 0 then t.a.lg_count.(sb + i) else 0);
         }
       in
       t.c.view.(u) <- Some v;
@@ -659,20 +631,24 @@ module Make (Op : Agg.Operator.S) = struct
     let _pos = put_wlog_shipped t u i f pos in
     send_frame t ~src:u ~dst:(nbr t u i) f
 
-  (* Encoded before [uaw_reset]: the ids are the slot's current window,
-     written ascending so the receiver's minimum is the first id. *)
+  (* Encoded before [log_reset]: the ids are the slot's [uaw], decoded
+     from the head, so they go out ascending and the receiver's minimum
+     is the first id. *)
   let send_release t u i =
+    let a = t.a in
     let s = t.c.slot_base.(u) + i in
-    let wbuf = t.a.uaw_buf.(s)
-    and head = t.a.uaw_head.(s)
-    and len = t.a.uaw_len.(s) in
+    let len = a.lg_count.(s) in
     let f = Frame.alloc (t.out_pool u) in
     Frame.set_kind f k_release;
     Frame.set_length f (hs + 4 + (8 * len));
-    let b = Frame.buf f in
+    let b = Frame.buf f and lb = a.lg_buf.(s) in
     Frame.set_u32 b hs len;
+    let pos = ref a.lg_head.(s) and id = ref a.lg_hid.(s) in
     for j = 0 to len - 1 do
-      Frame.set_int b (hs + 4 + (8 * j)) wbuf.(head + j)
+      id := !id + log_delta lb !pos;
+      let q = !pos + log_width lb !pos in
+      pos := q + log_width lb q;
+      Frame.set_int b (hs + 4 + (8 * j)) !id
     done;
     send_frame t ~src:u ~dst:(nbr t u i) f
 
@@ -833,7 +809,7 @@ module Make (Op : Agg.Operator.S) = struct
       then begin
         set_taken t u i false;
         send_release t u i;
-        uaw_reset t u i;
+        log_reset t.a (sb + i);
         (* The lease on neighbour [v]'s subtree was granted by [v] to
            this node; breaking it is the grantee's move. *)
         if t.obs then observe_break t u ~granter:t.a.nbr.(sb + i)
@@ -850,38 +826,24 @@ module Make (Op : Agg.Operator.S) = struct
      the first id.
 
      The paper's beta — the earliest-received sntupdate forwarded at or
-     after min S — is found by binary search: per channel, rcvids and
-     sntids both increase, so the candidate set {sntid >= min S} is a
-     suffix and its rcvid-minimum is its first element. *)
+     after min S — is the first forwarded record of the slot's update
+     log with sntid >= min S: per channel, ids and sntids both increase
+     in log order. *)
   let onrelease t u w ~has_ids ~min_id =
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     (if has_ids then
-       let id = min_id in
        for i = 0 to d - 1 do
          if t.a.nbr.(sb + i) <> w && bget t.a.taken (sb + i) then begin
            let s = sb + i in
-           let last =
-             if t.a.sl_len.(s) > t.a.sl_start.(s) then
-               t.a.sl_snt.(s).(t.a.sl_len.(s) - 1)
-             else t.a.sl_pruned.(s)
-           in
-           if last < id then
+           if t.a.lg_snt.(s) < min_id then
              (* A empty: every update from this neighbour was forwarded
                 before the released window, i.e. consumed downstream by a
                 combine — nothing left unaccounted. *)
-             uaw_reset t u i
-           else if id > t.a.sl_pruned.(s) then begin
-             (* beta is a live entry: first with sntid >= id. *)
-             let lo = ref t.a.sl_start.(s) and hi = ref (t.a.sl_len.(s) - 1) in
-             while !lo < !hi do
-               let mid = (!lo + !hi) / 2 in
-               if t.a.sl_snt.(s).(mid) >= id then hi := mid else lo := mid + 1
-             done;
-             uaw_trim_ge t u i t.a.sl_rcv.(s).(!lo)
-           end
-           (* else beta fell in the pruned prefix: its rcvid was <= some
-              earlier min uaw, so the filter {>= beta.rcvid} keeps all of
-              uaw — a no-op. *)
+             log_reset t.a s
+           else if min_id > t.a.lg_mark.(s) then log_trim t.a s min_id
+           (* else beta is at or below the watermark: its id was at most
+              some earlier min uaw, so the filter {>= beta.rcvid} keeps
+              all of uaw — a no-op. *)
          end
        done);
     for i = 0 to d - 1 do
@@ -965,7 +927,7 @@ module Make (Op : Agg.Operator.S) = struct
     p.Policy.on_combine (node_view t u);
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     for i = 0 to d - 1 do
-      if bget t.a.taken (sb + i) then uaw_reset t u i
+      if bget t.a.taken (sb + i) then log_reset t.a (sb + i)
     done;
     if not (bget t.a.pndg (t.c.req_base.(u) + d)) then begin
       if t.c.tkn_count.(u) = up_count t u then complete_combines t u
@@ -1000,7 +962,8 @@ module Make (Op : Agg.Operator.S) = struct
     p.Policy.probe_rcvd (node_view t u) ~from:w;
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     for i = 0 to d - 1 do
-      if bget t.a.taken (sb + i) && t.a.nbr.(sb + i) <> w then uaw_reset t u i
+      if bget t.a.taken (sb + i) && t.a.nbr.(sb + i) <> w then
+        log_reset t.a (sb + i)
     done;
     let r = slot t u w in
     if not (bget t.a.pndg (t.c.req_base.(u) + r)) then begin
@@ -1062,17 +1025,19 @@ module Make (Op : Agg.Operator.S) = struct
     bset t.c.gval_dirty u true;
     set_subcut t u sw cut;
     ghost_merge t u wlog_w;
-    uaw_add t u sw id;
     let other_grantees =
       t.c.grntd_count.(u) > 1
       || (t.c.grntd_count.(u) = 1 && not (bget t.a.granted (sb + sw)))
     in
     if other_grantees then begin
       let nid = newid t u in
-      sntlog_append t (sb + sw) ~rcvid:id ~sntid:nid;
+      log_append t.a (sb + sw) ~id ~snt:nid;
       forwardupdates t u w nid
     end
-    else forwardrelease t u
+    else begin
+      log_append t.a (sb + sw) ~id ~snt:0;
+      forwardrelease t u
+    end
 
   (* T6: receive release(S) from [w] — S arrives as its cardinality flag
      and minimum (see [onrelease]). *)
@@ -1116,8 +1081,7 @@ module Make (Op : Agg.Operator.S) = struct
       set_granted t u i false;
       t.a.aval.(sb + i) <- Op.identity;
       bset t.c.gval_dirty u true;
-      uaw_reset t u i;
-      sntlog_clear t.a (sb + i);
+      log_clear t.a (sb + i);
       set_subcut t u i [];
       t.a.shipped.(sb + i) <- 0;
       bset t.a.resync (sb + i) true;
@@ -1168,9 +1132,7 @@ module Make (Op : Agg.Operator.S) = struct
       set_granted t v j false;
       t.a.aval.(sb + j) <- Op.identity;
       bset t.c.gval_dirty v true;
-      t.a.uaw_head.(sb + j) <- 0;
-      t.a.uaw_len.(sb + j) <- 0;
-      sntlog_clear t.a (sb + j);
+      log_clear t.a (sb + j);
       t.a.subcut.(sb + j) <- IntSet.empty;
       t.a.shipped.(sb + j) <- 0;
       bset t.a.resync (sb + j) false;
@@ -1220,9 +1182,7 @@ module Make (Op : Agg.Operator.S) = struct
     Array.fill t.a.aval sb d Op.identity;
     bset t.c.gval_dirty node true;
     for i = 0 to d - 1 do
-      t.a.uaw_head.(sb + i) <- 0;
-      t.a.uaw_len.(sb + i) <- 0;
-      sntlog_clear t.a (sb + i);
+      log_clear t.a (sb + i);
       t.a.subcut.(sb + i) <- IntSet.empty;
       t.a.shipped.(sb + i) <- 0;
       t.a.nbr_epoch.(sb + i) <- -1;
@@ -1312,9 +1272,7 @@ module Make (Op : Agg.Operator.S) = struct
     set_granted t v j false;
     t.a.aval.(s) <- Op.identity;
     bset t.c.gval_dirty v true;
-    t.a.uaw_head.(s) <- 0;
-    t.a.uaw_len.(s) <- 0;
-    sntlog_clear t.a s;
+    log_clear t.a s;
     t.a.subcut.(s) <- IntSet.empty;
     t.a.shipped.(s) <- 0;
     bset t.a.resync s false;
@@ -1616,14 +1574,15 @@ module Make (Op : Agg.Operator.S) = struct
         probed = Array.make (max 1 s) 0;
         nbr_epoch = Array.make (max 1 s) (-1);
         shipped = Array.make (max 1 s) 0;
-        uaw_buf = Array.make (max 1 s) [||];
-        uaw_head = Array.make (max 1 s) 0;
-        uaw_len = Array.make (max 1 s) 0;
-        sl_rcv = Array.make (max 1 s) [||];
-        sl_snt = Array.make (max 1 s) [||];
-        sl_start = Array.make (max 1 s) 0;
-        sl_len = Array.make (max 1 s) 0;
-        sl_pruned = Array.make (max 1 s) 0;
+        lg_buf = Array.make (max 1 s) Bytes.empty;
+        lg_head = Array.make (max 1 s) 0;
+        lg_tail = Array.make (max 1 s) 0;
+        lg_count = Array.make (max 1 s) 0;
+        lg_hid = Array.make (max 1 s) 0;
+        lg_hsnt = Array.make (max 1 s) 0;
+        lg_id = Array.make (max 1 s) 0;
+        lg_snt = Array.make (max 1 s) 0;
+        lg_mark = Array.make (max 1 s) 0;
         subcut = Array.make (max 1 s) IntSet.empty;
         pndg = Bytes.make (max 1 !rdim) '\000';
         snt_count = Array.make (max 1 !rdim) 0;
@@ -1992,11 +1951,9 @@ module Make (Op : Agg.Operator.S) = struct
     let i = slot t u v in
     if i < 0 then IntSet.empty
     else begin
-      let s = t.c.slot_base.(u) + i in
       let acc = ref IntSet.empty in
-      for j = 0 to t.a.uaw_len.(s) - 1 do
-        acc := IntSet.add t.a.uaw_buf.(s).(t.a.uaw_head.(s) + j) !acc
-      done;
+      log_iter t.a (t.c.slot_base.(u) + i) (fun id _ ->
+          acc := IntSet.add id !acc);
       !acc
     end
 
@@ -2026,7 +1983,8 @@ module Make (Op : Agg.Operator.S) = struct
     let sb = t.c.slot_base.(u) in
     let acc = ref 0 in
     for i = 0 to t.c.deg.(u) - 1 do
-      acc := !acc + sntlog_length t.a (sb + i)
+      let mark = t.a.lg_mark.(sb + i) in
+      log_iter t.a (sb + i) (fun _ snt -> if snt > mark then incr acc)
     done;
     !acc
 
@@ -2192,17 +2150,6 @@ module Make (Op : Agg.Operator.S) = struct
         if c.pending.(u) <> [] then
           fail "node %d: crashed with pending combines" u
       end;
-      (* uaw windows: in range and strictly increasing (set semantics) *)
-      for i = 0 to d - 1 do
-        let s = sb + i in
-        let head = a.uaw_head.(s) and len = a.uaw_len.(s) in
-        if head < 0 || len < 0 || head + len > Array.length a.uaw_buf.(s)
-        then fail "node %d: uaw window [%d,+%d) out of range" u head len;
-        for j = 1 to len - 1 do
-          if a.uaw_buf.(s).(head + j) <= a.uaw_buf.(s).(head + j - 1) then
-            fail "node %d: uaw[%d] not strictly increasing" u i
-        done
-      done;
       (* gval cache *)
       if not (bget c.gval_dirty u) then begin
         let x = ref c.value.(u) in
@@ -2215,40 +2162,73 @@ module Make (Op : Agg.Operator.S) = struct
       (* snt masks vs their counters, probed counters, pndg linkage *)
       let probed' = Array.make (max 1 d) 0 in
       for r = 0 to d do
-        let cnt = bcount (mb + (r * d)) d a.snt in
+        let row = mb + (r * d) and cnt = ref 0 and i = ref 0 in
+        while !i < d do
+          (* masks are mostly clear: skip zero words *)
+          if !i + 8 <= d && Bytes.get_int64_ne a.snt (row + !i) = 0L then
+            i := !i + 8
+          else begin
+            if bget a.snt (row + !i) then begin
+              incr cnt;
+              probed'.(!i) <- probed'.(!i) + 1
+            end;
+            incr i
+          end
+        done;
+        let cnt = !cnt in
         if cnt <> a.snt_count.(rb + r) then
           fail "node %d: snt_count[%d] %d <> %d" u r a.snt_count.(rb + r) cnt;
         if bget a.pndg (rb + r) <> (cnt > 0) then
           fail "node %d: pndg[%d]=%b but |snt|=%d" u r
             (bget a.pndg (rb + r))
-            cnt;
-        for i = 0 to d - 1 do
-          if bget a.snt (mb + (r * d) + i) then probed'.(i) <- probed'.(i) + 1
-        done
+            cnt
       done;
       for i = 0 to d - 1 do
         if probed'.(i) <> a.probed.(sb + i) then
           fail "node %d: probed[%d] %d <> %d" u i a.probed.(sb + i) probed'.(i)
       done;
-      (* sntlogs: monotone ids, pruning watermark below live entries *)
+      (* update logs: the records from the head decode to the cached
+         count and end on the tail bases, ids and sntids strictly
+         increase, every forwarded record past the head is above the
+         watermark, and head sntid base <= watermark <= last sntid <=
+         upcntr *)
       for i = 0 to d - 1 do
         let s = sb + i in
-        if a.sl_start.(s) < 0 || a.sl_start.(s) > a.sl_len.(s) then
-          fail "node %d: sntlog window [%d,%d)" u a.sl_start.(s) a.sl_len.(s);
-        for j = a.sl_start.(s) + 1 to a.sl_len.(s) - 1 do
-          if a.sl_rcv.(s).(j) <= a.sl_rcv.(s).(j - 1) then
-            fail "node %d: sntlog rcvids not increasing" u;
-          if a.sl_snt.(s).(j) <= a.sl_snt.(s).(j - 1) then
-            fail "node %d: sntlog sntids not increasing" u
+        let b = a.lg_buf.(s) and tail = a.lg_tail.(s) in
+        if a.lg_head.(s) < 0 || a.lg_head.(s) > tail || tail > Bytes.length b
+        then fail "node %d: update log [%d,%d) out of range" u a.lg_head.(s) tail;
+        let pos = ref a.lg_head.(s) and n = ref 0 in
+        let id = ref a.lg_hid.(s) and snt = ref a.lg_hsnt.(s) in
+        while !pos < tail do
+          let did = log_delta b !pos in
+          let q = !pos + log_width b !pos in
+          let ds = log_delta b q in
+          if did <= 0 then fail "node %d: update log ids not increasing" u;
+          if ds < 0 then fail "node %d: update log sntids not increasing" u;
+          if ds > 0 && !n > 0 && !snt + ds <= a.lg_mark.(s) then
+            fail "node %d: forwarded record at or below the watermark" u;
+          id := !id + did;
+          snt := !snt + ds;
+          pos := q + log_width b q;
+          incr n
         done;
+        if !pos <> tail then fail "node %d: update log overruns its tail" u;
+        if !n <> a.lg_count.(s) then
+          fail "node %d: update log holds %d records, count %d" u !n
+            a.lg_count.(s);
+        if !id <> a.lg_id.(s) || !snt <> a.lg_snt.(s) then
+          fail "node %d: update log ends at (%d,%d), last id/sntid (%d,%d)" u
+            !id !snt a.lg_id.(s) a.lg_snt.(s);
         if
-          a.sl_len.(s) > a.sl_start.(s)
-          && a.sl_pruned.(s) >= a.sl_snt.(s).(a.sl_start.(s))
-        then fail "node %d: pruned_hi overlaps live sntlog" u;
-        if
-          a.sl_len.(s) > a.sl_start.(s)
-          && a.sl_snt.(s).(a.sl_len.(s) - 1) > c.upcntr.(u)
-        then fail "node %d: sntid beyond upcntr" u
+          not
+            (a.lg_hsnt.(s) <= a.lg_mark.(s)
+            && a.lg_mark.(s) <= a.lg_snt.(s)
+            && a.lg_snt.(s) <= c.upcntr.(u))
+        then
+          fail
+            "node %d: update log sntid base %d, watermark %d, last %d, \
+             upcntr %d"
+            u a.lg_hsnt.(s) a.lg_mark.(s) a.lg_snt.(s) c.upcntr.(u)
       done;
       (* ghost: gwrites mirrors glog's write subsequence; per-origin
          indices increase chronologically; last_write is their max *)

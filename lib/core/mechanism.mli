@@ -29,11 +29,14 @@
     state packed into shared arenas indexed by per-node base offsets:
     [taken]/[granted] are byte arrays with incrementally maintained
     cardinalities, [aval] is a value array behind a cached [gval] (so
-    [subval] is O(1) for operators with a group inverse), [uaw] is a
-    sorted int window (O(1) append, release trims advance its head),
-    and [sntupdates] is a per-channel parallel-array log with monotone
-    ids that is binary searched and pruned as releases consume it.
-    Ghost write logs are delta-encoded per channel: each message
+    [subval] is O(1) for operators with a group inverse), and [uaw]
+    and [sntupdates] are one delta-coded update log per channel: a
+    record per update received from the neighbour since the last reset,
+    holding its id and, when it was forwarded, its sntid, each as a
+    byte-coded delta (about two bytes a record).  A reset is a few
+    stores, and [onrelease] finds the paper's beta by a forward scan
+    from the head whose passed records all leave the log.  Ghost write
+    logs are delta-encoded per channel: each message
     carries only the suffix of the write log not previously shipped on
     that channel.
 
@@ -322,11 +325,18 @@ module Make (Op : Agg.Operator.S) : sig
   (** [aval t u v] = the paper's [u.aval\[v\]]. *)
 
   val uaw : t -> int -> int -> IntSet.t
-  (** [uaw t u v] = the paper's [u.uaw\[v\]]. *)
+  (** [uaw t u v] = the paper's [u.uaw\[v\]]: the ids of the records in
+      the update log of [u]'s channel from [v], from its head on. *)
 
   val pndg : t -> int -> IntSet.t
   val snt : t -> int -> int -> IntSet.t
+
   val sntupdates_length : t -> int -> int
+  (** The number of live [sntupdates] tuples at [u]: the forwarded
+      records above the pruning watermark, summed over [u]'s channel
+      logs.  The watermark is the sntid of the last beta [onrelease]
+      consumed, or the channel's last sntid after a reset; a tuple at
+      or below it can no longer change [uaw]. *)
 
   val lease_graph_edges : t -> (int * int) list
   (** Directed edges (u,v) with [granted t u v] — the paper's lease
@@ -345,10 +355,11 @@ module Make (Op : Agg.Operator.S) : sig
   val check_invariants : t -> unit
   (** Audit the internal representation: the dense per-slot lease arrays
       against their incrementally maintained cardinalities ([tkn_count],
-      [grntd_count], uaw sizes, snt popcounts, the sntprobes membership
-      counters), the cached [gval] against a fresh fold, the per-channel
-      [sntupdates] logs (strictly increasing ids, pruning watermark below
-      the live window) and the ghost state (write array mirrors the log,
+      [grntd_count], snt popcounts, the sntprobes membership counters),
+      the cached [gval] against a fresh fold, the per-channel update logs
+      (records decode to the cached count, ids and sntids strictly
+      increase, the tail matches the last id and sntid, and watermark <=
+      last sntid <= [upcntr]) and the ghost state (write array mirrors the log,
       per-origin prefix order, [last_write] high-water marks).  Safe to
       call between any two request/delivery steps.
       @raise Failure on the first violated invariant. *)

@@ -745,7 +745,7 @@ let suite =
 (* Representation audit: Mechanism.check_invariants compares every
    incrementally maintained piece of dense state (lease counters, gval
    cache, snt popcounts, sntprobes membership counts, per-channel
-   sntupdates logs, delta-encoded ghost state) against a from-scratch
+   update logs, delta-encoded ghost state) against a from-scratch
    recomputation.  Fuzzed over 10k operations: sequential mixed
    workloads on the stock topologies, plus a concurrent run audited
    after every single request initiation and message delivery. *)
@@ -814,6 +814,108 @@ let test_sntupdates_bounded () =
   (* sanity: the workload really did route updates through relays *)
   Alcotest.(check bool) "updates flowed" true (!forwarded > 1000)
 
+(* Lease-all retention: with leases everywhere and none ever released,
+   every update a node receives stays in that channel's update log (as
+   uaw[v], and as an sntupdates tuple when it was forwarded).  Two
+   byte-coded deltas per record keep the growth of the whole system's
+   reachable heap under half a word per Update message sent; the two
+   int-array structures the log replaced retained about 4.5. *)
+let retained_words_per_update tree ~writes ~node =
+  let sys =
+    M.create tree ~policy:(Oat.Policy.noop ~name:"lease-all" ~set_lease:true)
+  in
+  ignore (M.combine_sync sys ~node:0);
+  let w0 = Obj.reachable_words (Obj.repr sys) in
+  let u0 = M.messages_of_kind sys Simul.Kind.Update in
+  for i = 1 to writes do
+    M.write_sync sys ~node:(node i) (float_of_int i)
+  done;
+  let w1 = Obj.reachable_words (Obj.repr sys) in
+  float_of_int (w1 - w0)
+  /. float_of_int (M.messages_of_kind sys Simul.Kind.Update - u0)
+
+let test_lease_all_retention () =
+  let check name words =
+    Printf.printf "%s: %.2f retained words per Update\n" name words;
+    if words > 0.5 then
+      Alcotest.failf "%s: %.2f retained words per Update (budget 0.5)" name
+        words
+  in
+  check "path-64 leaf writes"
+    (retained_words_per_update (Tree.Build.path 64) ~writes:10_000
+       ~node:(fun _ -> 63));
+  let rng = Sm.create 1023 in
+  check "binary-1023 uniform writes"
+    (retained_words_per_update (Tree.Build.binary 1023) ~writes:20_000
+       ~node:(fun _ -> Sm.int rng 1023))
+
+(* Multi-byte log deltas.  On a 601-star under (1,600) the hub forwards
+   the updates of hundreds of other leaves between two updates from one
+   leaf, so the sntid deltas in its logs need more than one byte, and
+   every release's beta is such a record (the RWW goldens keep deltas at
+   1).  Totals pinned from the representation before the delta-coded
+   log; the audit runs after every request. *)
+let test_golden_multibyte_deltas () =
+  let n = 601 in
+  let sys =
+    M.create (Tree.Build.star n) ~policy:(Oat.Ab_policy.policy ~a:1 ~b:600)
+  in
+  let rng = Sm.create 601 in
+  for i = 1 to 4000 do
+    let node = Sm.int rng n in
+    if Sm.bernoulli rng 0.01 then ignore (M.combine_sync sys ~node)
+    else M.write_sync sys ~node (float_of_int i);
+    M.check_invariants sys
+  done;
+  Alcotest.(check (pair int (pair (pair int int) (pair int int))))
+    "star-601 (1,600)"
+    (25513, ((637, 637), (24208, 31)))
+    (M.message_total sys, (kind_counts sys |> fun (p, r, u, l) -> ((p, r), (u, l))))
+
+(* The widest log records: on a double star under lease-all, a hub that
+   forwards 300 updates of its own leaf between two updates crossing the
+   middle edge logs the next crossing update with both deltas above 255
+   (9 bytes each).  Alternating runs of 2-byte records with these puts
+   an 18-byte record at the edge of each buffer size as the log grows;
+   the audit checks that every log stays inside its buffer. *)
+let test_wide_log_records () =
+  let k = 3 in
+  let n = (2 * k) + 2 in
+  (* hubs 0 and 1; leaves 2..k+1 on hub 0, k+2..2k+1 on hub 1 *)
+  let edges =
+    ((0, 1) :: List.init k (fun i -> (0, 2 + i)))
+    @ List.init k (fun i -> (1, k + 2 + i))
+  in
+  let sys =
+    M.create (Tree.create ~n ~edges)
+      ~policy:(Oat.Policy.noop ~name:"lease-all" ~set_lease:true)
+  in
+  for u = 0 to n - 1 do
+    ignore (M.combine_sync sys ~node:u)
+  done;
+  let far = 2 and near = k + 2 in
+  for round = 1 to 12 do
+    for i = 1 to 7 do
+      M.write_sync sys ~node:near (float_of_int i);
+      M.check_invariants sys
+    done;
+    for _ = 1 to 2 do
+      for i = 1 to 300 do
+        M.write_sync sys ~node:far (float_of_int i)
+      done;
+      M.write_sync sys ~node:near (float_of_int round);
+      M.check_invariants sys
+    done
+  done;
+  (* hub 0 still holds every id hub 1 sent it, 24 of them after a gap *)
+  let ids = Oat.Mechanism.IntSet.elements (M.uaw sys 0 1) in
+  let rec wide = function
+    | a :: (b :: _ as rest) -> (if b - a > 255 then 1 else 0) + wide rest
+    | _ -> 0
+  in
+  Alcotest.(check (pair int int)) "uaw ids, wide gaps" (108, 24)
+    (List.length ids, wide ids)
+
 let suite =
   suite
   @ [
@@ -823,4 +925,10 @@ let suite =
         test_fuzz_invariants_concurrent;
       Alcotest.test_case "sntupdates stays bounded" `Quick
         test_sntupdates_bounded;
+      Alcotest.test_case "lease-all retention per Update" `Quick
+        test_lease_all_retention;
+      Alcotest.test_case "golden multi-byte log deltas" `Quick
+        test_golden_multibyte_deltas;
+      Alcotest.test_case "widest log records stay in bounds" `Quick
+        test_wide_log_records;
     ]
