@@ -1,18 +1,19 @@
 (* Benchmark harness.
 
    `dune exec bench/main.exe` first regenerates every table/figure of the
-   paper (experiments E1-E8, shape reproduction — see EXPERIMENTS.md),
-   then runs one Bechamel micro-benchmark per experiment measuring the
-   wall-clock cost of its core computation.
+   paper (every entry of [Experiments.all], shape reproduction — see
+   EXPERIMENTS.md), then runs one Bechamel micro-benchmark per experiment
+   measuring the wall-clock cost of its core computation.
 
    `dune exec bench/main.exe -- --tables-only` skips the timing pass;
    `-- --bench-only` skips the tables.  `-- --json [FILE]` additionally
    writes the per-benchmark OLS estimates as JSON (default file:
    `BENCH_<yyyy-mm-dd>.json`), giving successive PRs a machine-readable
    performance trajectory.  With `--tables-only` the process exits
-   non-zero if any experiment shape deviates, so a `dune build
-   @bench-smoke` (run as part of `dune runtest`) catches experiment
-   regressions. *)
+   non-zero if any experiment shape deviates, and `dune build
+   @bench-smoke` (run as part of `dune runtest`) also diffs the tables
+   against the committed tables.expected, so it catches experiment
+   regressions number for number. *)
 
 module Sm = Prng.Splitmix
 module M = Oat.Mechanism.Make (Agg.Ops.Sum)
@@ -25,56 +26,14 @@ type vmsg = Vupdate of { vx : float; vid : int; vcut : int list }
 let run_tables () =
   print_endline "Online Aggregation over Trees — experiment harness";
   print_endline "(paper: Plaxton, Tiwari, Yalagandula, IPPS 2007)";
-  let mismatches = Experiments.e1_figure2 () in
-  let transitions = Experiments.e2_figure4 () in
-  let c_star = Experiments.e3_figure5 () in
-  let t1 = Experiments.e4_theorem1 () in
-  let t2 = Experiments.e5_theorem2 () in
-  let t3 = Experiments.e6_theorem3 () in
-  let e7 = Experiments.e7_motivation () in
-  let inconsistencies = Experiments.e8_consistency () in
-  let e9 = Experiments.e9_ab_certificates () in
-  let e10 = Experiments.e10_coupling_gap () in
-  let e11 = Experiments.e11_latency () in
-  let e12 = Experiments.e12_scaling () in
-  let e13 = Experiments.e13_timed_leases () in
-  let e14 = Experiments.e14_cost_profile () in
-  let e15 = Experiments.e15_dht_load_spread () in
+  let verdicts =
+    List.map (fun (e : Experiments.entry) -> e.run ()) Experiments.all
+  in
   print_newline ();
   print_endline "Summary";
   print_endline "=======";
-  Printf.printf "E1 Figure 2 mismatching rows:        %d (expect 0)\n" mismatches;
-  Printf.printf "E2 Figure 4 non-trivial transitions: %d (expect 21)\n" transitions;
-  Printf.printf "E3 Figure 5 optimal c:               %.4f (expect 2.5)\n" c_star;
-  Printf.printf "E4 Theorem 1 max ratio:              %.3f (bound 2.5)\n" t1;
-  Printf.printf "E5 Theorem 2 max ratio:              %.3f (bound ~5)\n" t2;
-  Printf.printf "E6 Theorem 3 min adversarial ratio:  %.3f (bound 2.5)\n" t3;
-  Printf.printf "E7 adaptive-vs-static shape holds:   %s\n"
-    (if e7 = 1 then "yes" else "NO");
-  Printf.printf "E8 consistency violations:           %d (expect 0)\n"
-    inconsistencies;
-  Printf.printf "E9 class-minimum certified ratio:    %.3f (expect 2.5 at (1,2))\n"
-    e9;
-  Printf.printf "E10 per-edge vs coupled OPT gap:     %d (expect 0)\n" e10;
-  Printf.printf "E11 latency ordering holds:          %s\n"
-    (if e11 = 1 then "yes" else "NO");
-  Printf.printf "E12 scaling shape holds:             %s\n"
-    (if e12 = 1 then "yes" else "NO");
-  Printf.printf "E13 RWW within 2x of best TTL:       %s\n"
-    (if e13 = 1 then "yes" else "NO");
-  Printf.printf "E14 cost-distribution shape holds:   %s\n"
-    (if e14 = 1 then "yes" else "NO");
-  Printf.printf "E15 DHT load-spreading shape holds:  %s\n"
-    (if e15 = 1 then "yes" else "NO");
-  let ok =
-    mismatches = 0 && transitions = 21
-    && Float.abs (c_star -. 2.5) < 1e-6
-    && t1 <= 2.5 +. 1e-9
-    && t3 >= 2.5 -. 0.05
-    && e7 = 1 && inconsistencies = 0
-    && Float.abs (e9 -. 2.5) < 1e-6
-    && e10 = 0 && e11 = 1 && e12 = 1 && e13 = 1 && e14 = 1 && e15 = 1
-  in
+  List.iter (fun (line, _) -> print_endline line) verdicts;
+  let ok = List.for_all snd verdicts in
   Printf.printf "\nOverall: %s\n"
     (if ok then "ALL SHAPES REPRODUCED" else "DEVIATIONS FOUND");
   ok
@@ -462,6 +421,12 @@ let bench_tests =
     Test.make ~name:"e15-dht-tree-build" (Staged.stage e15_core);
   ]
 
+(* A bad path ends the run in one line and exit 2, before any work: an
+   uncaught Sys_error also exits 2, but only after the timing pass. *)
+let die msg =
+  prerr_endline ("bench: " ^ msg);
+  exit 2
+
 (* Serialize the OLS estimates so successive PRs can diff benchmark
    timings mechanically.  Schema: a top-level object with the run date
    and one row per benchmark; times in nanoseconds per run. *)
@@ -483,7 +448,7 @@ let write_json ~file rows =
   let json_float x =
     if Float.is_nan x then "null" else Printf.sprintf "%.6g" x
   in
-  let oc = open_out file in
+  let oc = try open_out file with Sys_error msg -> die ("--json " ^ msg) in
   let tm = Unix.localtime (Unix.time ()) in
   Printf.fprintf oc "{\n  \"date\": \"%04d-%02d-%02d\",\n"
     (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday;
@@ -552,8 +517,7 @@ let read_baseline file =
   close_in ic;
   !rows
 
-let compare_with_baseline ~file ~tolerance rows =
-  let baseline = read_baseline file in
+let compare_with_baseline ~file ~baseline ~tolerance rows =
   Printf.printf "\nComparison against %s (tolerance %.0f%%)\n" file
     ((tolerance -. 1.0) *. 100.0);
   let t =
@@ -656,7 +620,8 @@ let run_bechamel ~quota ~json ~compare_to ~tolerance () =
   (match json with None -> () | Some file -> write_json ~file rows);
   match compare_to with
   | None -> true
-  | Some file -> compare_with_baseline ~file ~tolerance rows
+  | Some (file, baseline) ->
+    compare_with_baseline ~file ~baseline ~tolerance rows
 
 (* --gc-gate: deterministic allocation budget over the steady-state
    delivery path.  Unlike the timing gates this is exact, not
@@ -1258,6 +1223,24 @@ let () =
       | [] -> 1.25
     in
     find args
+  in
+  (match json with
+  | Some file ->
+    let dir = Filename.dirname file in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      die (Printf.sprintf "--json %s: no such directory %s" file dir);
+    if Sys.file_exists file && Sys.is_directory file then
+      die (Printf.sprintf "--json %s: is a directory" file)
+  | None -> ());
+  let compare_to =
+    Option.map
+      (fun file ->
+        if Sys.file_exists file && Sys.is_directory file then
+          die (Printf.sprintf "--compare %s: is a directory" file);
+        match read_baseline file with
+        | baseline -> (file, baseline)
+        | exception Sys_error msg -> die ("--compare " ^ msg))
+      compare_to
   in
   if List.mem "--gc-gate" args then begin
     if not (run_gc_gate ()) then exit 1

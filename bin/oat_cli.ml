@@ -38,8 +38,8 @@ let read_fraction_arg =
 
 let policy_arg =
   let doc =
-    "Lease policy: rww, ab:A,B (e.g. ab:2,3), always, never, or one of the \
-     standalone baselines astrolabe, mds2."
+    "Lease policy: rww, ab:A,B (e.g. ab:2,3), always, never (also named \
+     mds2), or the standalone baseline astrolabe."
   in
   Arg.(value & opt string "rww" & info [ "policy" ] ~docv:"POLICY" ~doc)
 
@@ -86,23 +86,21 @@ let build_algo spec tree =
   | other -> Error (Printf.sprintf "unknown policy %S" other)
 
 (* Lease-policy specs drivable through Mechanism.Make directly (where the
-   telemetry instrumentation lives); the standalone baselines astrolabe
-   and mds2 bypass the mechanism and cannot be traced. *)
+   telemetry instrumentation lives); the standalone astrolabe baseline
+   bypasses the mechanism and cannot be traced. *)
 let build_lease_policy spec =
   match spec with
   | "rww" -> Ok Oat.Rww.policy
   | "always" -> Ok Oat.Ab_policy.always_lease
-  | "never" -> Ok Oat.Ab_policy.never_lease
+  | "never" | "mds2" | "mds-2" -> Ok Oat.Ab_policy.never_lease
   | s when String.length s > 3 && String.sub s 0 3 = "ab:" -> (
     match parse_ab (String.sub s 3 (String.length s - 3)) with
     | Ok (a, b) -> Ok (Oat.Ab_policy.policy ~a ~b)
     | Error e -> Error e)
-  | ("astrolabe" | "mds2" | "mds-2") as s ->
+  | "astrolabe" ->
     Error
-      (Printf.sprintf
-         "%S is a standalone baseline; telemetry needs a lease policy (rww, \
-          always, never, ab:A,B)"
-         s)
+      "\"astrolabe\" is a standalone baseline; telemetry needs a lease \
+       policy (rww, always, never, ab:A,B)"
   | other -> Error (Printf.sprintf "unknown lease policy %S" other)
 
 let or_die = function
@@ -933,38 +931,32 @@ let profile_cmd =
 
 (* ---- tables ---- *)
 
-let all_experiments : (string * (unit -> unit)) list =
-  [
-    ("e1", fun () -> ignore (Experiments.e1_figure2 ()));
-    ("e2", fun () -> ignore (Experiments.e2_figure4 ()));
-    ("e3", fun () -> ignore (Experiments.e3_figure5 ()));
-    ("e4", fun () -> ignore (Experiments.e4_theorem1 ()));
-    ("e5", fun () -> ignore (Experiments.e5_theorem2 ()));
-    ("e6", fun () -> ignore (Experiments.e6_theorem3 ()));
-    ("e7", fun () -> ignore (Experiments.e7_motivation ()));
-    ("e8", fun () -> ignore (Experiments.e8_consistency ()));
-    ("e9", fun () -> ignore (Experiments.e9_ab_certificates ()));
-    ("e10", fun () -> ignore (Experiments.e10_coupling_gap ()));
-    ("e11", fun () -> ignore (Experiments.e11_latency ()));
-    ("e12", fun () -> ignore (Experiments.e12_scaling ()));
-    ("e13", fun () -> ignore (Experiments.e13_timed_leases ()));
-    ("e14", fun () -> ignore (Experiments.e14_cost_profile ()));
-    ("e15", fun () -> ignore (Experiments.e15_dht_load_spread ()));
-    ("e16", fun () -> ignore (Experiments.e16_fault_sweep ()));
-    ("e21", fun () -> ignore (Experiments.e21_churn_sweep ()));
-  ]
-
+(* Prints only the tables; a deviating shape is reported on stderr and
+   fails the command. *)
 let tables only =
-  match only with
-  | None -> List.iter (fun (_, run) -> run ()) all_experiments
-  | Some id -> (
-    match List.assoc_opt (String.lowercase_ascii id) all_experiments with
-    | Some run -> run ()
-    | None ->
-      or_die
-        (Error
-           (Printf.sprintf "unknown experiment %S (use e1..e%d)" id
-              (List.length all_experiments))))
+  let open Experiments in
+  let entries =
+    match only with
+    | None -> all
+    | Some id -> (
+      let key = String.lowercase_ascii id in
+      match List.filter (fun e -> e.id = key) all with
+      | [] ->
+        or_die
+          (Error
+             (Printf.sprintf "unknown experiment %S (use one of %s)" id
+                (String.concat ", " (List.map (fun e -> e.id) all))))
+      | l -> l)
+  in
+  let deviations =
+    List.filter_map
+      (fun e ->
+        let line, ok = e.run () in
+        if ok then None else Some line)
+      entries
+  in
+  List.iter (fun l -> prerr_endline ("oat: shape deviates: " ^ l)) deviations;
+  if deviations <> [] then exit 1
 
 let tables_cmd =
   let doc = "Regenerate experiment tables (see EXPERIMENTS.md)." in

@@ -20,7 +20,7 @@ let () =
     (Tree.n_nodes tree) (Tree.diameter tree);
 
   (* --- multi-attribute frontend: per-attribute policies --- *)
-  let cluster = Multi.create tree in
+  let cluster = Multi.create (Fun.const tree) in
   Multi.declare cluster "requests";
   Multi.declare cluster ~policy:Oat.Ab_policy.never_lease "debug-counter";
   let rng = Sm.create 7 in

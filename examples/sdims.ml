@@ -12,12 +12,13 @@
    Run with: dune exec examples/sdims.exe *)
 
 module Sm = Prng.Splitmix
-module DM = Dht.Dht_multi.Make (Agg.Ops.Sum)
+module P = Dht.Plaxton
+module Mu = Oat.Multi.Make (Agg.Ops.Sum)
 
 let () =
-  let rng = Sm.create 77 in
   let n = 32 in
-  let sys = DM.create rng ~n ~bits:12 in
+  let dht = P.create (Sm.create 77) ~n ~bits:12 in
+  let sys = Mu.create (P.tree_for_attribute dht) in
 
   print_endline "SDIMS-style deployment: per-attribute DHT aggregation trees";
   print_endline "============================================================";
@@ -37,8 +38,9 @@ let () =
   Printf.printf "%-14s %-6s %-10s %s\n" "attribute" "root" "tree-depth" "(key routing)";
   List.iter
     (fun (attr, _) ->
-      let tree = DM.tree_of sys ~attr in
-      let root = DM.root_of sys ~attr in
+      Mu.declare sys attr;
+      let tree = P.tree_for_attribute dht attr in
+      let root = P.root_for_key dht ~key:(P.key_of_attribute dht attr) in
       Printf.printf "%-14s %-6d %-10d\n" attr root (Tree.eccentricity tree root))
     attrs;
 
@@ -49,17 +51,17 @@ let () =
       for i = 1 to 400 do
         let node = Sm.int rng2 n in
         if Sm.bernoulli rng2 read_fraction then
-          ignore (DM.combine sys ~attr ~node)
-        else DM.write sys ~attr ~node (float_of_int (i mod 50))
+          ignore (Mu.combine sys ~attr ~node)
+        else Mu.write sys ~attr ~node (float_of_int (i mod 50))
       done)
     attrs;
 
   print_newline ();
   Printf.printf "total messages across %d attributes: %d\n" (List.length attrs)
-    (DM.message_total sys);
+    (Mu.message_total sys);
 
   (* Load distribution across machines. *)
-  let load = DM.messages_per_machine sys in
+  let load = Mu.messages_per_node sys ~n in
   let sorted = Array.copy load in
   Array.sort compare sorted;
   let total = Array.fold_left ( + ) 0 load in
@@ -73,9 +75,7 @@ let () =
     (100.0 *. float_of_int heavy /. float_of_int total);
 
   (* The same six attributes on one shared tree, for contrast. *)
-  let module Mu = Oat.Multi.Make (Agg.Ops.Sum) in
-  let shared_tree = Tree.Build.kary ~k:3 n in
-  let shared = Mu.create shared_tree in
+  let shared = Mu.create (Fun.const (Tree.Build.kary ~k:3 n)) in
   List.iter (fun (attr, _) -> Mu.declare shared attr) attrs;
   let rng3 = Sm.create 78 in
   List.iter

@@ -1,6 +1,5 @@
 module M = Oat.Mechanism.Make (Agg.Ops.Sum)
 module Astro = Astrolabe.Make (Agg.Ops.Sum)
-module Mds = Mds2.Make (Agg.Ops.Sum)
 
 type t = {
   name : string;
@@ -36,14 +35,7 @@ let astrolabe tree =
   }
 
 let mds2 tree =
-  let sys = Mds.create tree in
-  {
-    name = Mds.name;
-    write = (fun ~node v -> Mds.write sys ~node v);
-    combine = (fun ~node -> Mds.combine sys ~node);
-    message_total = (fun () -> Mds.message_total sys);
-    reset_counters = (fun () -> Mds.reset_message_counters sys);
-  }
+  { (of_policy Oat.Ab_policy.never_lease tree) with name = "mds-2" }
 
 let all_static_and_adaptive =
   [

@@ -1,6 +1,6 @@
 (** A uniform driver interface over every aggregation algorithm in the
     repository — lease-based policies run through the mechanism, and the
-    standalone static baselines — so experiments can sweep algorithms
+    standalone Astrolabe baseline — so experiments can sweep algorithms
     without functor plumbing.  Instances aggregate with SUM over floats
     (the concrete domain the paper fixes in Section 2). *)
 
@@ -20,7 +20,13 @@ val of_policy : Oat.Policy.factory -> maker
 val rww : maker
 val ab : a:int -> b:int -> maker
 val astrolabe : maker
+(** Flood on write from the first write on ({!Astrolabe}).  Not the
+    always-lease policy: that one floods only once its leases are set,
+    and setting them costs probes. *)
+
 val mds2 : maker
+(** MDS-2, aggregate on read: the never-lease policy, named ["mds-2"].
+    Writes send nothing; each combine costs 2(n-1) messages. *)
 
 val all_static_and_adaptive : (string * maker) list
 (** The line-up used by the motivation experiment (E7): astrolabe,

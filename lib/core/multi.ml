@@ -2,22 +2,20 @@ module Make (Op : Agg.Operator.S) = struct
   module M = Mechanism.Make (Op)
 
   type t = {
-    tree : Tree.t;
+    tree_for : string -> Tree.t;
     default_policy : Policy.factory;
     instances : (string, M.t) Hashtbl.t;
     mutable order : string list;  (* reversed creation order *)
   }
 
-  let create ?(default_policy = Rww.policy) tree =
-    { tree; default_policy; instances = Hashtbl.create 16; order = [] }
-
-  let tree t = t.tree
+  let create ?(default_policy = Rww.policy) tree_for =
+    { tree_for; default_policy; instances = Hashtbl.create 16; order = [] }
 
   let declare t ?policy name =
     if Hashtbl.mem t.instances name then
       invalid_arg (Printf.sprintf "Multi.declare: attribute %S already exists" name);
     let policy = Option.value policy ~default:t.default_policy in
-    Hashtbl.replace t.instances name (M.create t.tree ~policy);
+    Hashtbl.replace t.instances name (M.create (t.tree_for name) ~policy);
     t.order <- name :: t.order
 
   let attributes t = List.rev t.order
@@ -40,6 +38,18 @@ module Make (Op : Agg.Operator.S) = struct
     Hashtbl.fold (fun _ i acc -> acc + M.message_total i) t.instances 0
 
   let message_total_for t ~attr = M.message_total (find t attr)
+
+  let messages_per_node t ~n =
+    let load = Array.make n 0 in
+    Hashtbl.iter
+      (fun _ sys ->
+        let net = M.network sys in
+        List.iter
+          (fun (u, v) ->
+            load.(u) <- load.(u) + Simul.Network.sent_on_edge net ~src:u ~dst:v)
+          (Tree.ordered_pairs (M.tree sys)))
+      t.instances;
+    load
 
   let instance t ~attr = find t attr
 end

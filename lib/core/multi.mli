@@ -1,22 +1,27 @@
 (** Multi-attribute aggregation (the SDIMS-style frontend).
 
     The aggregation frameworks the paper targets (SDIMS, Astrolabe)
-    manage many named attributes over one physical tree, each aggregated
-    independently — and SDIMS's central point, which this paper makes
-    adaptive, is that the propagation aggressiveness can be chosen {e per
-    attribute}.  [Make (Op)] runs one {!Mechanism} instance per
-    attribute over a shared topology, with a per-attribute lease policy
-    (defaulting to RWW), on-demand attribute creation, and aggregated
-    message accounting. *)
+    manage many named attributes, each aggregated independently — and
+    SDIMS's central point, which this paper makes adaptive, is that the
+    propagation aggressiveness can be chosen {e per attribute}.
+    [Make (Op)] runs one {!Mechanism} instance per attribute, with a
+    per-attribute lease policy (defaulting to RWW), on-demand attribute
+    creation, and aggregated message accounting.
+
+    Each attribute runs on the tree [tree_for attr].  One physical
+    tree shared by every attribute is [Fun.const tree]; SDIMS's
+    per-attribute DHT trees are [Dht.Plaxton.tree_for_attribute dht],
+    which spreads the aggregation roots, and the load they attract,
+    over the machines. *)
 
 module Make (Op : Agg.Operator.S) : sig
   type t
 
-  val create : ?default_policy:Policy.factory -> Tree.t -> t
-  (** [create tree] — no attributes yet; the default policy (RWW unless
-      overridden) is used by attributes created on demand. *)
-
-  val tree : t -> Tree.t
+  val create : ?default_policy:Policy.factory -> (string -> Tree.t) -> t
+  (** [create tree_for] — no attributes yet; the default policy (RWW
+      unless overridden) is used by attributes created on demand.  An
+      attribute's tree is [tree_for attr], built once when the
+      attribute is created. *)
 
   val declare : t -> ?policy:Policy.factory -> string -> unit
   (** Create an attribute explicitly, optionally with its own policy.
@@ -43,6 +48,11 @@ module Make (Op : Agg.Operator.S) : sig
 
   val message_total_for : t -> attr:string -> int
   (** @raise Invalid_argument on an undeclared attribute. *)
+
+  val messages_per_node : t -> n:int -> int array
+  (** Messages sent by each of nodes [0 .. n-1], summed over every
+      attribute's tree — the load-spreading metric.  [n] must cover
+      every tree's nodes; the array then sums to {!message_total}. *)
 
   val instance : t -> attr:string -> Mechanism.Make(Op).t
   (** Escape hatch to the underlying per-attribute system (inspection,

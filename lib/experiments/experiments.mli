@@ -1,75 +1,16 @@
 (** The reproduction experiments (see EXPERIMENTS.md for the index).
 
-    Each function prints one table regenerating a figure, table, or
-    theorem of the paper and returns the headline scalar used by the
-    harness summary:
+    Each experiment prints one table regenerating a figure, table, or
+    theorem of the paper, then judges whether the paper's shape held. *)
 
-    - {!e1_figure2}: number of mismatching rows (expect 0);
-    - {!e2_figure4}: number of non-trivial transitions (expect 21);
-    - {!e3_figure5}: the LP optimum c* (expect 2.5);
-    - {!e4_theorem1}: max observed RWW/OPT ratio (bound 2.5);
-    - {!e5_theorem2}: max observed RWW/nice ratio (bound ~5);
-    - {!e6_theorem3}: min adversarial ratio over the (a,b) grid (2.5);
-    - {!e7_motivation}: 1 iff the static-vs-adaptive shape holds;
-    - {!e8_consistency}: total consistency violations (expect 0). *)
+type entry = {
+  id : string;  (** ["e1"] .. ["e16"], ["e21"]: the [oat tables --only] key *)
+  run : unit -> string * bool;
+      (** Print the table; return the harness summary line and the
+          verdict, [true] iff the shape held. *)
+}
 
-val e1_figure2 : unit -> int
-val e2_figure4 : unit -> int
-val e3_figure5 : unit -> float
-val e4_theorem1 : ?n:int -> unit -> float
-val e5_theorem2 : ?n:int -> unit -> float
-val e6_theorem3 : ?rounds:int -> unit -> float
-val e7_motivation : ?n:int -> unit -> int
-val e8_consistency : ?runs:int -> unit -> int
-
-val eager_break_policy : Oat.Policy.factory
-(** The grant-eagerly/release-eagerly policy used to exhibit Figure 2's
-    noop-release row (RWW itself never produces it, Lemma 4.1). *)
-
-val e9_ab_certificates : unit -> float
-(** E9 (ablation): LP-certified competitive ratio for every (a,b) in a
-    4x4 grid, against the Theorem 3 adversarial lower bound.  Returns
-    the class minimum (expect 2.5, at (1,2)). *)
-
-val e10_coupling_gap : unit -> int
-(** E10 (ablation): exact coupled offline optimum vs the per-edge
-    relaxation on small trees.  Returns the maximum gap observed
-    (empirically 0: the relaxation is tight). *)
-
-val e11_latency : ?n:int -> unit -> int
-(** E11: combine latency under unit hop latency for the three strategy
-    archetypes.  Returns 1 iff the expected latency ordering holds. *)
-
-val e12_scaling : ?requests:int -> unit -> int
-(** E12: messages per request as the tree grows, per strategy.  Returns
-    1 iff the expected scaling shape holds. *)
-
-val e13_timed_leases : ?n:int -> unit -> int
-(** E13: RWW vs time-based (TTL) leases on a phased workload under
-    virtual time.  Returns 1 iff RWW is within 2x of the best
-    hindsight-tuned TTL. *)
-
-val e14_cost_profile : ?n:int -> unit -> int
-(** E14: distribution of per-request message costs under RWW.  Returns
-    1 iff combine costs fall and write costs rise with the read
-    fraction. *)
-
-val e15_dht_load_spread : ?n_attrs:int -> unit -> int
-(** E15: per-machine load with one shared aggregation tree vs SDIMS-style
-    per-attribute DHT trees.  Returns 1 iff the DHT configuration has
-    the flatter load profile. *)
-
-val e16_fault_sweep : ?requests:int -> unit -> int
-(** E16: message cost and combine latency vs loss rate on line, star
-    and binary trees, through the reliable transport under a seeded
-    fault plan.  Returns 1 iff the lossless wire costs exactly one ack
-    per data frame, loss only adds wire overhead and latency, and every
-    run is causally consistent. *)
-
-val e21_churn_sweep : ?requests:int -> unit -> int
-(** E21: message cost and ghost-log staleness vs membership churn rate,
-    with churn synthesized against a Plaxton overlay
-    ({!Dht.Plaxton.churn_order}) and healed by the Merkle anti-entropy
-    pass.  Returns 1 iff every rate is causally consistent, repair
-    converges to zero divergence, and positive rates exercise the
-    depart/join machinery. *)
+val all : entry list
+(** Every experiment, in table order.  [oat tables] and
+    [bench/main.exe --tables-only] both run this list and fail on a
+    [false] verdict. *)

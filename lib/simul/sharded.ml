@@ -577,46 +577,6 @@ let run_sequential ?(max_windows = default_max_windows) t ~requests =
   in
   run_windowed t ~max_windows ~worker_inits ~serial_step
 
-let run_open ?(max_windows = default_max_windows) t ~requests =
-  let feeds =
-    let buckets = Array.make t.k [] in
-    Array.iter
-      (fun (w, node, run) ->
-        let s = Tree.Partition.shard_of t.part node in
-        buckets.(s) <- (w, run) :: buckets.(s))
-      requests;
-    Array.map (fun l -> Array.of_list (List.rev l)) buckets
-  in
-  let cursors = Array.make t.k 0 in
-  let worker_inits s w =
-    let feed = feeds.(s) in
-    let n = ref 0 in
-    while
-      cursors.(s) < Array.length feed && fst feed.(cursors.(s)) <= w
-    do
-      (snd feed.(cursors.(s))) ();
-      cursors.(s) <- cursors.(s) + 1;
-      incr n
-    done;
-    !n
-  in
-  let serial_step w =
-    if pending_crossings t > 0 then w + 1
-    else begin
-      (* quiet network: jump straight to the next window with arrivals
-         (the adaptive lookahead — skipped windows run nothing) *)
-      let nw = ref max_int in
-      for s = 0 to t.k - 1 do
-        if cursors.(s) < Array.length feeds.(s) then begin
-          let ww = fst feeds.(s).(cursors.(s)) in
-          if ww < !nw then nw := ww
-        end
-      done;
-      if !nw = max_int then -1 else max (w + 1) !nw
-    end
-  in
-  run_windowed t ~max_windows ~worker_inits ~serial_step
-
 (* Generator-driven open-loop driver: requests are pulled from
    caller-supplied per-shard cursors instead of materialised arrays.
    [pull ~shard ~window] initiates every request of [shard] due at or
@@ -629,6 +589,8 @@ let run_feed ?(max_windows = default_max_windows) t ~pull ~next_window =
   let serial_step w =
     if pending_crossings t > 0 then w + 1
     else begin
+      (* quiet network: jump straight to the next window with arrivals
+         (the adaptive lookahead — skipped windows run nothing) *)
       let nw = ref max_int in
       for s = 0 to t.k - 1 do
         let ww = next_window ~shard:s in
@@ -638,6 +600,35 @@ let run_feed ?(max_windows = default_max_windows) t ~pull ~next_window =
     end
   in
   run_windowed t ~max_windows ~worker_inits ~serial_step
+
+(* A materialised request array is one more feed: bucket it by owning
+   shard (stable, so each shard keeps request order) and hand
+   [run_feed] one array cursor per shard. *)
+let run_open ?max_windows t ~requests =
+  let feeds =
+    let buckets = Array.make t.k [] in
+    Array.iter
+      (fun (w, node, run) ->
+        let s = Tree.Partition.shard_of t.part node in
+        buckets.(s) <- (w, run) :: buckets.(s))
+      requests;
+    Array.map (fun l -> Array.of_list (List.rev l)) buckets
+  in
+  let cursors = Array.make t.k 0 in
+  let next_window ~shard =
+    let c = cursors.(shard) in
+    if c < Array.length feeds.(shard) then fst feeds.(shard).(c) else max_int
+  in
+  let pull ~shard ~window =
+    let n = ref 0 in
+    while next_window ~shard <= window do
+      (snd feeds.(shard).(cursors.(shard))) ();
+      cursors.(shard) <- cursors.(shard) + 1;
+      incr n
+    done;
+    !n
+  in
+  run_feed ?max_windows t ~pull ~next_window
 
 (* ------------------------------------------------------------------ *)
 (* Replay: a coordinator (the calling domain) hands one recorded step

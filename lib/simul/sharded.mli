@@ -157,7 +157,13 @@ val run_sequential :
     single-domain engine with {!Engine.run_to_quiescence} around each
     request — the mechanism's confluence makes the quiescent states
     (and message totals) independent of the delivery order within each
-    request. *)
+    request.
+
+    This is the one windowed driver not expressed through {!run_feed}:
+    its rule is one initiation per fleet-quiescent point, not one per
+    due window.  Through [pull]/[next_window], the shard that runs the
+    request would have to write the shared cursor from phase B, where
+    [run_feed]'s cursors are only read, in the serial section. *)
 
 val run_open :
   ?max_windows:int ->
@@ -168,8 +174,11 @@ val run_open :
     request is initiated at the start of its window on its owner's
     domain, while earlier requests may still have messages in flight.
     [requests] must be sorted by window.  Runs until all requests are
-    initiated and the system is quiescent.  Windows with no pending
-    traffic and no due requests are skipped (adaptive lookahead). *)
+    initiated and the system is quiescent.
+
+    A convenience over {!run_feed}: the array is split into one cursor
+    per shard (request order kept within each shard), so the window
+    skip, termination and work accounting are exactly [run_feed]'s. *)
 
 val run_feed :
   ?max_windows:int ->
@@ -177,9 +186,9 @@ val run_feed :
   pull:(shard:int -> window:int -> int) ->
   next_window:(shard:int -> int) ->
   unit
-(** Generator-driven open-loop executions: like {!run_open}, but
-    requests are pulled on demand from caller-supplied per-shard
-    cursors instead of a materialised closure array, so the
+(** Generator-driven open-loop executions: requests are pulled on
+    demand from caller-supplied per-shard cursors instead of a
+    materialised closure array ({!run_open}), so the
     steady-state request path can stay allocation-free (see
     {!Workload.Feed} and [Feed.shard_cursors] for the standard
     producer).
@@ -192,7 +201,8 @@ val run_feed :
     stream is exhausted; it is called in the serial section (all
     workers parked on the barrier, so cursor state is safe to read).
     The run terminates when every stream is exhausted and the system
-    is quiescent; quiet windows are skipped as in {!run_open}.
+    is quiescent.  Windows with no pending traffic and no due requests
+    are skipped (adaptive lookahead).
 
     Determinism: given pull functions that are pure functions of
     (stream, window) — true of {!Workload.Feed} cursors — the

@@ -38,7 +38,7 @@ let event_shard = function
 
 (* Bounded ring: overwrites the oldest event once full, counting what it
    dropped, so a long run records its tail instead of growing without
-   bound (the old [Simul.Trace] accumulated an unbounded list). *)
+   bound. *)
 type ring = {
   data : event array;
   capacity : int;

@@ -1,9 +1,8 @@
-(* Tests for the static-strategy baselines (Astrolabe, MDS-2) and the
-   uniform algorithm driver. *)
+(* Tests for the static-strategy baselines (Astrolabe, and MDS-2 as the
+   never-lease policy) and the uniform algorithm driver. *)
 
 module Sm = Prng.Splitmix
 module Astro = Baselines.Astrolabe.Make (Agg.Ops.Sum)
-module Mds = Baselines.Mds2.Make (Agg.Ops.Sum)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -37,38 +36,71 @@ let test_astrolabe_correctness () =
 
 let test_mds2_costs () =
   let tree = Tree.Build.binary 7 in
-  let sys = Mds.create tree in
-  Mds.write sys ~node:3 5.0;
-  Alcotest.(check int) "write free" 0 (Mds.message_total sys);
-  check_float "combine correct" 5.0 (Mds.combine sys ~node:6);
+  let sys = Baselines.Algorithm.mds2 tree in
+  Alcotest.(check string) "name" "mds-2" sys.name;
+  sys.write ~node:3 5.0;
+  Alcotest.(check int) "write free" 0 (sys.message_total ());
+  check_float "combine correct" 5.0 (sys.combine ~node:6);
   (* probe + response on every edge *)
-  Alcotest.(check int) "combine costs 2(n-1)" 12 (Mds.message_total sys)
+  Alcotest.(check int) "combine costs 2(n-1)" 12 (sys.message_total ())
 
 let test_mds2_correctness () =
   let rng = Sm.create 505 in
   let tree = Tree.Build.random rng 9 in
-  let sys = Mds.create tree in
+  let sys = Baselines.Algorithm.mds2 tree in
   let latest = Array.make 9 0.0 in
   for _ = 1 to 200 do
     if Sm.bool rng then begin
       let node = Sm.int rng 9 and v = Sm.float rng in
       latest.(node) <- v;
-      Mds.write sys ~node v
+      sys.write ~node v
     end
     else
       check_float "mds2 combine"
         (Array.fold_left ( +. ) 0.0 latest)
-        (Mds.combine sys ~node:(Sm.int rng 9))
+        (sys.combine ~node:(Sm.int rng 9))
   done
 
 let test_single_node () =
   let tree = Tree.create ~n:1 ~edges:[] in
-  let a = Astro.create tree and m = Mds.create tree in
+  let a = Astro.create tree and m = Baselines.Algorithm.mds2 tree in
   Astro.write a ~node:0 3.0;
-  Mds.write m ~node:0 3.0;
+  m.write ~node:0 3.0;
   check_float "astrolabe singleton" 3.0 (Astro.combine a ~node:0);
-  check_float "mds2 singleton" 3.0 (Mds.combine m ~node:0);
-  Alcotest.(check int) "no messages" 0 (Astro.message_total a + Mds.message_total m)
+  check_float "mds2 singleton" 3.0 (m.combine ~node:0);
+  Alcotest.(check int) "no messages" 0 (Astro.message_total a + m.message_total ())
+
+(* MDS-2's closed form on arbitrary trees and read/write mixes: a write
+   sends nothing, a combine costs exactly 2(n-1), and every combine
+   returns the exact sum of the latest writes. *)
+let prop_mds2_closed_form =
+  QCheck.Test.make ~count:300
+    ~name:"mds2 closed form: 0 per write, 2(n-1) per combine, exact"
+    QCheck.(pair (int_range 1 40) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Sm.create seed in
+      let tree = Tree.Build.random rng n in
+      let sys = Baselines.Algorithm.mds2 tree in
+      let latest = Array.make n 0.0 in
+      let read_fraction = Sm.float rng in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        let node = Sm.int rng n in
+        let before = sys.message_total () in
+        if Sm.bernoulli rng read_fraction then begin
+          let got = sys.combine ~node in
+          let want = Array.fold_left ( +. ) 0.0 latest in
+          if Float.abs (got -. want) > 1e-9 then ok := false;
+          if sys.message_total () - before <> 2 * (n - 1) then ok := false
+        end
+        else begin
+          let v = Sm.float rng in
+          latest.(node) <- v;
+          sys.write ~node v;
+          if sys.message_total () <> before then ok := false
+        end
+      done;
+      !ok)
 
 let test_driver_consistency_all () =
   let rng = Sm.create 606 in
@@ -127,28 +159,6 @@ let test_astrolabe_equals_warm_always_lease () =
     (astro.Baselines.Algorithm.message_total ())
     (always.Baselines.Algorithm.message_total ())
 
-let test_mds2_equals_never_lease () =
-  let tree = Tree.Build.binary 6 in
-  let never = Baselines.Algorithm.of_policy Oat.Ab_policy.never_lease tree in
-  let mds = Baselines.Algorithm.mds2 tree in
-  let rng = Sm.create 99 in
-  for _ = 1 to 50 do
-    if Sm.bool rng then begin
-      let node = Sm.int rng 6 and v = Sm.float rng in
-      never.Baselines.Algorithm.write ~node v;
-      mds.Baselines.Algorithm.write ~node v
-    end
-    else begin
-      let node = Sm.int rng 6 in
-      check_float "same value"
-        (mds.Baselines.Algorithm.combine ~node)
-        (never.Baselines.Algorithm.combine ~node)
-    end
-  done;
-  Alcotest.(check int) "same cost"
-    (mds.Baselines.Algorithm.message_total ())
-    (never.Baselines.Algorithm.message_total ())
-
 let suite =
   [
     Alcotest.test_case "astrolabe costs" `Quick test_astrolabe_costs;
@@ -160,5 +170,5 @@ let suite =
     Alcotest.test_case "cost ordering by regime" `Quick test_driver_cost_ordering;
     Alcotest.test_case "warm always-lease = astrolabe" `Quick
       test_astrolabe_equals_warm_always_lease;
-    Alcotest.test_case "never-lease = mds2" `Quick test_mds2_equals_never_lease;
+    QCheck_alcotest.to_alcotest prop_mds2_closed_form;
   ]

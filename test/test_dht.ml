@@ -3,7 +3,10 @@
 
 module Sm = Prng.Splitmix
 module P = Dht.Plaxton
-module DM = Dht.Dht_multi.Make (Agg.Ops.Sum)
+module Mu = Oat.Multi.Make (Agg.Ops.Sum)
+
+(* The SDIMS front-end: one aggregation tree per attribute, from [d]. *)
+let per_attribute d = Mu.create (P.tree_for_attribute d)
 
 let test_ids_distinct_and_in_range () =
   let rng = Sm.create 1 in
@@ -94,11 +97,13 @@ let test_aggregation_over_dht_tree () =
   done
 
 let test_multi_dht_load_spreading () =
-  let rng = Sm.create 6 in
-  let t = DM.create rng ~n:32 ~bits:12 in
+  let d = P.create (Sm.create 6) ~n:32 ~bits:12 in
+  let t = per_attribute d in
   let attrs = List.init 48 (fun i -> Printf.sprintf "attr-%d" i) in
   (* Roots of many attributes must not all collapse onto one machine. *)
-  let roots = List.map (fun a -> DM.root_of t ~attr:a) attrs in
+  let roots =
+    List.map (fun a -> P.root_for_key d ~key:(P.key_of_attribute d a)) attrs
+  in
   let distinct = List.sort_uniq compare roots in
   Alcotest.(check bool) "roots spread" true (List.length distinct >= 6);
   (* Drive traffic on every attribute and check per-machine load is not
@@ -107,29 +112,30 @@ let test_multi_dht_load_spreading () =
   List.iter
     (fun attr ->
       for i = 1 to 6 do
-        DM.write t ~attr ~node:(Sm.int rng2 32) (float_of_int i)
+        Mu.write t ~attr ~node:(Sm.int rng2 32) (float_of_int i)
       done;
-      ignore (DM.combine t ~attr ~node:(Sm.int rng2 32)))
+      ignore (Mu.combine t ~attr ~node:(Sm.int rng2 32)))
     attrs;
-  let load = DM.messages_per_machine t in
+  let load = Mu.messages_per_node t ~n:32 in
   let total = Array.fold_left ( + ) 0 load in
-  Alcotest.(check int) "load accounting consistent" (DM.message_total t) total;
+  Alcotest.(check int) "load accounting consistent" (Mu.message_total t) total;
   let max_load = Array.fold_left max 0 load in
   Alcotest.(check bool) "no machine carries most of the load" true
     (max_load * 3 < total)
 
 let test_multi_dht_consistency () =
-  let rng = Sm.create 8 in
-  let t = DM.create rng ~n:20 ~bits:10 in
+  let t = per_attribute (P.create (Sm.create 8) ~n:20 ~bits:10) in
   let reference = Hashtbl.create 16 in
   let rng2 = Sm.create 9 in
   let attrs = [| "a"; "b"; "c" |] in
+  (* combine raises on an undeclared attribute; a read may come first *)
+  Array.iter (Mu.declare t) attrs;
   for i = 1 to 200 do
     let attr = Sm.pick rng2 attrs in
     let node = Sm.int rng2 20 in
     if Sm.bool rng2 then begin
       Hashtbl.replace reference (attr, node) (float_of_int i);
-      DM.write t ~attr ~node (float_of_int i)
+      Mu.write t ~attr ~node (float_of_int i)
     end
     else begin
       let want =
@@ -138,15 +144,19 @@ let test_multi_dht_consistency () =
           reference 0.0
       in
       Alcotest.(check (float 1e-6)) "strict per DHT attribute" want
-        (DM.combine t ~attr ~node)
+        (Mu.combine t ~attr ~node)
     end
   done
 
 let test_different_attributes_different_trees () =
-  let rng = Sm.create 10 in
-  let t = DM.create rng ~n:24 ~bits:12 in
+  let module M = Oat.Mechanism.Make (Agg.Ops.Sum) in
+  let t = per_attribute (P.create (Sm.create 10) ~n:24 ~bits:12) in
   let trees =
-    List.map (fun a -> Tree.edges (DM.tree_of t ~attr:a)) [ "x"; "y"; "z"; "w" ]
+    List.map
+      (fun attr ->
+        Mu.declare t attr;
+        Tree.edges (M.tree (Mu.instance t ~attr)))
+      [ "x"; "y"; "z"; "w" ]
   in
   let distinct = List.sort_uniq compare trees in
   Alcotest.(check bool) "at least two distinct topologies" true

@@ -412,6 +412,38 @@ let test_open_deterministic () =
       Alcotest.(check int) (tag ^ ": verdict stable") v1 v2)
     domain_counts
 
+(* The open-loop schedule itself, pinned per domain count on the naive
+   partition (whatever OAT_PARTITION says): total / windows / stalls /
+   crossings / parallel_work (total, critical).  A change to the window
+   skip rule or to the initiation order moves these numbers even when
+   two runs still agree with each other. *)
+let open_pins =
+  [
+    (1, "1197 / 20 / 0 / 0 / (1357, 1357)");
+    (2, "953 / 21 / 1 / 95 / (1208, 752)");
+    (4, "922 / 25 / 11 / 241 / (1323, 604)");
+    (8, "920 / 27 / 42 / 550 / (1630, 471)");
+  ]
+
+let test_open_pinned () =
+  let tree = Tree.Build.binary 31 in
+  List.iter
+    (fun domains ->
+      match List.assoc_opt domains open_pins with
+      | None -> ()
+      | Some want ->
+        let sys, sh = mk_sharded ~strategy:"naive" tree ~domains in
+        Simul.Sharded.run_open sh
+          ~requests:(open_workload sys 31 ~n_requests:160);
+        let tag = Printf.sprintf "open-loop pinned @ %d domains" domains in
+        check_drained tag sh;
+        let work, crit = Simul.Sharded.parallel_work sh in
+        Alcotest.(check string) tag want
+          (Printf.sprintf "%d / %d / %d / %d / (%d, %d)"
+             (Simul.Sharded.total sh) (Simul.Sharded.windows sh)
+             (Simul.Sharded.stalls sh) (Simul.Sharded.crossings sh) work crit))
+    domain_counts
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: partitioner soundness on random trees.                      *)
 
@@ -712,6 +744,8 @@ let suite =
       test_differential_telemetry_228;
     Alcotest.test_case "open-loop windows: deterministic and causal" `Quick
       test_open_deterministic;
+    Alcotest.test_case "open-loop schedule pinned per domain count" `Quick
+      test_open_pinned;
     QCheck_alcotest.to_alcotest prop_partition;
     QCheck_alcotest.to_alcotest prop_partition_weighted;
     Alcotest.test_case "partition edge cases (clamps, validation)" `Quick

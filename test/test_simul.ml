@@ -124,19 +124,6 @@ let test_run_concurrent_initiates_all () =
   Alcotest.(check int) "all delivered" 10 !delivered;
   Alcotest.(check bool) "drained" true (Simul.Network.is_quiescent net)
 
-let test_trace () =
-  let tr = Simul.Trace.create ~enabled:true () in
-  Simul.Trace.record tr (Simul.Trace.Request_initiated { node = 1; what = "combine" });
-  Simul.Trace.record tr (Simul.Trace.Delivered { src = 0; dst = 1; kind = Simul.Kind.Probe });
-  Simul.Trace.record tr (Simul.Trace.Delivered { src = 1; dst = 0; kind = Simul.Kind.Response });
-  Alcotest.(check int) "length" 3 (Simul.Trace.length tr);
-  Alcotest.(check int) "probes" 1 (Simul.Trace.count_delivered tr Simul.Kind.Probe);
-  Simul.Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (Simul.Trace.length tr);
-  let off = Simul.Trace.create () in
-  Simul.Trace.record off (Simul.Trace.Request_initiated { node = 0; what = "w" });
-  Alcotest.(check int) "disabled records nothing" 0 (Simul.Trace.length off)
-
 (* ---- active-channel registry: scheduler/bookkeeping invariants ---- *)
 
 (* pop_random must only ever surface channels that the O(edges) debug
@@ -312,7 +299,6 @@ let suite =
     Alcotest.test_case "single step" `Quick test_step;
     Alcotest.test_case "pop_random exhausts" `Quick test_pop_random_exhausts;
     Alcotest.test_case "run_concurrent" `Quick test_run_concurrent_initiates_all;
-    Alcotest.test_case "trace" `Quick test_trace;
     QCheck_alcotest.to_alcotest prop_pop_random_subset_of_nonempty;
     Alcotest.test_case "registry invariants under fuzz" `Quick test_fuzz_invariants;
     Alcotest.test_case "frame-pool bookkeeping under fuzz" `Quick

@@ -107,28 +107,6 @@ let test_span_disabled_is_free () =
   Alcotest.(check bool) "sentinel id" true (id < 0);
   Telemetry.Span.finish Telemetry.Sink.null ~clock ~node:0 ~name:"s" ~id
 
-(* ---- Trace facade over the ring (legacy API) ---- *)
-
-let test_trace_ring_facade () =
-  let tr = Simul.Trace.create ~enabled:true ~capacity:4 () in
-  for i = 1 to 10 do
-    Simul.Trace.record tr
-      (Simul.Trace.Request_initiated { node = i; what = "r" })
-  done;
-  Alcotest.(check int) "length capped" 4 (Simul.Trace.length tr);
-  Alcotest.(check int) "dropped" 6 (Simul.Trace.dropped tr);
-  Alcotest.(check int) "capacity" 4 (Simul.Trace.capacity tr);
-  (match Simul.Trace.events tr with
-  | Simul.Trace.Request_initiated { node; _ } :: _ ->
-    Alcotest.(check int) "oldest retained" 7 node
-  | _ -> Alcotest.fail "expected a Request_initiated event");
-  (* events recorded through the sink view land in the same ring *)
-  Simul.Trace.clear tr;
-  Telemetry.Sink.record (Simul.Trace.as_sink tr)
-    (Telemetry.Sink.Delivered { time = 0.0; shard = 0; src = 0; dst = 1; kind = 0 });
-  Alcotest.(check int) "sink event counted" 1
-    (Simul.Trace.count_delivered tr Simul.Kind.Probe)
-
 (* ---- counter conservation: network bookkeeping vs telemetry ---- *)
 
 let prop_counter_conservation =
@@ -720,7 +698,6 @@ let suite =
       test_null_sink_no_alloc;
     Alcotest.test_case "span disabled is free" `Quick
       test_span_disabled_is_free;
-    Alcotest.test_case "trace ring facade" `Quick test_trace_ring_facade;
     QCheck_alcotest.to_alcotest prop_counter_conservation;
     Alcotest.test_case "mechanism lease counters" `Quick
       test_mechanism_counters;
