@@ -7,8 +7,7 @@
 #
 #   sh bin/cli_smoke.sh path/to/oat_cli.exe path/to/bench/main.exe
 #
-# Runs in a scratch directory; "no-such-dir" and "missing.json" must not
-# exist there.
+# Runs in a scratch directory; "no-such-dir" must not exist there.
 
 cli="$1"
 bench="$2"
@@ -42,6 +41,6 @@ expect_error "$cli" simulate --nodes 15 --series no-such-dir/s.csv
 expect_error "$cli" simulate --nodes 15 --domains 2 --metrics no-such-dir/m.json
 expect_error "$cli" simulate --nodes 15 --faults drop=0.1 --metrics no-such-dir/m.json
 expect_error "$cli" record --nodes 15 -o no-such-dir/w.trace
-expect_error "$bench" --bench-only --json no-such-dir/out.json
-expect_error "$bench" --bench-only --compare missing.json
+expect_error "$bench" --gcgate
+expect_error "$bench" --gc-gate extra
 exit $fail

@@ -916,6 +916,35 @@ let test_wide_log_records () =
   Alcotest.(check (pair int int)) "uaw ids, wide gaps" (108, 24)
     (List.length ids, wide ids)
 
+(* Ghost-log shipping in bytes.  Alternating write/combine keeps the
+   lease chain of a 15-node path alive, so every write pushes updates
+   down the whole chain with the write log piggybacked.  Each channel
+   ships only the suffix it has not sent yet, so every round costs the
+   same bytes; shipping the whole log per message would make the total
+   quadratic in the rounds.  Bytes are summed over every frame sent,
+   through an outbox wrapped around the system's own network. *)
+let ghost_bytes rounds =
+  let sys = new_rww ~ghost:true (Tree.Build.path 15) in
+  let net = M.network sys and pool = M.frame_pool sys in
+  let bytes = ref 0 in
+  M.set_outbox sys
+    ~send:(fun ~src ~dst f ->
+      bytes := !bytes + Simul.Frame.length f;
+      Simul.Network.send net ~src ~dst f)
+    ~pool_for:(fun _ -> pool);
+  ignore (M.combine_sync sys ~node:0);
+  for i = 1 to rounds do
+    M.write_sync sys ~node:14 (float_of_int i);
+    ignore (M.combine_sync sys ~node:0)
+  done;
+  !bytes
+
+let test_ghost_shipping_linear () =
+  let b50 = ghost_bytes 50 and b100 = ghost_bytes 100 and b200 = ghost_bytes 200 in
+  Alcotest.(check (list int)) "bytes at 50/100/200 rounds"
+    [ 48_342; 95_942; 191_142 ] [ b50; b100; b200 ];
+  Alcotest.(check int) "equal bytes per round" (2 * (b100 - b50)) (b200 - b100)
+
 let suite =
   suite
   @ [
@@ -931,4 +960,6 @@ let suite =
         test_golden_multibyte_deltas;
       Alcotest.test_case "widest log records stay in bounds" `Quick
         test_wide_log_records;
+      Alcotest.test_case "ghost shipping is linear in writes" `Quick
+        test_ghost_shipping_linear;
     ]
