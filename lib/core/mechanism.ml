@@ -2,31 +2,8 @@ module IntSet = Set.Make (Int)
 module Frame = Simul.Frame
 
 module Make (Op : Agg.Operator.S) = struct
-  (* Structured view of a protocol message.  The data plane itself moves
-     flat binary [Frame]s (see {!Wire} for the payload layout); this
-     variant survives as the decoded form used by tests, the property
-     checker, and the [Wire] codec.  The hot delivery path never builds
-     it — the handler decodes header fields straight off the frame. *)
-  type msg =
-    | Probe
-    | Response of {
-        x : Op.t;
-        flag : bool;
-        cut : int list;  (* unreachable subtree roots behind the sender *)
-        wlog : Op.t Ghost.write list;
-      }
-    | Update of { x : Op.t; id : int; cut : int list; wlog : Op.t Ghost.write list }
-    | Release of { ids : IntSet.t }
-    | Hello of { epoch : int }  (* post-restart resynchronization *)
-
-  let kind_of = function
-    | Probe -> Simul.Kind.Probe
-    | Response _ -> Simul.Kind.Response
-    | Update _ -> Simul.Kind.Update
-    | Release _ -> Simul.Kind.Release
-    | Hello _ -> Simul.Kind.Hello
-
-  (* Frame kind codes = [Simul.Kind.index]. *)
+  (* Frame kind codes = [Simul.Kind.index]; the payload layouts are
+     described above the senders ("Frame encoding"). *)
   let k_probe = Simul.Kind.index Simul.Kind.Probe
   let k_response = Simul.Kind.index Simul.Kind.Response
   let k_update = Simul.Kind.index Simul.Kind.Update
@@ -522,22 +499,27 @@ module Make (Op : Agg.Operator.S) = struct
     else []
 
   (* ------------------------------------------------------------------ *)
-  (* Frame encoding.  Payload layouts (all fields little-endian, after  *)
-  (* the 18-byte header; an "x field" is a u16 byte length followed by  *)
-  (* [Op.encode] bytes):                                                *)
+  (* Frame encoding.  The senders below are the one encoder and         *)
+  (* [handler] the one decoder.  Payload layouts (all fields            *)
+  (* little-endian, after the 18-byte header; an "x field" is a u16     *)
+  (* byte length followed by [Op.encode] bytes):                        *)
   (*                                                                    *)
   (*   Probe      (empty)                                               *)
-  (*   Response   x field, flag u8, cut (u16 count + i64 ids),          *)
-  (*              wlog (u32 count + per write: wnode i64, windex i64,   *)
-  (*              x field)                                              *)
-  (*   Update     id i64, x field, cut, wlog                            *)
+  (*   Response   flag u8, report                                       *)
+  (*   Update     id i64, report                                        *)
   (*   Release    u32 count + i64 ids ascending (first id = min)        *)
   (*   Hello      epoch i64                                             *)
   (*                                                                    *)
-  (* [Frame.set_length] precedes every write and [Frame.buf] is         *)
-  (* re-fetched after it — growth swaps the backing buffer.  In the     *)
-  (* fault-free, ghost-free steady state every variable section writes  *)
-  (* a zero count, so encoding allocates nothing.                       *)
+  (*   report     x field (the subtree aggregate), cut (u16 count +     *)
+  (*              i64 ids), wlog (u32 count + per write: wnode i64,     *)
+  (*              windex i64, x field)                                  *)
+  (*                                                                    *)
+  (* Release carries the paper's whole S although the receiver reads   *)
+  (* only min S, so [release(S)] stays as the paper writes it, at no    *)
+  (* cost in messages.  [Frame.set_length] precedes every write and     *)
+  (* [Frame.buf] is re-fetched after it — growth swaps the backing      *)
+  (* buffer.  In the fault-free, ghost-free steady state every variable *)
+  (* section writes a zero count, so encoding allocates nothing.        *)
 
   let put_x f pos v =
     let ws = Op.wire_size v in
@@ -611,24 +593,19 @@ module Make (Op : Agg.Operator.S) = struct
     Frame.set_int (Frame.buf f) hs epoch;
     send_frame t ~src ~dst f
 
-  let send_response t u i ~flag =
-    let f = Frame.alloc (t.out_pool u) in
-    Frame.set_kind f k_response;
-    let pos = put_x f hs (subval t u i) in
-    Frame.set_length f (pos + 1);
-    Frame.set_u8 (Frame.buf f) pos (if flag then 1 else 0);
-    let pos = put_cut_list f (pos + 1) (cut_to t u i) in
-    let _pos = put_wlog_shipped t u i f pos in
-    send_frame t ~src:u ~dst:(nbr t u i) f
+  let report_at k = if k = k_update then hs + 8 else hs + 1
 
-  let send_update t u i ~id =
+  (* A Response ([k_response], [v] = the flag byte) or an Update
+     ([k_update], [v] = the update id) to neighbour slot [i]. *)
+  let send_report t u i k v =
     let f = Frame.alloc (t.out_pool u) in
-    Frame.set_kind f k_update;
-    Frame.set_length f (hs + 8);
-    Frame.set_int (Frame.buf f) hs id;
-    let pos = put_x f (hs + 8) (subval t u i) in
+    Frame.set_kind f k;
+    Frame.set_length f (report_at k);
+    if k = k_update then Frame.set_int (Frame.buf f) hs v
+    else Frame.set_u8 (Frame.buf f) hs v;
+    let pos = put_x f (report_at k) (subval t u i) in
     let pos = put_cut_list f pos (cut_to t u i) in
-    let _pos = put_wlog_shipped t u i f pos in
+    ignore (put_wlog_shipped t u i f pos);
     send_frame t ~src:u ~dst:(nbr t u i) f
 
   (* Encoded before [log_reset]: the ids are the slot's [uaw], decoded
@@ -733,13 +710,13 @@ module Make (Op : Agg.Operator.S) = struct
     | None ->
       for i = 0 to d - 1 do
         if bget t.a.granted (sb + i) && t.a.nbr.(sb + i) <> w then
-          send_update t u i ~id
+          send_report t u i k_update id
       done
     | Some tel ->
       let fanout = ref 0 in
       for i = 0 to d - 1 do
         if bget t.a.granted (sb + i) && t.a.nbr.(sb + i) <> w then begin
-          send_update t u i ~id;
+          send_report t u i k_update id;
           incr fanout
         end
       done;
@@ -789,7 +766,7 @@ module Make (Op : Agg.Operator.S) = struct
       set_granted t u i grant;
       if t.obs then observe_grant t u w grant
     end;
-    send_response t u i ~flag:(bget t.a.granted (sb + i))
+    send_report t u i k_response (if bget t.a.granted (sb + i) then 1 else 0)
 
   let isgoodforrelease t u i =
     t.c.grntd_count.(u) = 0
@@ -1116,54 +1093,66 @@ module Make (Op : Agg.Operator.S) = struct
   (* learn of a crash synchronously; in-flight messages of the dead     *)
   (* incarnation are discarded by the transport's session teardown).    *)
 
-  (* A neighbour of the crashed node [node] (slot [j] here) voids all
-     state involving it and cancels every probe exchange with it: the
-     dead node as a requester gets no response, and probes sent to it
-     are struck from the outstanding sets — completing requests
-     partially (the cut now contains the dead node) rather than
-     hanging. *)
-  let notify_down t v j =
+  (* Forget the session with the slot-[j] neighbour, lost to a crash or
+     a departure.  [t7_hello] and [wipe_volatile] keep resets of their
+     own: they set different values. *)
+  let void_slot t v j =
+    let s = t.c.slot_base.(v) + j in
+    set_taken t v j false;
+    set_granted t v j false;
+    t.a.aval.(s) <- Op.identity;
+    bset t.c.gval_dirty v true;
+    log_clear t.a s;
+    t.a.subcut.(s) <- IntSet.empty;
+    t.a.shipped.(s) <- 0;
+    bset t.a.resync s false;
+    bset t.a.refresh s false;
+    t.a.nbr_epoch.(s) <- -1
+
+  (* Cancel every probe exchange with the lost slot-[j] neighbour: as a
+     requester it gets no response, and probes sent to it are struck
+     from the outstanding sets, completing the requests that waited on
+     them rather than hanging. *)
+  let cancel_exchanges t v j =
     let sb = t.c.slot_base.(v) and d = t.c.deg.(v) in
-    if not (bget t.a.down (sb + j)) then begin
-      bset t.a.down (sb + j) true;
+    (* the lost requester's pending probe set *)
+    if bget t.a.pndg (t.c.req_base.(v) + j) then begin
+      let mb = t.c.msk_base.(v) + (j * d) in
+      for i = 0 to d - 1 do
+        if bget t.a.snt (mb + i) then begin
+          bset t.a.snt (mb + i) false;
+          t.a.probed.(sb + i) <- t.a.probed.(sb + i) - 1
+        end
+      done;
+      t.a.snt_count.(t.c.req_base.(v) + j) <- 0;
+      bset t.a.pndg (t.c.req_base.(v) + j) false
+    end;
+    (* probes sent to the lost node can never be answered *)
+    iter_requester_slots t v (fun r ->
+        let ri = t.c.req_base.(v) + r in
+        let mi = t.c.msk_base.(v) + (r * d) + j in
+        if r <> j && bget t.a.pndg ri && bget t.a.snt mi then begin
+          bset t.a.snt mi false;
+          t.a.snt_count.(ri) <- t.a.snt_count.(ri) - 1;
+          t.a.probed.(sb + j) <- t.a.probed.(sb + j) - 1;
+          if t.a.snt_count.(ri) = 0 then begin
+            bset t.a.pndg ri false;
+            if r = d then complete_combines t v
+            else sendresponse t v t.a.nbr.(sb + r)
+          end
+        end)
+
+  (* A neighbour of the crashed node (slot [j] here) marks it down,
+     voids the slot and cancels the exchanges — completing requests
+     partially, since the cut now contains the dead node. *)
+  let notify_down t v j =
+    let s = t.c.slot_base.(v) + j in
+    if not (bget t.a.down s) then begin
+      bset t.a.down s true;
       t.c.down_count.(v) <- t.c.down_count.(v) + 1;
       bset t.c.any_cut v true;
-      set_taken t v j false;
-      set_granted t v j false;
-      t.a.aval.(sb + j) <- Op.identity;
-      bset t.c.gval_dirty v true;
-      log_clear t.a (sb + j);
-      t.a.subcut.(sb + j) <- IntSet.empty;
-      t.a.shipped.(sb + j) <- 0;
-      bset t.a.resync (sb + j) false;
-      bset t.a.refresh (sb + j) false;
-      t.a.nbr_epoch.(sb + j) <- -1;
-      (* the dead requester's pending probe set *)
-      if bget t.a.pndg (t.c.req_base.(v) + j) then begin
-        let mb = t.c.msk_base.(v) + (j * d) in
-        for i = 0 to d - 1 do
-          if bget t.a.snt (mb + i) then begin
-            bset t.a.snt (mb + i) false;
-            t.a.probed.(sb + i) <- t.a.probed.(sb + i) - 1
-          end
-        done;
-        t.a.snt_count.(t.c.req_base.(v) + j) <- 0;
-        bset t.a.pndg (t.c.req_base.(v) + j) false
-      end;
-      (* probes sent to the dead node can never be answered *)
-      iter_requester_slots t v (fun r ->
-          let ri = t.c.req_base.(v) + r in
-          let mi = t.c.msk_base.(v) + (r * d) + j in
-          if r <> j && bget t.a.pndg ri && bget t.a.snt mi then begin
-            bset t.a.snt mi false;
-            t.a.snt_count.(ri) <- t.a.snt_count.(ri) - 1;
-            t.a.probed.(sb + j) <- t.a.probed.(sb + j) - 1;
-            if t.a.snt_count.(ri) = 0 then begin
-              bset t.a.pndg ri false;
-              if r = d then complete_combines t v
-              else sendresponse t v t.a.nbr.(sb + r)
-            end
-          end)
+      void_slot t v j;
+      cancel_exchanges t v j
     end
 
   (* Volatile protocol state at [node] is lost (crash) or surrendered
@@ -1254,64 +1243,21 @@ module Make (Op : Agg.Operator.S) = struct
   (* discarded by the transport and any leftover neighbour state is     *)
   (* voided on receipt.                                                 *)
 
-  (* Neighbour side of a departure: void every bit of slot [j]'s state
+  (* Neighbour side of a departure: mark slot [j] detached and void it
      (the departed subtree's aggregate is folded into the local value by
-     the handoff write, so the cache must drop to identity) and mark the
-     slot detached.  Unlike [notify_down] this contributes no cut — the
-     remaining tree is whole. *)
+     the handoff write, so the cache must drop to identity).  Unlike
+     [notify_down] this contributes no cut — the remaining tree is
+     whole. *)
   let detach_slot t v j =
-    let sb = t.c.slot_base.(v) in
-    let s = sb + j in
+    let s = t.c.slot_base.(v) + j in
     bset t.a.det s true;
     t.c.det_count.(v) <- t.c.det_count.(v) + 1;
     if bget t.a.down s then begin
       bset t.a.down s false;
       t.c.down_count.(v) <- t.c.down_count.(v) - 1
     end;
-    set_taken t v j false;
-    set_granted t v j false;
-    t.a.aval.(s) <- Op.identity;
-    bset t.c.gval_dirty v true;
-    log_clear t.a s;
-    t.a.subcut.(s) <- IntSet.empty;
-    t.a.shipped.(s) <- 0;
-    bset t.a.resync s false;
-    bset t.a.refresh s false;
-    t.a.nbr_epoch.(s) <- -1;
+    void_slot t v j;
     refresh_any_cut t v
-
-  (* Cancel probe exchanges with the departed slot [j], completing
-     affected requests — exactly, since the handoff write already folded
-     the departed subtree in and a detached slot adds nothing to the
-     cut.  Same structure as the cancellation halves of [notify_down]. *)
-  let detach_cancel t v j =
-    let sb = t.c.slot_base.(v) and d = t.c.deg.(v) in
-    (* the departed requester's pending probe set *)
-    if bget t.a.pndg (t.c.req_base.(v) + j) then begin
-      let mb = t.c.msk_base.(v) + (j * d) in
-      for i = 0 to d - 1 do
-        if bget t.a.snt (mb + i) then begin
-          bset t.a.snt (mb + i) false;
-          t.a.probed.(sb + i) <- t.a.probed.(sb + i) - 1
-        end
-      done;
-      t.a.snt_count.(t.c.req_base.(v) + j) <- 0;
-      bset t.a.pndg (t.c.req_base.(v) + j) false
-    end;
-    (* probes sent to the departed node will never be answered *)
-    iter_requester_slots t v (fun r ->
-        let ri = t.c.req_base.(v) + r in
-        let mi = t.c.msk_base.(v) + (r * d) + j in
-        if r <> j && bget t.a.pndg ri && bget t.a.snt mi then begin
-          bset t.a.snt mi false;
-          t.a.snt_count.(ri) <- t.a.snt_count.(ri) - 1;
-          t.a.probed.(sb + j) <- t.a.probed.(sb + j) - 1;
-          if t.a.snt_count.(ri) = 0 then begin
-            bset t.a.pndg ri false;
-            if r = d then complete_combines t v
-            else sendresponse t v t.a.nbr.(sb + r)
-          end
-        end)
 
   (* Depart: epoch-fenced handoff of an active leaf to its unique
      attached neighbour [h].  Conservation and causality are carried by
@@ -1373,8 +1319,9 @@ module Make (Op : Agg.Operator.S) = struct
       done;
     t2_write t h (Op.combine t.c.value.(h) carry);
     (* complete whatever was waiting on the departed subtree — exactly:
-       the carry write already folded it in *)
-    detach_cancel t h j
+       the carry write already folded it in and a detached slot adds
+       nothing to the cut *)
+    cancel_exchanges t h j
 
   (* Join: a detached node attaches back.  The epoch bump plus the T7
      Hello resync is the same fencing a restart uses — attach points
@@ -1665,155 +1612,6 @@ module Make (Op : Agg.Operator.S) = struct
     t.out_pool <- pool_for
 
   (* ------------------------------------------------------------------ *)
-  (* Wire codec over the structured [msg] view.                         *)
-
-  module Wire = struct
-    type error =
-      | Truncated of { field : string; need : int; have : int }
-      | Bad_kind of int
-      | Bad_value of string
-
-    let pp_error fmt = function
-      | Truncated { field; need; have } ->
-        Format.fprintf fmt "truncated %s: need %d bytes, have %d" field need
-          have
-      | Bad_kind k -> Format.fprintf fmt "unknown message kind %d" k
-      | Bad_value s -> Format.fprintf fmt "bad value: %s" s
-
-    (* List-based wlog writer: byte-identical to [put_wlog_shipped]'s
-       streamed output. *)
-    let put_wlog_list f pos wlog =
-      Frame.set_length f (pos + 4);
-      Frame.set_u32 (Frame.buf f) pos (List.length wlog);
-      let p = ref (pos + 4) in
-      List.iter
-        (fun (w : Op.t Ghost.write) ->
-          Frame.set_length f (!p + 16);
-          let b = Frame.buf f in
-          Frame.set_int b !p w.wnode;
-          Frame.set_int b (!p + 8) w.windex;
-          p := put_x f (!p + 16) w.warg)
-        wlog;
-      !p
-
-    let encode pool m =
-      let f = Frame.alloc pool in
-      (match m with
-      | Probe -> Frame.set_kind f k_probe
-      | Response { x; flag; cut; wlog } ->
-        Frame.set_kind f k_response;
-        let pos = put_x f hs x in
-        Frame.set_length f (pos + 1);
-        Frame.set_u8 (Frame.buf f) pos (if flag then 1 else 0);
-        let pos = put_cut_list f (pos + 1) cut in
-        ignore (put_wlog_list f pos wlog)
-      | Update { x; id; cut; wlog } ->
-        Frame.set_kind f k_update;
-        Frame.set_length f (hs + 8);
-        Frame.set_int (Frame.buf f) hs id;
-        let pos = put_x f (hs + 8) x in
-        let pos = put_cut_list f pos cut in
-        ignore (put_wlog_list f pos wlog)
-      | Release { ids } ->
-        Frame.set_kind f k_release;
-        let count = IntSet.cardinal ids in
-        Frame.set_length f (hs + 4 + (8 * count));
-        let b = Frame.buf f in
-        Frame.set_u32 b hs count;
-        let p = ref (hs + 4) in
-        IntSet.iter
-          (fun id ->
-            Frame.set_int b !p id;
-            p := !p + 8)
-          ids
-      | Hello { epoch } ->
-        Frame.set_kind f k_hello;
-        Frame.set_length f (hs + 8);
-        Frame.set_int (Frame.buf f) hs epoch);
-      f
-
-    exception Fail of error
-
-    (* Fully bounds-checked decode: garbage bytes come back as a typed
-       [error], never an exception or out-of-range read. *)
-    let decode f =
-      let b = Frame.buf f and flen = Frame.length f in
-      let need field n pos =
-        if pos + n > flen then
-          raise (Fail (Truncated { field; need = pos + n; have = flen }))
-      in
-      let take_x field pos =
-        need field 2 pos;
-        let xl = Frame.get_u16 b pos in
-        need field xl (pos + 2);
-        (Op.decode b (pos + 2) xl, pos + 2 + xl)
-      in
-      let take_ids field pos =
-        need field 2 pos;
-        let count = Frame.get_u16 b pos in
-        need field (8 * count) (pos + 2);
-        (decode_ids b (pos + 2) count, pos + 2 + (8 * count))
-      in
-      let take_wlog pos =
-        need "wlog" 4 pos;
-        let count = Frame.get_u32 b pos in
-        let p = ref (pos + 4) in
-        let acc = ref [] in
-        for _ = 1 to count do
-          need "wlog entry" 18 !p;
-          let wnode = Frame.get_int b !p in
-          let windex = Frame.get_int b (!p + 8) in
-          let xl = Frame.get_u16 b (!p + 16) in
-          need "wlog value" xl (!p + 18);
-          acc := { Ghost.wnode; windex; warg = Op.decode b (!p + 18) xl } :: !acc;
-          p := !p + 18 + xl
-        done;
-        List.rev !acc
-      in
-      try
-        if flen < hs then
-          raise (Fail (Truncated { field = "header"; need = hs; have = flen }));
-        let k = Frame.kind f in
-        if k = k_probe then Ok Probe
-        else if k = k_response then begin
-          let x, pos = take_x "response.x" hs in
-          need "response.flag" 1 pos;
-          let flag =
-            match Frame.get_u8 b pos with
-            | 0 -> false
-            | 1 -> true
-            | v ->
-              raise (Fail (Bad_value (Printf.sprintf "response flag %d" v)))
-          in
-          let cut, pos = take_ids "response.cut" (pos + 1) in
-          Ok (Response { x; flag; cut; wlog = take_wlog pos })
-        end
-        else if k = k_update then begin
-          need "update.id" 8 hs;
-          let id = Frame.get_int b hs in
-          let x, pos = take_x "update.x" (hs + 8) in
-          let cut, pos = take_ids "update.cut" pos in
-          Ok (Update { x; id; cut; wlog = take_wlog pos })
-        end
-        else if k = k_release then begin
-          need "release.count" 4 hs;
-          let count = Frame.get_u32 b hs in
-          need "release.ids" (8 * count) (hs + 4);
-          let ids = ref IntSet.empty in
-          for j = 0 to count - 1 do
-            ids := IntSet.add (Frame.get_int b (hs + 4 + (8 * j))) !ids
-          done;
-          Ok (Release { ids = !ids })
-        end
-        else if k = k_hello then begin
-          need "hello.epoch" 8 hs;
-          Ok (Hello { epoch = Frame.get_int b hs })
-        end
-        else raise (Fail (Bad_kind k))
-      with Fail e -> Error e
-  end
-
-  (* ------------------------------------------------------------------ *)
   (* Public interface.                                                  *)
 
   let tree t = t.tree
@@ -1840,12 +1638,13 @@ module Make (Op : Agg.Operator.S) = struct
     require_alive t node "combine";
     t1_combine t node (fun v _cut -> k v)
 
-  (* Inbox boundary: decode header fields straight off the frame and
-     dispatch — the structured [msg] is never built.  The handler
-     consumes the caller's frame reference (a crashed destination
-     silently loses the message — the reliable transport already filters
-     these, but plain-network drivers may still deliver in-flight
-     messages of a dead incarnation). *)
+  (* Inbox boundary, the one decoder: read the payload straight off the
+     frame (layouts above the senders) and dispatch, with Update and
+     Response sharing the report decode.  The handler consumes the
+     caller's frame reference (a crashed destination silently loses the
+     message — the reliable transport already filters these, but
+     plain-network drivers may still deliver in-flight messages of a
+     dead incarnation). *)
   let handler t ~src ~dst f =
     (* Frames addressed to (or from the previous attachment of) a node
        outside the active tree are dropped like a dead incarnation's:
@@ -1861,31 +1660,21 @@ module Make (Op : Agg.Operator.S) = struct
      then begin
        let b = Frame.buf f in
        let k = Frame.kind f in
-       if k = k_update then begin
-         let id = Frame.get_int b hs in
-         let xl = Frame.get_u16 b (hs + 8) in
-         let x = Op.decode b (hs + 10) xl in
-         let pos = hs + 10 + xl in
+       if k = k_update || k = k_response then begin
+         let pos = report_at k in
+         let xl = Frame.get_u16 b pos in
+         let x = Op.decode b (pos + 2) xl in
+         let pos = pos + 2 + xl in
          let nc = Frame.get_u16 b pos in
          let cut = if nc = 0 then [] else decode_ids b (pos + 2) nc in
          let pos = pos + 2 + (8 * nc) in
          let nw = Frame.get_u32 b pos in
          let wlog = if nw = 0 then [] else decode_wlog b (pos + 4) nw in
-         t5_update t dst src x id cut wlog
+         if k = k_update then
+           t5_update t dst src x (Frame.get_int b hs) cut wlog
+         else t4_response t dst src x (Frame.get_u8 b hs <> 0) cut wlog
        end
        else if k = k_probe then t3_probe t dst src
-       else if k = k_response then begin
-         let xl = Frame.get_u16 b hs in
-         let x = Op.decode b (hs + 2) xl in
-         let pos = hs + 2 + xl in
-         let flag = Frame.get_u8 b pos <> 0 in
-         let nc = Frame.get_u16 b (pos + 1) in
-         let cut = if nc = 0 then [] else decode_ids b (pos + 3) nc in
-         let pos = pos + 3 + (8 * nc) in
-         let nw = Frame.get_u32 b pos in
-         let wlog = if nw = 0 then [] else decode_wlog b (pos + 4) nw in
-         t4_response t dst src x flag cut wlog
-       end
        else if k = k_release then begin
          let count = Frame.get_u32 b hs in
          t6_release t dst src ~has_ids:(count > 0)
@@ -1942,10 +1731,6 @@ module Make (Op : Agg.Operator.S) = struct
   let granted t u v =
     let i = slot t u v in
     i >= 0 && bget t.a.granted (t.c.slot_base.(u) + i)
-
-  let aval t u v =
-    let i = slot t u v in
-    if i >= 0 then t.a.aval.(t.c.slot_base.(u) + i) else Op.identity
 
   let uaw t u v =
     let i = slot t u v in

@@ -6,15 +6,14 @@
 
     - request entry points: {!Make.write} and {!Make.combine} perform
       the paper's local transitions T2 and T1 and enqueue messages;
-    - the message {!Make.handler} implementing transitions T3-T6
-      (receipt of [probe], [response], [update], [release]);
+    - the message {!Make.handler} implementing transitions T3-T7
+      (receipt of [probe], [response], [update], [release], [hello]);
     - sequential conveniences ({!Make.write_sync}, {!Make.combine_sync})
       that run the network to quiescence, giving the paper's sequential
       executions;
-    - read-only inspection of every piece of per-node state named by the
-      paper ([taken], [granted], [aval], [uaw], [pndg], [snt]), used by
-      the tests that check the paper's invariants (Lemmas 3.1, 3.2, 3.4,
-      I(u), I4(u));
+    - read-only inspection of the per-node state named by the paper
+      ([taken], [granted], [uaw], [pndg], [snt]), used by the tests that
+      check the paper's invariants (Lemmas 3.1, 3.2, 3.4, I(u), I4(u));
     - optional ghost logs (Figure 6) for the causal-consistency
       analysis of concurrent executions.
 
@@ -28,26 +27,29 @@
     cell ids; every column is one flat array), with per-neighbour-slot
     state packed into shared arenas indexed by per-node base offsets:
     [taken]/[granted] are byte arrays with incrementally maintained
-    cardinalities, [aval] is a value array behind a cached [gval] (so
-    [subval] is O(1) for operators with a group inverse), and [uaw]
-    and [sntupdates] are one delta-coded update log per channel: a
-    record per update received from the neighbour since the last reset,
-    holding its id and, when it was forwarded, its sntid, each as a
-    byte-coded delta (about two bytes a record).  A reset is a few
-    stores, and [onrelease] finds the paper's beta by a forward scan
-    from the head whose passed records all leave the log.  Ghost write
-    logs are delta-encoded per channel: each message
-    carries only the suffix of the write log not previously shipped on
-    that channel.
+    cardinalities, the neighbour subtree caches are a value array
+    behind a cached [gval] (so [subval] is O(1) for operators with a
+    group inverse), and [uaw] and [sntupdates] are one delta-coded
+    update log per channel: a record per update received from the
+    neighbour since the last reset, holding its id and, when it was
+    forwarded, its sntid, each as a byte-coded delta (about two bytes a
+    record).  A reset is a few stores, and [onrelease] finds the paper's
+    beta by a forward scan from the head whose passed records all leave
+    the log.  Ghost write logs are delta-encoded per channel: each
+    message carries only the suffix of the write log not previously
+    shipped on that channel.
 
     The data plane is flat binary frames ({!Simul.Frame}) drawn from a
     per-system recycling pool: the outbox encodes each message straight
-    into a pooled frame (see {!Make.Wire} for the payload layout), the
-    network queues carry the frames themselves, and {!Make.handler}
-    decodes header fields off the frame and releases it — in the
-    fault-free, ghost-free steady state the whole send -> queue -> pop
-    -> decode -> dispatch path performs {e zero} minor allocation
-    (asserted by the frames test suite and gated in [bench-smoke]).
+    into a pooled frame, the network queues carry the frames
+    themselves, and {!Make.handler} decodes the payload off the frame
+    and releases it.  The senders are the one encoder and the handler
+    the one decoder; the payload layouts (Response and Update share one
+    report layout) are described once, above the senders in
+    [mechanism.ml].  In the fault-free, ghost-free steady state the
+    whole send -> queue -> pop -> decode -> dispatch path performs
+    {e zero} minor allocation (asserted by the frames test suite and
+    gated in [bench-smoke]).
 
     None of this changes the protocol: message sequences are identical
     to the plain transcription (pinned by golden tests), and
@@ -57,28 +59,6 @@
 module IntSet : Set.S with type elt = int
 
 module Make (Op : Agg.Operator.S) : sig
-  type msg =
-    | Probe
-    | Response of {
-        x : Op.t;
-        flag : bool;
-        cut : int list;
-            (** roots of unreachable subtrees behind the sender;
-                [[]] in fault-free runs *)
-        wlog : Op.t Ghost.write list;
-      }
-    | Update of { x : Op.t; id : int; cut : int list; wlog : Op.t Ghost.write list }
-    | Release of { ids : IntSet.t }
-    | Hello of { epoch : int }
-        (** post-restart resynchronization: announces a new incarnation
-            (transition T7; never sent in fault-free runs) *)
-
-  val kind_of : msg -> Simul.Kind.t
-  (** Accounting classifier for the structured view.  On the wire the
-      kind rides in the frame header ([Simul.Kind.index]-coded), so
-      frame-level consumers classify with
-      [Simul.Kind.of_index (Simul.Frame.kind f)] directly. *)
-
   type t
 
   val create :
@@ -188,10 +168,12 @@ module Make (Op : Agg.Operator.S) : sig
   (** {1 Message delivery} *)
 
   val handler : t -> src:int -> dst:int -> Simul.Frame.t -> unit
-  (** Transitions T3-T7, dispatched on the frame's kind byte; payload
-      fields are decoded in place (no [msg] is built on the hot path).
-      Consumes the caller's frame reference.  Frames addressed to a
-      crashed node are silently dropped (and still released). *)
+  (** Transitions T3-T7, dispatched on the frame's kind byte.  The one
+      decoder: payload fields are read in place, with Response and
+      Update sharing the report decode (layouts above the senders in
+      [mechanism.ml]).  Consumes the caller's frame reference.  Frames
+      addressed to a crashed node are silently dropped (and still
+      released). *)
 
   val run_to_quiescence : ?max_deliveries:int -> t -> int
   (** Deliver queued messages until quiescent; returns deliveries.
@@ -321,9 +303,6 @@ module Make (Op : Agg.Operator.S) : sig
   val granted : t -> int -> int -> bool
   (** [granted t u v] = the paper's [u.granted\[v\]]. *)
 
-  val aval : t -> int -> int -> Op.t
-  (** [aval t u v] = the paper's [u.aval\[v\]]. *)
-
   val uaw : t -> int -> int -> IntSet.t
   (** [uaw t u v] = the paper's [u.uaw\[v\]]: the ids of the records in
       the update log of [u]'s channel from [v], from its head on. *)
@@ -372,42 +351,4 @@ module Make (Op : Agg.Operator.S) : sig
 
   val completed_requests : t -> int -> int
   (** Number of completed requests at a node (drives request indices). *)
-
-  (** {1 Wire codec}
-
-      The frame payload encoding behind the structured {!msg} view.
-      Layouts (all little-endian, after the 18-byte {!Simul.Frame}
-      header; an {e x field} is a u16 byte length followed by
-      [Op.encode] bytes):
-
-      {v
-        Probe     (empty)
-        Response  x field, flag u8, cut (u16 count + i64 ids),
-                  wlog (u32 count + per write: wnode i64, windex i64,
-                  x field)
-        Update    id i64, x field, cut, wlog
-        Release   u32 count + i64 ids ascending (first id = min)
-        Hello     epoch i64
-      v}
-
-      The hot path encodes/decodes these layouts inline; this module is
-      the structured, fully checked equivalent used by tests and
-      round-trip properties. *)
-
-  module Wire : sig
-    type error =
-      | Truncated of { field : string; need : int; have : int }
-      | Bad_kind of int
-      | Bad_value of string
-
-    val pp_error : Format.formatter -> error -> unit
-
-    val encode : Simul.Frame.pool -> msg -> Simul.Frame.t
-    (** A fresh frame (count 1) from the pool carrying [m]; byte-
-        identical to what the hot senders emit. *)
-
-    val decode : Simul.Frame.t -> (msg, error) result
-    (** Fully bounds-checked: arbitrary garbage bytes decode to a typed
-        [Error], never an exception or out-of-range read. *)
-  end
 end

@@ -12,5 +12,5 @@ type entry = {
 
 val all : entry list
 (** Every experiment, in table order.  [oat tables] and
-    [bench/main.exe --tables-only] both run this list and fail on a
+    [bench/main.exe] (no flag) both run this list and fail on a
     [false] verdict. *)

@@ -1,10 +1,8 @@
 (* The flat-frame data plane: frame pool reference counting, the slab
-   allocator, the Wire codec round-trip property (encode . decode = id
-   over random messages), typed decode errors on garbage bytes, and the
-   PR's mechanical centerpiece — the steady-state delivery path runs
-   with zero minor-heap allocation. *)
+   allocator, every message kind through the real senders and handler,
+   and the steady-state delivery path running with zero minor-heap
+   allocation. *)
 
-module Sm = Prng.Splitmix
 module Frame = Simul.Frame
 module Net = Simul.Network
 module Slab = Oat.Slab
@@ -90,93 +88,78 @@ let test_slab_guards_and_hooks () =
     | exception Invalid_argument _ -> true);
   Slab.check_invariants s
 
-(* {1 Wire codec round-trip}
+(* {1 The codec the system runs}
 
-   Union (variable-size payload: sorted int sets) exercises every
-   length-prefixed field; random cuts, ghost write logs and id sets
-   cover the container encodings. *)
+   The senders are the only encoder and [handler] the only decoder, so
+   the codec is checked on what the receivers decoded.  Every kind goes
+   through them with every variable section non-empty: Union values of
+   8-24 bytes in every x field, a cut in 1's response while 3 and 4 are
+   down, ghost wlogs in responses and updates, Hellos from the
+   restarts, and ids in RWW's releases. *)
 
-let gen_msg g : M.msg =
-  let set k bound = List.sort_uniq compare (List.init k (fun _ -> Sm.int g bound)) in
-  let x () = Agg.Ops.Union.of_list (set (Sm.int g 5) 1000) in
-  let cut () = set (Sm.int g 4) 64 in
-  let wlog () =
-    List.init (Sm.int g 4) (fun _ ->
-        { Oat.Ghost.wnode = Sm.int g 64; windex = Sm.int g 100; warg = x () })
+let test_real_frames_carry_every_section () =
+  let module U = Agg.Ops.Union in
+  let n = 7 in
+  let sys = M.create ~ghost:true (Tree.Build.binary n) ~policy:Oat.Rww.policy in
+  (* the argument of every write, by (origin, index) *)
+  let args = Hashtbl.create 16 in
+  let write u arg =
+    Hashtbl.replace args (u, M.completed_requests sys u) arg;
+    M.write_sync sys ~node:u arg
   in
-  match Sm.int g 5 with
-  | 0 -> M.Probe
-  | 1 -> M.Response { x = x (); flag = Sm.bool g; cut = cut (); wlog = wlog () }
-  | 2 -> M.Update { x = x (); id = Sm.int g 10_000; cut = cut (); wlog = wlog () }
-  | 3 -> M.Release { ids = Oat.Mechanism.IntSet.of_list (set (1 + Sm.int g 5) 10_000) }
-  | _ -> M.Hello { epoch = 1 + Sm.int g 50 }
-
-let msg_equal (a : M.msg) (b : M.msg) =
-  match (a, b) with
-  | M.Release { ids = i1 }, M.Release { ids = i2 } -> Oat.Mechanism.IntSet.equal i1 i2
-  | _ -> a = b
-
-let prop_roundtrip =
-  QCheck.Test.make ~name:"Wire: decode . encode = id" ~count:500
-    (QCheck.int_bound 1_000_000)
-    (fun seed ->
-      let g = Sm.create (seed + 3) in
-      let pool = Frame.create_pool () in
-      let m = gen_msg g in
-      let f = M.Wire.encode pool m in
-      let back = M.Wire.decode f in
-      Frame.release f;
-      match back with
-      | Ok m' -> msg_equal m m' && Frame.live pool = 0
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %a" M.Wire.pp_error e)
-
-(* Decoding garbage must yield a typed error, never an exception and
-   never a read past the frame. *)
-let prop_garbage_decode =
-  QCheck.Test.make ~name:"Wire: garbage bytes decode to typed errors"
-    ~count:500
-    (QCheck.int_bound 1_000_000)
-    (fun seed ->
-      let g = Sm.create (seed + 11) in
-      let pool = Frame.create_pool () in
-      let f = Frame.alloc pool in
-      let len = Frame.header_size + Sm.int g 40 in
-      Frame.set_length f len;
-      let b = Frame.buf f in
-      for i = 0 to len - 1 do
-        Bytes.set b i (Char.chr (Sm.int g 256))
-      done;
-      let outcome =
-        match M.Wire.decode f with
-        | Ok _ -> true (* garbage may happen to parse; that's fine *)
-        | Error _ -> true
-        | exception e ->
-          QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
-      in
-      Frame.release f;
-      outcome)
-
-let test_truncation_is_typed () =
-  let pool = Frame.create_pool () in
-  let f =
-    M.Wire.encode pool
-      (M.Update { x = Agg.Ops.Union.of_list [ 1; 2; 3 ]; id = 7; cut = [ 4 ]; wlog = [] })
-  in
-  (* chop the frame mid-payload: every prefix must fail cleanly *)
-  let full = Frame.length f in
-  for len = Frame.header_size to full - 1 do
-    Frame.set_length f len;
-    match M.Wire.decode f with
-    | Ok _ -> Alcotest.failf "truncated frame (len %d) decoded" len
-    | Error (M.Wire.Truncated _) -> ()
-    | Error e -> Alcotest.failf "unexpected error: %a" M.Wire.pp_error e
+  let set u = U.of_list (List.init (1 + (u mod 3)) (fun k -> (100 * u) + k)) in
+  let union_of = List.fold_left (fun acc u -> U.combine acc (set u)) U.identity in
+  for u = 0 to n - 1 do
+    write u (set u)
   done;
-  Frame.release f;
-  let f = Frame.alloc pool in
-  Frame.set_kind f 6;
-  Alcotest.(check bool) "unknown kind is typed" true
-    (match M.Wire.decode f with Error (M.Wire.Bad_kind 6) -> true | _ -> false);
-  Frame.release f
+  (* 3 and 4 hang below 1 *)
+  M.crash sys ~node:3;
+  M.crash sys ~node:4;
+  let r = ref None in
+  M.combine_tagged sys ~node:0 (fun v ~cut -> r := Some (v, cut));
+  ignore (M.run_to_quiescence sys);
+  Alcotest.(check (option (pair (list int) (list int))))
+    "partial union, cut decoded from 1's response"
+    (Some (union_of [ 0; 1; 2; 5; 6 ], [ 3; 4 ]))
+    !r;
+  M.restart sys ~node:3;
+  M.restart sys ~node:4;
+  ignore (M.run_to_quiescence sys);
+  Alcotest.(check (list int)) "exact union after the Hellos"
+    (union_of [ 0; 1; 2; 3; 4; 5; 6 ])
+    (M.combine_sync sys ~node:0);
+  (* two writes under 2's lease: updates, then RWW's release *)
+  write 5 (U.of_list [ 503; 504 ]);
+  write 5 (U.of_list [ 505; 506; 507 ]);
+  let value, recent = M.gather_sync sys ~node:0 in
+  Alcotest.(check (list int)) "gather sees both writes"
+    (U.combine (union_of [ 0; 1; 2; 3; 4; 6 ]) [ 505; 506; 507 ])
+    value;
+  Alcotest.(check int) "5's recent write index" 2 (List.assoc 5 recent);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Simul.Kind.to_string k ^ " frames sent")
+        true
+        (M.messages_of_kind sys k > 0))
+    Simul.Kind.[ Probe; Response; Update; Release; Hello ];
+  for u = 0 to n - 1 do
+    List.iter
+      (function
+        | Oat.Ghost.Write w ->
+          Alcotest.(check (option (list int)))
+            (Printf.sprintf "node %d's copy of write (%d,%d)" u w.wnode w.windex)
+            (Hashtbl.find_opt args (w.wnode, w.windex))
+            (Some w.warg)
+        | Oat.Ghost.Combine _ -> ())
+      (M.log sys u)
+  done;
+  Alcotest.(check int) "causal violations" 0
+    (List.length
+       (Consistency.Causal.check (module U) ~n_nodes:n
+          ~logs:(Array.init n (M.log sys))));
+  Alcotest.(check int) "no frame live" 0 (Frame.live (M.frame_pool sys));
+  M.check_invariants sys
 
 (* {1 Zero minor allocation on the steady-state delivery path}
 
@@ -220,10 +203,8 @@ let suite =
     Alcotest.test_case "slab alloc/free" `Quick test_slab_alloc_free;
     Alcotest.test_case "slab guards and grow hooks" `Quick
       test_slab_guards_and_hooks;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_garbage_decode;
-    Alcotest.test_case "truncation errors are typed" `Quick
-      test_truncation_is_typed;
+    Alcotest.test_case "real frames carry every section" `Quick
+      test_real_frames_carry_every_section;
     Alcotest.test_case "steady-state delivery allocates zero minor words"
       `Quick test_zero_minor_alloc_steady_state;
   ]
