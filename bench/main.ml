@@ -114,12 +114,54 @@ let words_per_window label sh run =
     (Simul.Sharded.gc_stats sh);
   (!worst, windows)
 
+(* Memory pins: heap words reachable from a structure, shared parts
+   subtracted ([Obj.reachable_words] counts each block once and reads
+   no clock).  A network on binary-1023 is a four-int header, a
+   registry slot and six per-kind counters per channel, plus a cell
+   pool sized by the messages in flight; a lease-all mechanism after
+   its root sweep is its columns, arenas, frame pool and a three-word
+   policy view per node.  Each budget sits about 10% above the measured
+   value (11.1 and 63.8 words) and below what per-channel rings and
+   per-node view closures cost (24.5 and 152.7), so either coming back
+   fails the gate. *)
+let chan_words_budget = 12.2
+let node_words_budget = 70.0
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+let memory_pins () =
+  let tree = Tree.Build.binary 1023 in
+  let net =
+    Simul.Network.create tree ~kind_of:(fun f ->
+        Simul.Kind.of_index (Simul.Frame.kind f))
+  in
+  let per_chan =
+    float_of_int (words net - words tree)
+    /. float_of_int (Tree.n_channels tree)
+  in
+  let sys = leased tree in
+  let per_node =
+    float_of_int (words sys - words (Mc.network sys))
+    /. float_of_int (Tree.n_nodes tree)
+  in
+  Printf.printf
+    "gc-gate[memory]: %.1f words per channel of a fresh network on \
+     binary-1023, tree excluded (budget %.1f)\n"
+    per_chan chan_words_budget;
+  Printf.printf
+    "gc-gate[memory]: %.1f words per node of a lease-all mechanism on \
+     binary-1023 after the root sweep, network and tree excluded (budget \
+     %.1f)\n"
+    per_node node_words_budget;
+  per_chan <= chan_words_budget && per_node <= node_words_budget
+
 (* --gc-gate: deterministic budgets over the steady-state paths.  Every
    figure is a count and the gate reads no clock (the pause budgets are
    in --timing-gate).  After warmup the leased write cascade must
    allocate zero minor words per round.  A regression here means
    somebody put an allocation back on the hot path. *)
 let run_gc_gate () =
+  let memory_ok = memory_pins () in
   let sys = leased (Tree.Build.path path_n) in
   let round = path_round sys in
   let rounds = 5000 in
@@ -227,7 +269,8 @@ let run_gc_gate () =
     "gc-gate[sharded-feed]: %d series samples over %d windows; %d of %d \
      requests settled\n"
     samples feed_windows settled sh_reqs;
-  words <= 16 && feed_words <= 16 && inst_rate <= 16.0 && seq_rate <= 8.0
+  memory_ok && words <= 16 && feed_words <= 16 && inst_rate <= 16.0
+  && seq_rate <= 8.0
   && feed_rate <= 8.0 && samples = feed_windows && settled = sh_reqs
 
 (* --timing-gate: the wall-clock checks.  They can fail on an unchanged
@@ -498,6 +541,21 @@ let run_multicore () =
    open-loop windows.  The root aggregate is validated against an
    exactly-tracked expected value at the end, so the headline number is
    also a correctness run. *)
+(* VmHWM, the process's peak resident set in MB; nan where /proc is
+   missing. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> nan
+  | ic ->
+    let rec find () =
+      match input_line ic with
+      | line when String.starts_with ~prefix:"VmHWM:" line ->
+        Scanf.sscanf line "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.)
+      | _ -> find ()
+      | exception End_of_file -> nan
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) find
+
 let run_million () =
   let n = (1 lsl 20) - 1 in
   let domains = 8 in
@@ -509,6 +567,7 @@ let run_million () =
   let part = Tree.Partition.create tree ~shards:domains in
   let latency = Telemetry.Latency.create ~capacity:(1 lsl 15) () in
   let sh = shard ~latency sys ~partition:part in
+  Printf.printf "million: set-up peak RSS %.0f MB\n%!" (peak_rss_mb ());
   let written = Bytes.make n '\000' in
   let rng = Sm.create 1_000_003 in
   Printf.printf "million: absorbing %d write requests over %d domains...\n%!"
@@ -554,6 +613,7 @@ let run_million () =
     (Telemetry.Latency.settled latency);
   Printf.printf "million: root aggregate %d, expected %d — %s\n" got !expected
     (if got = !expected then "OK" else "MISMATCH");
+  Printf.printf "million: peak RSS %.0f MB\n" (peak_rss_mb ());
   got = !expected && Telemetry.Latency.outstanding latency = 0
 
 let () =

@@ -45,9 +45,8 @@ module Make (Op : Agg.Operator.S) = struct
     mutable req_base : int array;  (* base into the requester arenas *)
     mutable msk_base : int array;  (* base into the snt-mask arena *)
     (* cold columns *)
-    mutable nbrs : int list array;
     mutable policy : Policy.t array;
-    mutable view : Policy.view option array;  (* built once, on demand *)
+    mutable view : Policy.view array;  (* {id = u; ops}, built at create *)
     (* Pending local combines.  Continuations take the aggregate and the
        cut (unreachable subtree roots; [] on a full aggregate).
        [pending_spans] carries the matching telemetry span ids, in the
@@ -66,11 +65,12 @@ module Make (Op : Agg.Operator.S) = struct
     mutable last_write : int array array;  (* per tree node; -1 = none *)
   }
 
-  (* Per-neighbour-slot arenas (slot s of node u = slot_base.(u) + s;
-     total size = sum of degrees).  Requester slots add one self slot
-     per node (req_base; size = sum (deg+1)); snt masks are per
-     requester slot x neighbour slot (msk_base; sum deg*(deg+1)).
-     Sized once at create — the tree topology is fixed. *)
+  (* Per-neighbour-slot arenas (slot s of node u = slot_base.(u) + s,
+     the tree's id of channel u -> s-th neighbour; total size = sum of
+     degrees).  Requester slots add one self slot per node (req_base;
+     size = sum (deg+1)); snt masks are per requester slot x neighbour
+     slot (msk_base; sum deg*(deg+1)).  Sized once at create — the tree
+     topology is fixed. *)
   type arena = {
     nbr : int array;  (* sorted ascending; slot i = i-th neighbour *)
     taken : Bytes.t;
@@ -160,9 +160,9 @@ module Make (Op : Agg.Operator.S) = struct
   (* Slot arithmetic.                                                   *)
 
   (* Position of neighbour [v] among [u]'s slots, -1 if not a neighbour. *)
-  let slot t u v =
-    let a = t.a.nbr and base = t.c.slot_base.(u) in
-    let lo = ref 0 and hi = ref (t.c.deg.(u) - 1) and found = ref (-1) in
+  let slot_in c a u v =
+    let a = a.nbr and base = c.slot_base.(u) in
+    let lo = ref 0 and hi = ref (c.deg.(u) - 1) and found = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
       let w = Array.unsafe_get a (base + mid) in
@@ -174,6 +174,8 @@ module Make (Op : Agg.Operator.S) = struct
       else hi := mid - 1
     done;
     !found
+
+  let slot t u v = slot_in t.c t.a u v
 
   let nbr t u i = t.a.nbr.(t.c.slot_base.(u) + i)
 
@@ -379,51 +381,31 @@ module Make (Op : Agg.Operator.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Views for the policy layer.                                        *)
 
-  let node_view t u =
-    match t.c.view.(u) with
-    | Some v -> v
-    | None ->
-      let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
-      let v =
-        {
-          Policy.id = u;
-          nbrs = t.c.nbrs.(u);
-          degree = d;
-          is_taken =
-            (fun w ->
-              let i = slot t u w in
-              i >= 0 && bget t.a.taken (sb + i));
-          is_granted =
-            (fun w ->
-              let i = slot t u w in
-              i >= 0 && bget t.a.granted (sb + i));
-          iter_taken =
-            (fun f ->
-              for i = 0 to d - 1 do
-                if bget t.a.taken (sb + i) then f t.a.nbr.(sb + i)
-              done);
-          iter_granted =
-            (fun f ->
-              for i = 0 to d - 1 do
-                if bget t.a.granted (sb + i) then f t.a.nbr.(sb + i)
-              done);
-          tkn_count = (fun () -> t.c.tkn_count.(u));
-          grntd_count = (fun () -> t.c.grntd_count.(u));
-          other_grantee =
-            (fun w ->
-              t.c.grntd_count.(u) > 1
-              || t.c.grntd_count.(u) = 1
-                 && not
-                      (let i = slot t u w in
-                       i >= 0 && bget t.a.granted (sb + i)));
-          uaw_size =
-            (fun w ->
-              let i = slot t u w in
-              if i >= 0 then t.a.lg_count.(sb + i) else 0);
-        }
-      in
-      t.c.view.(u) <- Some v;
-      v
+  (* The accessors every policy view shares: one record per system,
+     reading the slot arenas of the node it is handed. *)
+  let policy_ops c a =
+    {
+      Policy.iter_taken =
+        (fun u f ->
+          let sb = c.slot_base.(u) in
+          for i = 0 to c.deg.(u) - 1 do
+            if bget a.taken (sb + i) then f a.nbr.(sb + i)
+          done);
+      other_grantee =
+        (fun u w ->
+          c.grntd_count.(u) > 1
+          || c.grntd_count.(u) = 1
+             && not
+                  (let i = slot_in c a u w in
+                   i >= 0 && bget a.granted (c.slot_base.(u) + i)));
+      uaw_size =
+        (fun u w ->
+          let i = slot_in c a u w in
+          if i >= 0 then a.lg_count.(c.slot_base.(u) + i) else 0);
+      slot = (fun u w -> slot_in c a u w);
+    }
+
+  let node_view t u = t.c.view.(u)
 
   (* The paper's gval(): local value folded with all neighbour caches.
      Cached between writes; the recomputation folds in ascending slot
@@ -1384,10 +1366,22 @@ module Make (Op : Agg.Operator.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Construction.                                                      *)
 
-  (* Placeholder for unfilled policy column cells (cells past [n] in a
-     partly-used block). *)
+  (* Placeholders for unfilled policy and view column cells (cells past
+     [n] in a partly-used block). *)
   let uninit_policy =
     Policy.noop ~name:"(uninit)" ~set_lease:false ~node_id:(-1) ~nbrs:[]
+
+  let uninit_view =
+    {
+      Policy.id = -1;
+      ops =
+        {
+          Policy.iter_taken = (fun _ _ -> ());
+          other_grantee = (fun _ _ -> false);
+          uaw_size = (fun _ _ -> 0);
+          slot = (fun _ _ -> -1);
+        };
+    }
 
   (* Column registration: each hook extends one backing array to the new
      slab capacity, preserving live cells. *)
@@ -1432,7 +1426,6 @@ module Make (Op : Agg.Operator.S) = struct
         slot_base = [||];
         req_base = [||];
         msk_base = [||];
-        nbrs = [||];
         policy = [||];
         view = [||];
         pending = [||];
@@ -1469,10 +1462,10 @@ module Make (Op : Agg.Operator.S) = struct
     Slab.on_grow slab (grow_arr (fun () -> c.slot_base) (fun a -> c.slot_base <- a) 0);
     Slab.on_grow slab (grow_arr (fun () -> c.req_base) (fun a -> c.req_base <- a) 0);
     Slab.on_grow slab (grow_arr (fun () -> c.msk_base) (fun a -> c.msk_base <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.nbrs) (fun a -> c.nbrs <- a) []);
     Slab.on_grow slab
       (grow_arr (fun () -> c.policy) (fun a -> c.policy <- a) uninit_policy);
-    Slab.on_grow slab (grow_arr (fun () -> c.view) (fun a -> c.view <- a) None);
+    Slab.on_grow slab
+      (grow_arr (fun () -> c.view) (fun a -> c.view <- a) uninit_view);
     Slab.on_grow slab (grow_arr (fun () -> c.pending) (fun a -> c.pending <- a) []);
     Slab.on_grow slab
       (grow_arr (fun () -> c.pending_spans) (fun a -> c.pending_spans <- a) []);
@@ -1488,26 +1481,25 @@ module Make (Op : Agg.Operator.S) = struct
       let cell = Slab.alloc slab in
       assert (cell = u)
     done;
-    (* Per-node scalars and arena geometry. *)
-    let sdim = ref 0 and rdim = ref 0 and mdim = ref 0 in
+    (* Per-node scalars and arena geometry.  Neighbour slots are the
+       tree's channel numbering. *)
+    let rdim = ref 0 and mdim = ref 0 in
     for u = 0 to n - 1 do
       let nbrs_arr = Tree.neighbors_arr tree u in
       let d = Array.length nbrs_arr in
       c.deg.(u) <- d;
-      c.nbrs.(u) <- Array.to_list nbrs_arr;
       let sp = ref 0 in
       Array.iter (fun v -> if v < u then incr sp) nbrs_arr;
       c.self_pos.(u) <- !sp;
-      c.slot_base.(u) <- !sdim;
+      c.slot_base.(u) <- Tree.channel_base tree u;
       c.req_base.(u) <- !rdim;
       c.msk_base.(u) <- !mdim;
-      sdim := !sdim + d;
       rdim := !rdim + d + 1;
       mdim := !mdim + (d * (d + 1));
-      c.policy.(u) <- policy ~node_id:u ~nbrs:c.nbrs.(u);
+      c.policy.(u) <- policy ~node_id:u ~nbrs:(Tree.neighbors tree u);
       if ghost then c.last_write.(u) <- Array.make n (-1)
     done;
-    let s = !sdim in
+    let s = Tree.n_channels tree in
     let a =
       {
         nbr = Array.make (max 1 s) 0;
@@ -1536,9 +1528,11 @@ module Make (Op : Agg.Operator.S) = struct
         snt = Bytes.make (max 1 !mdim) '\000';
       }
     in
+    let ops = policy_ops c a in
     for u = 0 to n - 1 do
       let nbrs_arr = Tree.neighbors_arr tree u in
-      Array.blit nbrs_arr 0 a.nbr c.slot_base.(u) (Array.length nbrs_arr)
+      Array.blit nbrs_arr 0 a.nbr c.slot_base.(u) (Array.length nbrs_arr);
+      c.view.(u) <- { Policy.id = u; ops }
     done;
     (* initial membership: detached nodes start outside the active tree,
        and every node's [det] bits reflect that from the first step *)

@@ -1,16 +1,16 @@
-type view = {
-  id : int;
-  nbrs : int list;
-  degree : int;
-  is_taken : int -> bool;
-  is_granted : int -> bool;
-  iter_taken : (int -> unit) -> unit;
-  iter_granted : (int -> unit) -> unit;
-  tkn_count : unit -> int;
-  grntd_count : unit -> int;
-  other_grantee : int -> bool;
-  uaw_size : int -> int;
+type ops = {
+  iter_taken : int -> (int -> unit) -> unit;
+  other_grantee : int -> int -> bool;
+  uaw_size : int -> int -> int;
+  slot : int -> int -> int;
 }
+
+type view = { id : int; ops : ops }
+
+let iter_taken v f = v.ops.iter_taken v.id f
+let other_grantee v w = v.ops.other_grantee v.id w
+let uaw_size v w = v.ops.uaw_size v.id w
+let slot v w = v.ops.slot v.id w
 
 type t = {
   name : string;
@@ -27,8 +27,8 @@ type t = {
 
 type factory = node_id:int -> nbrs:int list -> t
 
-let noop ~name ~set_lease ~node_id:_ ~nbrs:_ =
-  {
+let noop ~name ~set_lease =
+  let p = {
     name;
     on_combine = (fun _ -> ());
     on_write = (fun _ -> ());
@@ -40,3 +40,5 @@ let noop ~name ~set_lease ~node_id:_ ~nbrs:_ =
     break_lease = (fun _ ~target:_ -> false);
     release_policy = (fun _ ~target:_ -> ());
   }
+  in
+  fun ~node_id:_ ~nbrs:_ -> p

@@ -1,14 +1,18 @@
-(* Channels live in a flat id space: channel (src,dst) has id
-   [chan_base.(src) + i] where [i] is dst's position in src's sorted
-   adjacency.  Each channel is a growable ring buffer (not a [Queue.t]:
-   rings don't cons a cell per message, so the steady-state send/pop
-   cycle is allocation-free once capacities have warmed up).  On top of
-   the flat queues sits the active-channel registry: a dense array of
-   the ids of all nonempty channels, with the position of each active
-   channel tracked in [reg_pos].  [send] and the pop/deliver family
-   maintain it incrementally, so the scheduler never scans the tree:
-   [deliver_any] reads the registry head and [deliver_random] picks a
-   uniform index and swap-removes — both O(1) per delivery and
+(* Channels are the tree's directed-channel ids ({!Tree.channel}).
+   Every queued message sits in one shared pool of cells: [cmsg] holds
+   the payload, [cnext] the index of the next cell in the same channel,
+   and free cells chain from [free] through [cnext].  A channel is a
+   four-int header in [q] (first cell, last cell, queued count,
+   registry position), so a network costs O(1) words per channel plus
+   O(messages in flight), allocates nothing per channel, and the
+   steady-state send/pop cycle is allocation-free once the pool has
+   grown to the run's in-flight high-water (it doubles when it runs
+   out).  On top of the headers sits the active-channel registry: a
+   dense array of the ids of all nonempty channels, each channel's
+   position in it kept in its header.  [send] and the pop/deliver
+   family maintain it incrementally, so the scheduler never scans the
+   tree: [deliver_any] reads the registry head and [deliver_random]
+   picks a uniform index and swap-removes — both O(1) per delivery and
    allocation-free ([pop_any]/[pop_random] still exist but box an
    option + tuple per delivery; hot paths use the deliver variants,
    which hand src/dst/payload straight to a handler). *)
@@ -28,23 +32,20 @@ type fault_decision = { drop : bool; duplicate : bool; reorder_depth : int }
 
 type fault_hook = src:int -> dst:int -> attempt:int -> fault_decision
 
-(* One directed channel: a FIFO ring.  Slots outside the live window
-   hold [dummy] so popped payloads don't linger reachable. *)
-type 'm ring = {
-  mutable rbuf : 'm array;
-  mutable rhead : int;
-  mutable rlen : int;
-}
+(* Channel header layout: four ints per channel id in [q]. *)
+let h_first = 0 (* first cell, -1 when empty *)
+let h_last = 1 (* last cell, -1 when empty *)
+let h_count = 2 (* queued messages *)
+let h_reg = 3 (* index in [registry], -1 when empty *)
 
 type 'm t = {
   tree : Tree.t;
-  queues : 'm ring array;     (* FIFO per directed edge, by channel id *)
+  q : int array;              (* 4 ints per channel id, see [h_*] *)
+  mutable cmsg : 'm array;    (* cell payloads; free cells hold [dummy] *)
+  mutable cnext : int array;  (* next cell of the same list, -1 = end *)
+  mutable free : int;         (* free-list head, -1 = pool exhausted *)
   dummy : 'm;                 (* unreachable slot filler *)
-  chan_base : int array;      (* length n+1: first channel id of each src *)
-  src_of : int array;         (* channel id -> src node *)
-  dst_of : int array;         (* channel id -> dst node *)
   registry : int array;       (* ids of nonempty channels: dense prefix *)
-  reg_pos : int array;        (* channel id -> index in registry, or -1 *)
   mutable reg_len : int;
   counters : int array;       (* per channel id x kind *)
   kind_of : 'm -> Kind.t;
@@ -67,27 +68,19 @@ type 'm t = {
   mutable attempts : int array; (* per channel: transmission attempts, keys fault decisions *)
 }
 
-let initial_ring_capacity = 8
+let initial_pool_capacity = 64
+
+(* Thread cells [lo, hi) onto the free list, ascending. *)
+let free_cells t lo hi =
+  for c = hi - 1 downto lo do
+    t.cnext.(c) <- t.free;
+    t.free <- c
+  done
 
 let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
     ?(sink = Telemetry.Sink.null) ?(shard = 0) ?clock ?fault ?frames tree
     ~kind_of =
-  let n = Tree.n_nodes tree in
-  let chan_base = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    chan_base.(u + 1) <- chan_base.(u) + Tree.degree tree u
-  done;
-  let n_chans = chan_base.(n) in
-  let src_of = Array.make n_chans 0 in
-  let dst_of = Array.make n_chans 0 in
-  for u = 0 to n - 1 do
-    let base = chan_base.(u) in
-    Array.iteri
-      (fun i v ->
-        src_of.(base + i) <- u;
-        dst_of.(base + i) <- v)
-      (Tree.neighbors_arr tree u)
-  done;
+  let n_chans = Tree.n_channels tree in
   let tel =
     match metrics with
     | None -> None
@@ -114,21 +107,21 @@ let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
         }
   in
   (* [()]: a safely polymorphic dummy.  (An [int] dummy would make
-     ['m = float] rings flat float arrays and crash on the first store
-     of a boxed value.) *)
+     ['m = float] cell arrays flat float arrays and crash on the first
+     store of a boxed value.) *)
   let dummy : 'm = Obj.magic () in
+  let q = Array.make (4 * n_chans) (-1) in
+  for c = 0 to n_chans - 1 do
+    q.((4 * c) + h_count) <- 0
+  done;
   let t = {
     tree;
-    queues =
-      Array.init n_chans (fun _ ->
-          { rbuf = Array.make initial_ring_capacity dummy;
-            rhead = 0; rlen = 0 });
+    q;
+    cmsg = Array.make initial_pool_capacity dummy;
+    cnext = Array.make initial_pool_capacity (-1);
+    free = -1;
     dummy;
-    chan_base;
-    src_of;
-    dst_of;
     registry = Array.make (max 1 n_chans) (-1);
-    reg_pos = Array.make n_chans (-1);
     reg_len = 0;
     counters = Array.make (n_chans * Kind.count) 0;
     kind_of;
@@ -151,6 +144,7 @@ let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
       | Some _ -> Array.make (max 1 n_chans) 0);
   }
   in
+  free_cells t 0 initial_pool_capacity;
   (t.clock <-
      (match clock with
      | Some c -> c
@@ -161,59 +155,78 @@ let tree t = t.tree
 
 let clock t = t.clock
 
-(* Flat channel id of the directed edge (src,dst). *)
+(* Channel id of the directed edge (src,dst). *)
 let chan t ~src ~dst =
-  let n = Tree.n_nodes t.tree in
-  if src < 0 || src >= n || dst < 0 || dst >= n then
-    invalid_arg
-      (Printf.sprintf "Network: (%d,%d) is not an edge of the tree" src dst);
-  match Tree.neighbor_index t.tree src dst with
+  match Tree.channel t.tree ~src ~dst with
   | -1 ->
     invalid_arg
       (Printf.sprintf "Network: (%d,%d) is not an edge of the tree" src dst)
-  | i -> t.chan_base.(src) + i
+  | c -> c
 
-(* Ring primitives.  Growth doubles the backing array (amortized; a
-   warmed-up channel never grows again). *)
+let count t cid = t.q.((4 * cid) + h_count)
 
-let ring_grow r dummy =
-  let cap = Array.length r.rbuf in
-  let b = Array.make (cap * 2) dummy in
-  for i = 0 to r.rlen - 1 do
-    b.(i) <- r.rbuf.((r.rhead + i) mod cap)
-  done;
-  r.rbuf <- b;
-  r.rhead <- 0
+(* Cell pool.  Growth doubles both arrays and threads the new half onto
+   the free list (amortized; a warmed-up pool never grows again). *)
 
-let ring_push r dummy m =
-  let cap = Array.length r.rbuf in
-  if r.rlen = cap then ring_grow r dummy;
-  let cap = Array.length r.rbuf in
-  r.rbuf.((r.rhead + r.rlen) mod cap) <- m;
-  r.rlen <- r.rlen + 1
+let grow_pool t =
+  let cap = Array.length t.cmsg in
+  let cmsg = Array.make (2 * cap) t.dummy in
+  let cnext = Array.make (2 * cap) (-1) in
+  Array.blit t.cmsg 0 cmsg 0 cap;
+  Array.blit t.cnext 0 cnext 0 cap;
+  t.cmsg <- cmsg;
+  t.cnext <- cnext;
+  free_cells t cap (2 * cap)
 
-let ring_pop r dummy =
-  let m = r.rbuf.(r.rhead) in
-  r.rbuf.(r.rhead) <- dummy;
-  r.rhead <- (r.rhead + 1) mod Array.length r.rbuf;
-  r.rlen <- r.rlen - 1;
+(* Take a free cell holding [m], linked to nothing. *)
+let take_cell t m =
+  if t.free < 0 then grow_pool t;
+  let c = t.free in
+  t.free <- t.cnext.(c);
+  t.cmsg.(c) <- m;
+  t.cnext.(c) <- -1;
+  c
+
+(* Link [m] at the tail of channel [cid]; returns the new count. *)
+let push t cid m =
+  let c = take_cell t m in
+  let h = 4 * cid in
+  let len = t.q.(h + h_count) in
+  if len = 0 then t.q.(h + h_first) <- c
+  else t.cnext.(t.q.(h + h_last)) <- c;
+  t.q.(h + h_last) <- c;
+  t.q.(h + h_count) <- len + 1;
+  len + 1
+
+(* Unlink the head cell of nonempty channel [cid] and return its
+   payload; the cell goes back to the free list holding [dummy], so
+   popped payloads don't linger reachable. *)
+let pop_cell t cid =
+  let h = 4 * cid in
+  let c = t.q.(h + h_first) in
+  let m = t.cmsg.(c) in
+  let len = t.q.(h + h_count) - 1 in
+  t.q.(h + h_first) <- t.cnext.(c);
+  if len = 0 then t.q.(h + h_last) <- -1;
+  t.q.(h + h_count) <- len;
+  t.cmsg.(c) <- t.dummy;
+  t.cnext.(c) <- t.free;
+  t.free <- c;
   m
-
-let ring_get r i = r.rbuf.((r.rhead + i) mod Array.length r.rbuf)
 
 let registry_add t cid =
   t.registry.(t.reg_len) <- cid;
-  t.reg_pos.(cid) <- t.reg_len;
+  t.q.((4 * cid) + h_reg) <- t.reg_len;
   t.reg_len <- t.reg_len + 1
 
 let registry_remove t cid =
-  let i = t.reg_pos.(cid) in
+  let i = t.q.((4 * cid) + h_reg) in
   let last = t.reg_len - 1 in
   let moved = t.registry.(last) in
   t.registry.(i) <- moved;
-  t.reg_pos.(moved) <- i;
+  t.q.((4 * moved) + h_reg) <- i;
   t.reg_len <- last;
-  t.reg_pos.(cid) <- -1
+  t.q.((4 * cid) + h_reg) <- -1
 
 (* Out-of-line observers: the hot path pays a single [t.obs] branch when
    telemetry is off; the static call below only happens when it is on. *)
@@ -243,37 +256,48 @@ let account t cid ~src ~dst m qlen =
   if t.obs then observe_send t ~src ~dst k qlen
 
 (* Insert [m] ahead of up to [depth] messages already queued (the fault
-   model's payload-level reordering): append, then swap backward.  Only
-   ever reached on the fault path. *)
-let insert_reordered t r depth m =
-  ring_push r t.dummy m;
-  let cap = Array.length r.rbuf in
-  let steps = min depth (r.rlen - 1) in
-  let pos = ref (r.rlen - 1) in
-  for _ = 1 to steps do
-    let i = (r.rhead + !pos) mod cap in
-    let j = (r.rhead + !pos - 1) mod cap in
-    let tmp = r.rbuf.(i) in
-    r.rbuf.(i) <- r.rbuf.(j);
-    r.rbuf.(j) <- tmp;
-    decr pos
-  done
+   model's payload-level reordering): it lands ahead of exactly
+   min(depth, queued) of them, after a walk to the insertion point.
+   Only ever reached on the fault path.  Returns the new count. *)
+let insert_reordered t cid depth m =
+  let h = 4 * cid in
+  let len = t.q.(h + h_count) in
+  let ahead = min depth len in
+  if ahead = 0 then push t cid m
+  else begin
+    let c = take_cell t m in
+    if ahead = len then begin
+      t.cnext.(c) <- t.q.(h + h_first);
+      t.q.(h + h_first) <- c
+    end
+    else begin
+      (* the predecessor: cell [len - ahead - 1] from the head *)
+      let p = ref t.q.(h + h_first) in
+      for _ = 2 to len - ahead do
+        p := t.cnext.(!p)
+      done;
+      t.cnext.(c) <- t.cnext.(!p);
+      t.cnext.(!p) <- c
+    end;
+    t.q.(h + h_count) <- len + 1;
+    len + 1
+  end
 
 let enqueue_faulty t cid ~src ~dst m depth =
-  let q = t.queues.(cid) in
-  if q.rlen = 0 then registry_add t cid;
-  if depth <= 0 then ring_push q t.dummy m else insert_reordered t q depth m;
+  if count t cid = 0 then registry_add t cid;
+  let len =
+    if depth <= 0 then push t cid m else insert_reordered t cid depth m
+  in
   t.in_flight <- t.in_flight + 1;
-  account t cid ~src ~dst m q.rlen;
+  account t cid ~src ~dst m len;
   t.on_send ~src ~dst
 
 let send t ~src ~dst m =
   let cid = chan t ~src ~dst in
   match t.fault with
   | None ->
-    let q = t.queues.(cid) in
-    if q.rlen = 0 then registry_add t cid;
-    ring_push q t.dummy m;
+    if count t cid = 0 then registry_add t cid;
+    let len = push t cid m in
     let k = Kind.index (t.kind_of m) in
     let ci = (cid * Kind.count) + k in
     t.counters.(ci) <- t.counters.(ci) + 1;
@@ -281,7 +305,7 @@ let send t ~src ~dst m =
     t.total <- t.total + 1;
     t.in_flight <- t.in_flight + 1;
     t.tick <- t.tick + 1;
-    if t.obs then observe_send t ~src ~dst k q.rlen;
+    if t.obs then observe_send t ~src ~dst k len;
     t.on_send ~src ~dst
   | Some h ->
     let att = t.attempts.(cid) in
@@ -292,7 +316,7 @@ let send t ~src ~dst m =
          nothing is queued and no delivery is scheduled ([on_send] is
          not invoked, so virtual-time schedulers stay in sync).  The
          sender's frame reference dies with the message. *)
-      account t cid ~src ~dst m t.queues.(cid).rlen;
+      account t cid ~src ~dst m (count t cid);
       match t.frames with None -> () | Some g -> Frame.release (g m)
     end
     else begin
@@ -306,8 +330,9 @@ let send t ~src ~dst m =
 
 let set_fault t fault =
   t.fault <- fault;
-  if fault <> None && Array.length t.attempts < Array.length t.queues then
-    t.attempts <- Array.make (max 1 (Array.length t.queues)) 0
+  let n_chans = Tree.n_channels t.tree in
+  if fault <> None && Array.length t.attempts < n_chans then
+    t.attempts <- Array.make (max 1 n_chans) 0
 
 let send_attempts t ~src ~dst =
   let cid = chan t ~src ~dst in
@@ -339,29 +364,30 @@ let observe_pop t cid m qlen =
          {
            time = t.clock ();
            shard = t.shard;
-           src = t.src_of.(cid);
-           dst = t.dst_of.(cid);
+           src = Tree.channel_src t.tree cid;
+           dst = Tree.channel_dst t.tree cid;
            kind = k;
          })
 
 let pop_chan t cid =
-  let q = t.queues.(cid) in
-  let m = ring_pop q t.dummy in
-  if q.rlen = 0 then registry_remove t cid;
+  let m = pop_cell t cid in
+  let len = count t cid in
+  if len = 0 then registry_remove t cid;
   t.in_flight <- t.in_flight - 1;
   t.tick <- t.tick + 1;
-  if t.obs then observe_pop t cid m q.rlen;
+  if t.obs then observe_pop t cid m len;
   m
 
 let pop t ~src ~dst =
   let cid = chan t ~src ~dst in
-  if t.queues.(cid).rlen = 0 then None else Some (pop_chan t cid)
+  if count t cid = 0 then None else Some (pop_chan t cid)
 
 let pop_any t =
   if t.reg_len = 0 then None
   else begin
     let cid = t.registry.(0) in
-    Some (t.src_of.(cid), t.dst_of.(cid), pop_chan t cid)
+    Some
+      (Tree.channel_src t.tree cid, Tree.channel_dst t.tree cid, pop_chan t cid)
   end
 
 let pop_random t rng =
@@ -369,7 +395,8 @@ let pop_random t rng =
   else begin
     (* Exactly one PRNG draw per delivery. *)
     let cid = t.registry.(Prng.Splitmix.int rng t.reg_len) in
-    Some (t.src_of.(cid), t.dst_of.(cid), pop_chan t cid)
+    Some
+      (Tree.channel_src t.tree cid, Tree.channel_dst t.tree cid, pop_chan t cid)
   end
 
 (* Handler-style delivery: same scheduling decisions as the pop family
@@ -381,7 +408,10 @@ let deliver_any t ~handler =
   else begin
     let cid = t.registry.(0) in
     let m = pop_chan t cid in
-    handler ~src:t.src_of.(cid) ~dst:t.dst_of.(cid) m;
+    handler
+      ~src:(Tree.channel_src t.tree cid)
+      ~dst:(Tree.channel_dst t.tree cid)
+      m;
     true
   end
 
@@ -390,7 +420,10 @@ let deliver_random t rng ~handler =
   else begin
     let cid = t.registry.(Prng.Splitmix.int rng t.reg_len) in
     let m = pop_chan t cid in
-    handler ~src:t.src_of.(cid) ~dst:t.dst_of.(cid) m;
+    handler
+      ~src:(Tree.channel_src t.tree cid)
+      ~dst:(Tree.channel_dst t.tree cid)
+      m;
     true
   end
 
@@ -398,9 +431,9 @@ let deliver_random t rng ~handler =
    never calls this; use [pop_any]/[pop_random]. *)
 let nonempty_channels t =
   let acc = ref [] in
-  for cid = Array.length t.queues - 1 downto 0 do
-    if t.queues.(cid).rlen > 0 then
-      acc := (t.src_of.(cid), t.dst_of.(cid)) :: !acc
+  for cid = Tree.n_channels t.tree - 1 downto 0 do
+    if count t cid > 0 then
+      acc := (Tree.channel_src t.tree cid, Tree.channel_dst t.tree cid) :: !acc
   done;
   !acc
 
@@ -422,22 +455,46 @@ let reset_counters t =
 
 let check_invariants t =
   let fail fmt = Format.kasprintf failwith ("Network.check_invariants: " ^^ fmt) in
-  let n_chans = Array.length t.queues in
+  let n_chans = Tree.n_channels t.tree in
+  let src c = Tree.channel_src t.tree c and dst c = Tree.channel_dst t.tree c in
   if t.reg_len < 0 || t.reg_len > n_chans then
     fail "registry length %d out of range [0,%d]" t.reg_len n_chans;
+  let cap = Array.length t.cmsg in
+  if Array.length t.cnext <> cap then
+    fail "pool arrays disagree: %d payloads, %d links" cap
+      (Array.length t.cnext);
+  (* [owner.(c)]: the channel whose list holds cell [c], -2 for the free
+     list, -1 for none yet — so no cell sits on two lists. *)
+  let owner = Array.make cap (-1) in
+  let claim c who =
+    if c < 0 || c >= cap then fail "cell %d out of pool range [0,%d)" c cap;
+    if owner.(c) <> -1 then
+      fail "cell %d on two lists (%d and %d)" c owner.(c) who;
+    owner.(c) <- who
+  in
   let queued = ref 0 in
   for cid = 0 to n_chans - 1 do
-    let q = t.queues.(cid) in
-    queued := !queued + q.rlen;
-    if q.rlen < 0 || q.rlen > Array.length q.rbuf then
-      fail "channel %d ring length %d out of range" cid q.rlen;
-    let active = q.rlen > 0 in
-    let pos = t.reg_pos.(cid) in
+    let h = 4 * cid in
+    let len = t.q.(h + h_count) in
+    if len < 0 then fail "channel %d count %d negative" cid len;
+    queued := !queued + len;
+    (* the list walks exactly [len] cells and ends at the last cell *)
+    let c = ref t.q.(h + h_first) and last = ref (-1) in
+    for _ = 1 to len do
+      claim !c cid;
+      last := !c;
+      c := t.cnext.(!c)
+    done;
+    if !c <> -1 then fail "channel %d list runs past its count %d" cid len;
+    if !last <> t.q.(h + h_last) then
+      fail "channel %d list ends at cell %d, header says %d" cid !last
+        t.q.(h + h_last);
+    let active = len > 0 in
+    let pos = t.q.(h + h_reg) in
     if active && pos = -1 then
-      fail "nonempty channel %d->%d missing from registry" t.src_of.(cid)
-        t.dst_of.(cid);
+      fail "nonempty channel %d->%d missing from registry" (src cid) (dst cid);
     if (not active) && pos <> -1 then
-      fail "empty channel %d->%d still registered" t.src_of.(cid) t.dst_of.(cid);
+      fail "empty channel %d->%d still registered" (src cid) (dst cid);
     if pos <> -1 then begin
       if pos < 0 || pos >= t.reg_len then
         fail "registry position %d of channel %d out of range [0,%d)" pos cid
@@ -446,6 +503,15 @@ let check_invariants t =
         fail "registry slot %d holds %d, expected %d" pos t.registry.(pos) cid
     end
   done;
+  let free = ref 0 and c = ref t.free in
+  while !c <> -1 do
+    claim !c (-2);
+    if t.cmsg.(!c) != t.dummy then fail "free cell %d still holds a payload" !c;
+    incr free;
+    c := t.cnext.(!c)
+  done;
+  if !queued + !free <> cap then
+    fail "%d queued + %d free cells <> pool capacity %d" !queued !free cap;
   if t.in_flight <> !queued then
     fail "in_flight %d but %d messages queued" t.in_flight !queued;
   let counted = Array.fold_left ( + ) 0 t.counters in
@@ -461,14 +527,14 @@ let check_invariants t =
   match t.frames with
   | None -> ()
   | Some view ->
-    for cid = 0 to n_chans - 1 do
-      let q = t.queues.(cid) in
-      for i = 0 to q.rlen - 1 do
-        let f = view (ring_get q i) in
+    for c = 0 to cap - 1 do
+      let cid = owner.(c) in
+      if cid >= 0 then begin
+        let f = view t.cmsg.(c) in
         if Frame.rc f < 1 then
           fail "queued frame on channel %d->%d has count %d (freed in flight)"
-            t.src_of.(cid) t.dst_of.(cid) (Frame.rc f);
+            (src cid) (dst cid) (Frame.rc f);
         (try Frame.check_pool (Frame.pool_of f)
          with Frame.Frame_error e -> fail "frame pool: %s" e)
-      done
+      end
     done

@@ -11,6 +11,13 @@
     The payload type ['m] is chosen by the protocol; a [kind_of]
     classifier supplied at creation drives the accounting.
 
+    Channels are the tree's directed-channel ids ({!Tree.channel}).
+    Every queued message occupies one cell of a shared pool, linked by
+    index to the next message of its channel, so a channel costs O(1)
+    words — a four-int header, a registry slot and one counter per
+    kind — plus one cell per message in flight, and creation allocates
+    nothing per channel.
+
     Delivery is O(1) per message independently of tree size: the network
     maintains an active-channel registry (the set of nonempty directed
     channels) incrementally under [send] and the [pop] family, so the
@@ -47,7 +54,14 @@ val create :
   Tree.t ->
   kind_of:('m -> Kind.t) ->
   'm t
-(** [on_send] is invoked for every enqueued message — the hook virtual-
+(** Allocates per channel only the four-int queue header (first cell,
+    last cell, count, registry position), a registry slot and
+    {!Kind.count} counters: 11 words per channel, the tree's channel
+    index excluded.  The message cells come from one pool that starts
+    small and doubles when it runs out, so memory follows the messages
+    in flight, not the tree.
+
+    [on_send] is invoked for every enqueued message — the hook virtual-
     time schedulers ({!Devent}) use to timestamp deliveries.
 
     [metrics] registers per-kind send/delivery counters
@@ -160,8 +174,12 @@ val check_invariants : 'm t -> unit
     exactly the nonempty channels (each exactly once, with consistent
     back-pointers), [in_flight] equals the total number of queued
     messages, and the per-channel/per-kind counters sum to [total].
+    It also audits the cell pool: each channel's list walks exactly
+    its count of cells and ends at its last cell, no cell is on two
+    lists, free cells hold no payload, and queued plus free cells equal
+    the pool's capacity.
     With a [frames] view installed, additionally audits the frame
     pool: every queued frame holds a live reference (no freed frame in
     flight) and the pool's free list is consistent (no double-free).
     @raise Failure describing the first violated invariant.  Intended
-    for tests; O(edges + queued messages). *)
+    for tests; O(edges + pool capacity). *)

@@ -47,10 +47,7 @@ type t = {
   timer : Devent.t;
   pool : Frame.pool;      (* ack frames *)
   deliver : src:int -> dst:int -> Frame.t -> unit;
-  chans : chan array;
-  chan_base : int array;
-  src_of : int array;
-  dst_of : int array;
+  chans : chan array;     (* by tree channel id *)
   inc : int array;        (* per-node incarnation, bumped on crash *)
   up : bool array;
   rto0 : float;
@@ -74,21 +71,7 @@ let create ?metrics ?pool ?(rto = 4.0) ?(backoff = 2.0) ?(max_rto = 64.0)
     invalid_arg "Reliable.create: need jitter >= 0";
   let tree = Network.tree net in
   let n = Tree.n_nodes tree in
-  let chan_base = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    chan_base.(u + 1) <- chan_base.(u) + Tree.degree tree u
-  done;
-  let n_chans = chan_base.(n) in
-  let src_of = Array.make (max 1 n_chans) 0 in
-  let dst_of = Array.make (max 1 n_chans) 0 in
-  for u = 0 to n - 1 do
-    let base = chan_base.(u) in
-    Array.iteri
-      (fun i v ->
-        src_of.(base + i) <- u;
-        dst_of.(base + i) <- v)
-      (Tree.neighbors_arr tree u)
-  done;
+  let n_chans = Tree.n_channels tree in
   let tel =
     match metrics with
     | None -> None
@@ -122,9 +105,6 @@ let create ?metrics ?pool ?(rto = 4.0) ?(backoff = 2.0) ?(max_rto = 64.0)
             r_next = 0;
             ooo = Hashtbl.create 8;
           });
-    chan_base;
-    src_of;
-    dst_of;
     inc = Array.make n 0;
     up = Array.make n true;
     rto0 = rto;
@@ -141,11 +121,14 @@ let create ?metrics ?pool ?(rto = 4.0) ?(backoff = 2.0) ?(max_rto = 64.0)
   }
 
 let cid t ~src ~dst =
-  match Tree.neighbor_index t.tree src dst with
+  match Tree.channel t.tree ~src ~dst with
   | -1 ->
     invalid_arg
       (Printf.sprintf "Reliable: (%d,%d) is not an edge of the tree" src dst)
-  | i -> t.chan_base.(src) + i
+  | c -> c
+
+let src_of t ci = Tree.channel_src t.tree ci
+let dst_of t ci = Tree.channel_dst t.tree ci
 
 let count_dedup t =
   t.dedup_drops <- t.dedup_drops + 1;
@@ -198,7 +181,7 @@ and on_timer t ci g =
   if g = c.gen && not (Queue.is_empty c.unacked) then begin
     (* go-back-N: retransmit the whole unacked window — the identical
        frames, header stamps and all; no re-encode *)
-    let src = t.src_of.(ci) and dst = t.dst_of.(ci) in
+    let src = src_of t ci and dst = dst_of t ci in
     Queue.iter (fun f -> transmit t ~src ~dst f) c.unacked;
     let k = Queue.length c.unacked in
     t.retransmits <- t.retransmits + k;
@@ -375,30 +358,30 @@ let check_invariants t =
       let len = Queue.length c.unacked in
       total := !total + len;
       if c.s_base + len <> c.s_next then
-        fail "channel %d->%d: base %d + %d unacked <> next %d" t.src_of.(ci)
-          t.dst_of.(ci) c.s_base len c.s_next;
+        fail "channel %d->%d: base %d + %d unacked <> next %d" (src_of t ci)
+          (dst_of t ci) c.s_base len c.s_next;
       let seq = ref c.s_base in
       Queue.iter
         (fun f ->
           if Frame.rc f < 1 then
-            fail "channel %d->%d: unacked frame seq %d not live" t.src_of.(ci)
-              t.dst_of.(ci) !seq;
+            fail "channel %d->%d: unacked frame seq %d not live" (src_of t ci)
+              (dst_of t ci) !seq;
           if not (Frame.stamped f) then
             fail "channel %d->%d: unstamped frame in unacked window"
-              t.src_of.(ci) t.dst_of.(ci);
+              (src_of t ci) (dst_of t ci);
           if Frame.seq f <> !seq then
             fail "channel %d->%d: unacked frame stamped %d at window pos %d"
-              t.src_of.(ci) t.dst_of.(ci) (Frame.seq f) !seq;
+              (src_of t ci) (dst_of t ci) (Frame.seq f) !seq;
           incr seq)
         c.unacked;
       Hashtbl.iter
         (fun seq f ->
           if seq < c.r_next then
             fail "channel %d->%d: buffered seq %d below expected %d"
-              t.src_of.(ci) t.dst_of.(ci) seq c.r_next;
+              (src_of t ci) (dst_of t ci) seq c.r_next;
           if Frame.rc f < 1 then
             fail "channel %d->%d: buffered frame seq %d not live"
-              t.src_of.(ci) t.dst_of.(ci) seq)
+              (src_of t ci) (dst_of t ci) seq)
         c.ooo)
     t.chans;
   if !total <> t.unacked_total then

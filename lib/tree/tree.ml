@@ -3,6 +3,11 @@ exception Invalid_tree of string
 type t = {
   n : int;
   adj : int array array;                 (* adj.(u) = sorted neighbours *)
+  (* Directed-channel index: channel (u, adj.(u).(i)) has id
+     chan_base.(u) + i; chan_src/chan_dst invert it. *)
+  chan_base : int array;                 (* length n+1 *)
+  chan_src : int array;
+  chan_dst : int array;
   (* Cache: for each node u, parent of every node in T rooted at u.
      Filled lazily, one root at a time; parent_of.(u).(u) = -1. *)
   parent_of : int array option array;
@@ -48,7 +53,20 @@ let create ~n ~edges =
       adj.(u)
   done;
   if !count <> n then invalid "graph is disconnected (%d of %d reachable)" !count n;
-  { n; adj; parent_of = Array.make n None }
+  let chan_base = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    chan_base.(u + 1) <- chan_base.(u) + Array.length adj.(u)
+  done;
+  let chan_src = Array.make chan_base.(n) 0 in
+  let chan_dst = Array.make chan_base.(n) 0 in
+  for u = 0 to n - 1 do
+    Array.iteri
+      (fun i v ->
+        chan_src.(chan_base.(u) + i) <- u;
+        chan_dst.(chan_base.(u) + i) <- v)
+      adj.(u)
+  done;
+  { n; adj; chan_base; chan_src; chan_dst; parent_of = Array.make n None }
 
 let n_nodes t = t.n
 
@@ -88,6 +106,18 @@ let degree t u =
   Array.length t.adj.(u)
 
 let is_leaf t u = degree t u <= 1 && t.n > 1
+
+let n_channels t = t.chan_base.(t.n)
+let channel_base t u = t.chan_base.(u)
+let channel_src t c = t.chan_src.(c)
+let channel_dst t c = t.chan_dst.(c)
+
+let channel t ~src ~dst =
+  if src < 0 || src >= t.n then -1
+  else
+    match neighbor_index t src dst with
+    | -1 -> -1
+    | i -> t.chan_base.(src) + i
 
 let are_neighbors t u v = Array.exists (fun w -> w = v) t.adj.(u)
 

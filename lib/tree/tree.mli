@@ -53,6 +53,34 @@ val degree : t -> int -> int
 
 val is_leaf : t -> int -> bool
 
+(** {1 Directed channels}
+
+    The [2 (n-1)] directed edges are numbered once, at {!create}, and
+    every per-channel table (the network's queue headers and counters,
+    the reliable transport's sessions, the mechanism's per-neighbour
+    slots) is indexed by this numbering.  Channel [(u, v)] has id
+    [channel_base t u + i], where [i] is [v]'s position in
+    [neighbors_arr t u]: a node's outgoing channels are contiguous, in
+    ascending order of destination.  The index costs
+    [n + 1 + 4 (n-1)] words, once per tree. *)
+
+val n_channels : t -> int
+(** Number of directed channels: the sum of the degrees, [2 (n-1)]. *)
+
+val channel_base : t -> int -> int
+(** [channel_base t u]: id of [u]'s first outgoing channel.  O(1). *)
+
+val channel_src : t -> int -> int
+(** Source node of a channel id.  O(1). *)
+
+val channel_dst : t -> int -> int
+(** Destination node of a channel id.  O(1). *)
+
+val channel : t -> src:int -> dst:int -> int
+(** Id of the directed channel [(src, dst)], or [-1] if [src] and
+    [dst] are not neighbours (or [src] is out of range).
+    O(log degree), allocation-free. *)
+
 val are_neighbors : t -> int -> int -> bool
 
 val subtree : t -> int -> int -> int list

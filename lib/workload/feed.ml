@@ -103,7 +103,7 @@ let rec draw_bounded t bound =
   if r - v > top61 - bound + 1 then draw_bounded t bound else v
 
 (* First rank whose scaled CDF exceeds the draw. *)
-let zipf_rank cdf u =
+let zipf_rank (cdf : int array) (u : int) : int =
   let lo = ref 0 and hi = ref (Array.length cdf - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

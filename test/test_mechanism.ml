@@ -945,9 +945,33 @@ let test_ghost_shipping_linear () =
     [ 48_342; 95_942; 191_142 ] [ b50; b100; b200 ];
   Alcotest.(check int) "equal bytes per round" (2 * (b100 - b50)) (b200 - b100)
 
+(* Per-neighbour policy state is sized by degree: the instance the
+   factory builds for the last leaf of a binary tree (one neighbour,
+   with the largest ids in the tree) holds the same number of words on
+   1023 and on 16383 nodes. *)
+let test_policy_state_sized_by_degree () =
+  let leaf_words factory n =
+    let tree = Tree.Build.binary n in
+    let u = n - 1 in
+    let p : Oat.Policy.t = factory ~node_id:u ~nbrs:(Tree.neighbors tree u) in
+    Obj.reachable_words (Obj.repr p)
+  in
+  List.iter
+    (fun (name, factory) ->
+      Alcotest.(check int)
+        (name ^ ": last leaf's words, binary-16383 = binary-1023")
+        (leaf_words factory 1023) (leaf_words factory 16383))
+    [
+      ("rww", Oat.Rww.policy);
+      ("ab(2,3)", Oat.Ab_policy.policy ~a:2 ~b:3);
+      ("timed", Oat.Timed_policy.policy ~now:(fun () -> 0.0) ~ttl:1.0);
+    ]
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "policy state sized by degree" `Quick
+        test_policy_state_sized_by_degree;
       Alcotest.test_case "invariant audit, sequential fuzz" `Quick
         test_fuzz_invariants_sequential;
       Alcotest.test_case "invariant audit, concurrent fuzz" `Quick

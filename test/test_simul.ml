@@ -290,6 +290,117 @@ let test_fuzz_frame_pool () =
       0 (Frame.live pool)
   done
 
+(* A reference model of the channel queues under faults: one OCaml list
+   per channel, updated from the fault hook's own decisions.  Random
+   trees and random mixes of send / pop / pop_any / pop_random /
+   deliver_any, with drop, duplicate and reorder depths 0-4 — deep
+   enough queues that a reordered message lands at the head, in the
+   middle and at the tail.  After every step the popped payload must be
+   the model's head of its channel, [nonempty_channels] and [in_flight]
+   must match the model, and [check_invariants] must pass. *)
+let test_queue_model_under_faults () =
+  let rng = Sm.create 20261017 in
+  (* sends into a nonempty channel that land at its head, in its middle
+     and at its tail (depth 0) *)
+  let placed = Array.make 3 0 in
+  for round = 1 to 40 do
+    let n = 2 + Sm.int rng 6 in
+    let t = Tree.Build.random rng n in
+    let last =
+      ref { Simul.Network.drop = false; duplicate = false; reorder_depth = 0 }
+    in
+    let fault ~src:_ ~dst:_ ~attempt:_ =
+      let d =
+        {
+          Simul.Network.drop = Sm.bernoulli rng 0.1;
+          duplicate = Sm.bernoulli rng 0.15;
+          reorder_depth = Sm.int rng 5;
+        }
+      in
+      last := d;
+      d
+    in
+    let net = Simul.Network.create ~fault t ~kind_of in
+    let model = Array.make (Tree.n_channels t) [] in
+    let size () = Array.fold_left (fun acc l -> acc + List.length l) 0 model in
+    let rec insert_at i x = function
+      | l when i = 0 -> x :: l
+      | [] -> [ x ]
+      | y :: l -> y :: insert_at (i - 1) x l
+    in
+    let send src dst payload =
+      Simul.Network.send net ~src ~dst (Ping payload);
+      let c = Tree.channel t ~src ~dst in
+      let d = !last in
+      if not d.drop then begin
+        let len = List.length model.(c) in
+        let ahead = min d.reorder_depth len in
+        if len > 0 then begin
+          let at = if ahead = len then 0 else if ahead = 0 then 2 else 1 in
+          placed.(at) <- placed.(at) + 1
+        end;
+        model.(c) <- insert_at (len - ahead) payload model.(c);
+        if d.duplicate then model.(c) <- model.(c) @ [ payload ]
+      end
+    in
+    let popped src dst = function
+      | Ping p ->
+        let c = Tree.channel t ~src ~dst in
+        (match model.(c) with
+        | h :: rest ->
+          Alcotest.(check int)
+            (Printf.sprintf "round %d: head of %d->%d" round src dst)
+            h p;
+          model.(c) <- rest
+        | [] ->
+          Alcotest.failf "round %d: pop from empty model %d->%d" round src dst)
+      | Pong _ -> Alcotest.fail "unexpected pong"
+    in
+    let random_edge () =
+      let u = Sm.int rng n in
+      (u, Sm.pick rng (Tree.neighbors_arr t u))
+    in
+    for op = 1 to 600 do
+      (match Sm.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 ->
+        let src, dst = random_edge () in
+        send src dst op
+      | 5 ->
+        let src, dst = random_edge () in
+        (match Simul.Network.pop net ~src ~dst with
+        | Some m -> popped src dst m
+        | None ->
+          Alcotest.(check int) "pop from an empty channel" 0
+            (List.length model.(Tree.channel t ~src ~dst)))
+      | 6 ->
+        Option.iter (fun (s, d, m) -> popped s d m) (Simul.Network.pop_any net)
+      | 7 | 8 ->
+        Option.iter (fun (s, d, m) -> popped s d m)
+          (Simul.Network.pop_random net rng)
+      | _ ->
+        ignore
+          (Simul.Network.deliver_any net ~handler:(fun ~src ~dst m ->
+               popped src dst m)));
+      let expected = ref [] in
+      for c = Tree.n_channels t - 1 downto 0 do
+        if model.(c) <> [] then
+          expected := (Tree.channel_src t c, Tree.channel_dst t c) :: !expected
+      done;
+      Alcotest.(check (list (pair int int)))
+        "nonempty channels" !expected
+        (Simul.Network.nonempty_channels net);
+      Alcotest.(check int) "in flight" (size ()) (Simul.Network.in_flight net);
+      Simul.Network.check_invariants net
+    done
+  done;
+  Array.iteri
+    (fun i k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sends landed at the %s"
+           [| "head"; "middle"; "tail" |].(i))
+        true (k > 0))
+    placed
+
 let suite =
   [
     Alcotest.test_case "send/pop fifo" `Quick test_send_pop_fifo;
@@ -303,6 +414,8 @@ let suite =
     Alcotest.test_case "registry invariants under fuzz" `Quick test_fuzz_invariants;
     Alcotest.test_case "frame-pool bookkeeping under fuzz" `Quick
       test_fuzz_frame_pool;
+    Alcotest.test_case "queue model under faults" `Quick
+      test_queue_model_under_faults;
     Alcotest.test_case "fixed-seed concurrent regression" `Quick
       test_concurrent_fixed_seed_regression;
   ]

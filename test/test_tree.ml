@@ -154,6 +154,38 @@ let prop_degrees_sum =
       let sum = List.fold_left (fun acc u -> acc + Tree.degree t u) 0 (Tree.nodes t) in
       sum = 2 * (Tree.n_nodes t - 1))
 
+(* The directed-channel index numbers every ordered pair of neighbours
+   once, contiguously per source in ascending destination order, and
+   rejects every other pair. *)
+let prop_channel_index =
+  QCheck.Test.make ~name:"channel index is a bijection onto the ordered pairs"
+    ~count:100 tree_arb (fun t ->
+      let n = Tree.n_nodes t in
+      let ids =
+        List.map
+          (fun (src, dst) -> Tree.channel t ~src ~dst)
+          (Tree.ordered_pairs t)
+      in
+      Tree.n_channels t = 2 * (n - 1)
+      && List.sort compare ids = List.init (Tree.n_channels t) Fun.id
+      && List.for_all
+           (fun (src, dst) ->
+             let c = Tree.channel t ~src ~dst in
+             Tree.channel_src t c = src
+             && Tree.channel_dst t c = dst
+             && c = Tree.channel_base t src + Tree.neighbor_index t src dst)
+           (Tree.ordered_pairs t)
+      && Tree.channel t ~src:0 ~dst:0 = -1
+      && Tree.channel t ~src:n ~dst:0 = -1
+      && Tree.channel t ~src:0 ~dst:n = -1
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v ->
+                 Tree.are_neighbors t u v || Tree.channel t ~src:u ~dst:v = -1)
+               (Tree.nodes t))
+           (Tree.nodes t))
+
 let prop_subtree_sizes =
   QCheck.Test.make ~name:"subtree sizes sum to n per edge" ~count:100 tree_arb
     (fun t ->
@@ -194,6 +226,7 @@ let suite =
     Alcotest.test_case "degree-bounded builder" `Quick test_degree_bound_builder;
     QCheck_alcotest.to_alcotest prop_edge_count;
     QCheck_alcotest.to_alcotest prop_degrees_sum;
+    QCheck_alcotest.to_alcotest prop_channel_index;
     QCheck_alcotest.to_alcotest prop_subtree_sizes;
     QCheck_alcotest.to_alcotest prop_path_valid;
   ]
