@@ -120,8 +120,8 @@ let words_per_window label sh run =
    registry slot and six per-kind counters per channel, plus a cell
    pool sized by the messages in flight; a lease-all mechanism after
    its root sweep is its columns, arenas, frame pool and a three-word
-   policy view per node.  Each budget sits about 10% above the measured
-   value (11.1 and 63.8 words) and below what per-channel rings and
+   policy view per node.  Each budget sits 10-13% above the measured
+   value (11.1 and 62.2 words) and below what per-channel rings and
    per-node view closures cost (24.5 and 152.7), so either coming back
    fails the gate. *)
 let chan_words_budget = 12.2
@@ -220,12 +220,13 @@ let run_gc_gate () =
     inst_words inst_reqs inst_rate;
   (* Sharded phase: the cascade through the windowed driver, gating each
      domain's steady-state minor allocation per window.  The window
-     control plane (barriers, ingress, mailbox copies) allocates nothing
-     in steady state, so the measured rate is the one-time per-run setup
-     (worker closures, first-window warmup) amortised over the run — a
-     per-delivery or per-crossing allocation multiplies it past the
-     budget immediately.  A short warmup run lets mailbox buffers, frame
-     pools and channel capacities reach steady state first. *)
+     control plane (the barrier, ingress, mailbox copies) allocates
+     nothing in steady state, so the measured rate is the one-time
+     per-run setup (worker closures, first-window warmup) amortised
+     over the run — a per-delivery or per-crossing allocation
+     multiplies it past the budget immediately.  A short warmup run
+     lets mailbox regions, frame pools and channel capacities reach
+     steady state first. *)
   let sys, sh, _ = sharded_path () in
   Simul.Sharded.run_sequential sh ~requests:(cascade sys 100);
   let seq_rate, _ =
@@ -234,7 +235,7 @@ let run_gc_gate () =
   in
   (* Feed-driven sharded phase with the steady-state observability layer
      on: requests come from per-shard Workload.Feed cursors through
-     run_feed (feed draws, batched mailbox flushes, adaptive lookahead),
+     run_feed (feed draws, parity mailbox regions, adaptive lookahead),
      and the engine feeds a series sampler and a latency recorder from
      its serial section.  Same per-window words budget, plus two exact
      counts: one series sample per window, and every request settled.
@@ -255,7 +256,7 @@ let run_gc_gate () =
     in
     Simul.Sharded.run_feed sh ~pull ~next_window
   in
-  (* Warm up with the identical stream so frame pools, mailbox arenas
+  (* Warm up with the identical stream so frame pools, mailbox regions
      and channel capacities reach the measured run's steady state. *)
   run_feed_once (Workload.Feed.clone sh_feed);
   let s0 = Telemetry.Series.total series

@@ -41,10 +41,6 @@ let () =
     (* fold a GC health snapshot into the phase table: with the flat-
        frame data plane, gc.minor_words should barely move per phase *)
     Telemetry.Metrics.gc_sample metrics;
-    (* create-time gauges don't survive the per-phase reset: re-sample *)
-    Telemetry.Metrics.gauge_set
-      (Telemetry.Metrics.gauge metrics "slab.blocks")
-      (Oat.Slab.blocks (Mmax.slab max_sys) + Oat.Slab.blocks (Mavg.slab avg_sys));
     Printf.printf "\n%s metrics:\n" label;
     List.iter
       (fun line -> if line <> "" then Printf.printf "  | %s\n" line)
@@ -113,13 +109,12 @@ let () =
   let final_max = Mmax.combine_sync max_sys ~node:(n - 1) in
   let final_avg = Agg.Ops.Avg.to_float (Mavg.combine_sync avg_sys ~node:(n - 1)) in
   Printf.printf "final aggregates: max=%.1f avg=%.1f\n" final_max final_avg;
-  Printf.printf "data plane: %d frames ever built (hwm %d in flight), %d slab blocks\n"
+  Printf.printf "data plane: %d frames ever built (hwm %d in flight)\n"
     (Simul.Frame.created (Mmax.frame_pool max_sys)
     + Simul.Frame.created (Mavg.frame_pool avg_sys))
     (max
        (Simul.Frame.hwm (Mmax.frame_pool max_sys))
-       (Simul.Frame.hwm (Mavg.frame_pool avg_sys)))
-    (Oat.Slab.blocks (Mmax.slab max_sys) + Oat.Slab.blocks (Mavg.slab avg_sys));
+       (Simul.Frame.hwm (Mavg.frame_pool avg_sys)));
 
   (* Fault drill: replay a monitoring burst over a lossy wire with one
      pod aggregator crashing mid-run and one leaf machine leaving and
@@ -201,7 +196,7 @@ let () =
   let latency = Telemetry.Latency.create () in
   let series = Telemetry.Series.create () in
   let sh =
-    Simul.Sharded.create ~check:true tree ~partition:part ~latency ~series
+    Simul.Sharded.create tree ~partition:part ~latency ~series
       ~handler:(Mmax.handler fleet)
   in
   Mmax.set_outbox fleet

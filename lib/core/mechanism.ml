@@ -14,55 +14,53 @@ module Make (Op : Agg.Operator.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Dense state.                                                       *)
   (*                                                                    *)
-  (* Node state lives in slab-indexed structure-of-arrays columns, not  *)
-  (* per-node records: a node is a cell id from [slab] (equal to its    *)
-  (* tree id — cells are allocated in order at create and live for the  *)
-  (* system's lifetime under the fixed-topology simulator; the free     *)
-  (* list is exercised by the slab's own tests and ready for churn),    *)
-  (* and every column is one array of slab capacity, extended in       *)
-  (* lock-step through [Slab.on_grow] hooks.  Per-neighbour-slot state  *)
-  (* packs into shared arenas indexed by per-node base offsets, so the  *)
-  (* whole protocol state is a fixed set of flat arrays.                *)
+  (* Node state lives in structure-of-arrays columns indexed by node    *)
+  (* id, not in per-node records: every column is one flat array of     *)
+  (* length n, built once at create (the node set is fixed; churn       *)
+  (* detaches and re-attaches nodes but never frees one).  Per-         *)
+  (* neighbour-slot state packs into shared arenas indexed by per-node  *)
+  (* base offsets, so the whole protocol state is a fixed set of flat   *)
+  (* arrays.                                                            *)
 
-  (* Per-node columns (index = node id = slab cell). *)
+  (* Per-node columns (index = node id). *)
   type cols = {
-    mutable value : Op.t array;  (* the paper's [val] *)
-    mutable gval_cache : Op.t array;  (* fold of value+avals when clean *)
-    mutable gval_dirty : Bytes.t;
-    mutable alive : Bytes.t;
-    mutable att : Bytes.t;  (* membership: attached to the active tree *)
-    mutable any_cut : Bytes.t;  (* down_count > 0 or some subcut nonempty *)
-    mutable tkn_count : int array;  (* cardinality caches: O(1) tkn()/grntd() *)
-    mutable grntd_count : int array;
-    mutable down_count : int array;
-    mutable det_count : int array;  (* # detached neighbour slots *)
-    mutable upcntr : int array;
-    mutable completed : int array;  (* completed requests at this node *)
-    mutable epoch : int array;  (* incarnation, bumped on restart *)
-    mutable deg : int array;
-    mutable self_pos : int array;  (* # neighbours with id < self *)
-    mutable slot_base : int array;  (* base into the per-slot arenas *)
-    mutable req_base : int array;  (* base into the requester arenas *)
-    mutable msk_base : int array;  (* base into the snt-mask arena *)
+    value : Op.t array;  (* the paper's [val] *)
+    gval_cache : Op.t array;  (* fold of value+avals when clean *)
+    gval_dirty : Bytes.t;
+    alive : Bytes.t;
+    att : Bytes.t;  (* membership: attached to the active tree *)
+    any_cut : Bytes.t;  (* down_count > 0 or some subcut nonempty *)
+    tkn_count : int array;  (* cardinality caches: O(1) tkn()/grntd() *)
+    grntd_count : int array;
+    down_count : int array;
+    det_count : int array;  (* # detached neighbour slots *)
+    upcntr : int array;
+    completed : int array;  (* completed requests at this node *)
+    epoch : int array;  (* incarnation, bumped on restart *)
+    deg : int array;
+    self_pos : int array;  (* # neighbours with id < self *)
+    slot_base : int array;  (* base into the per-slot arenas *)
+    req_base : int array;  (* base into the requester arenas *)
+    msk_base : int array;  (* base into the snt-mask arena *)
     (* cold columns *)
-    mutable policy : Policy.t array;
-    mutable view : Policy.view array;  (* {id = u; ops}, built at create *)
+    policy : Policy.t array;
+    view : Policy.view array;  (* {id = u; ops}, built at create *)
     (* Pending local combines.  Continuations take the aggregate and the
        cut (unreachable subtree roots; [] on a full aggregate).
        [pending_spans] carries the matching telemetry span ids, in the
        same order; it stays [[]] (no per-combine allocation) when no
        sink is recording. *)
-    mutable pending : (Op.t -> int list -> unit) list array;
-    mutable pending_spans : int list array;
+    pending : (Op.t -> int list -> unit) list array;
+    pending_spans : int list array;
     (* Ghost state (Figure 6).  [gwrites] mirrors the write subsequence
        of [glog] in chronological order; arena [shipped] is the prefix
        of it already sent per neighbour slot.  [last_write] rows are
        allocated (size n) only under [~ghost:true], keeping ghost-free
        systems O(n) instead of O(n^2). *)
-    mutable glog : Op.t Ghost.entry list array;  (* reversed *)
-    mutable gwrites : Op.t Ghost.write array array;
-    mutable gwrites_len : int array;
-    mutable last_write : int array array;  (* per tree node; -1 = none *)
+    glog : Op.t Ghost.entry list array;  (* reversed *)
+    gwrites : Op.t Ghost.write array array;
+    gwrites_len : int array;
+    last_write : int array array;  (* per tree node; -1 = none *)
   }
 
   (* Per-neighbour-slot arenas (slot s of node u = slot_base.(u) + s,
@@ -129,7 +127,6 @@ module Make (Op : Agg.Operator.S) = struct
     tree : Tree.t;
     net : Frame.t Simul.Network.t;
     pool : Frame.pool;  (* every frame this system sends *)
-    slab : Slab.t;  (* cell allocator behind the node columns *)
     n : int;
     c : cols;
     a : arena;
@@ -139,7 +136,6 @@ module Make (Op : Agg.Operator.S) = struct
     recording : bool; (* [Sink.enabled sink], cached for the hot path *)
     obs : bool; (* metrics or sink active: one hot-path branch *)
     clock : unit -> float; (* shared with the network *)
-    shard_of : int -> int; (* node -> owning shard, stamped on sink events *)
     spans : Telemetry.Span.allocator;
     (* Egress indirection for the sharded engine: by default every send
        enqueues on [net] and every frame comes from [pool]; a sharded
@@ -716,10 +712,10 @@ module Make (Op : Agg.Operator.S) = struct
       Telemetry.Sink.record t.sink
         (if grant then
            Telemetry.Sink.Lease_set
-             { time = t.clock (); shard = t.shard_of u; granter = u; grantee = w }
+             { time = t.clock (); shard = 0; granter = u; grantee = w }
          else
            Telemetry.Sink.Lease_denied
-             { time = t.clock (); shard = t.shard_of u; granter = u; grantee = w })
+             { time = t.clock (); shard = 0; granter = u; grantee = w })
 
   let observe_break t u ~granter =
     (match t.tel with
@@ -728,7 +724,7 @@ module Make (Op : Agg.Operator.S) = struct
     if t.recording then
       Telemetry.Sink.record t.sink
         (Telemetry.Sink.Lease_broken
-           { time = t.clock (); shard = t.shard_of granter; granter; grantee = u })
+           { time = t.clock (); shard = 0; granter; grantee = u })
 
   (* sendresponse(w): answer a probe; grant a lease iff every other
      neighbour is covered by a taken lease and the policy agrees. *)
@@ -862,7 +858,7 @@ module Make (Op : Agg.Operator.S) = struct
           match spans with
           | [] -> []
           | span :: rest ->
-            Telemetry.Span.finish t.sink ~shard:(t.shard_of u) ~clock:t.clock
+            Telemetry.Span.finish t.sink ~shard:0 ~clock:t.clock
               ~node:u ~name:"combine" ~id:span;
             rest
         in
@@ -878,7 +874,7 @@ module Make (Op : Agg.Operator.S) = struct
   let t1_combine t u k =
     if t.recording then
       t.c.pending_spans.(u) <-
-        Telemetry.Span.start t.sink t.spans ~shard:(t.shard_of u)
+        Telemetry.Span.start t.sink t.spans ~shard:0
           ~clock:t.clock ~node:u ~name:"combine"
         :: t.c.pending_spans.(u);
     t.c.pending.(u) <- k :: t.c.pending.(u);
@@ -901,7 +897,7 @@ module Make (Op : Agg.Operator.S) = struct
     if t.recording then
       Telemetry.Sink.record t.sink
         (Telemetry.Sink.Mark
-           { time = t.clock (); shard = t.shard_of u; node = u; name = "write" });
+           { time = t.clock (); shard = 0; node = u; name = "write" });
     t.c.value.(u) <- arg;
     bset t.c.gval_dirty u true;
     if t.ghost then
@@ -1172,7 +1168,7 @@ module Make (Op : Agg.Operator.S) = struct
     t.c.pending.(node) <- [];
     List.iter
       (fun span ->
-        Telemetry.Span.finish t.sink ~shard:(t.shard_of node) ~clock:t.clock
+        Telemetry.Span.finish t.sink ~shard:0 ~clock:t.clock
           ~node ~name:"combine" ~id:span)
       t.c.pending_spans.(node);
     t.c.pending_spans.(node) <- []
@@ -1277,7 +1273,7 @@ module Make (Op : Agg.Operator.S) = struct
     if t.recording then
       Telemetry.Sink.record t.sink
         (Telemetry.Sink.Mark
-           { time = t.clock (); shard = t.shard_of node; node; name = "depart" });
+           { time = t.clock (); shard = 0; node; name = "depart" });
     let carry = t.c.value.(node) in
     (* close the departing node's write history *)
     ghost_append_write t node
@@ -1331,7 +1327,7 @@ module Make (Op : Agg.Operator.S) = struct
     if t.recording then
       Telemetry.Sink.record t.sink
         (Telemetry.Sink.Mark
-           { time = t.clock (); shard = t.shard_of node; node; name = "join" });
+           { time = t.clock (); shard = 0; node; name = "join" });
     bset t.c.att node true;
     t.c.epoch.(node) <- t.c.epoch.(node) + 1;
     t.c.det_count.(node) <- 0;
@@ -1366,11 +1362,7 @@ module Make (Op : Agg.Operator.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Construction.                                                      *)
 
-  (* Placeholders for unfilled policy and view column cells (cells past
-     [n] in a partly-used block). *)
-  let uninit_policy =
-    Policy.noop ~name:"(uninit)" ~set_lease:false ~node_id:(-1) ~nbrs:[]
-
+  (* The view column's filler until [ops] exists. *)
   let uninit_view =
     {
       Policy.id = -1;
@@ -1383,104 +1375,47 @@ module Make (Op : Agg.Operator.S) = struct
         };
     }
 
-  (* Column registration: each hook extends one backing array to the new
-     slab capacity, preserving live cells. *)
-  let grow_arr get set dflt _old ncap =
-    let a = get () in
-    let b = Array.make ncap dflt in
-    Array.blit a 0 b 0 (Array.length a);
-    set b
-
-  let grow_bytes get set fill _old ncap =
-    let a = get () in
-    let b = Bytes.make ncap fill in
-    Bytes.blit a 0 b 0 (Bytes.length a);
-    set b
-
   let create ?(ghost = false) ?on_send ?metrics ?sink ?clock
-      ?(shard_of = fun _ -> 0) ?(detached = []) tree ~policy =
+      ?(detached = []) tree ~policy =
     let n = Tree.n_nodes tree in
     (* [Tree.Dyn.create] owns the membership validation: range, no
        duplicates, active set nonempty and connected. *)
     (if detached <> [] then
        try ignore (Tree.Dyn.create ~detached tree)
        with Invalid_argument m -> invalid_arg ("Mechanism.create: " ^ m));
-    let slab = Slab.create () in
     let c =
       {
-        value = [||];
-        gval_cache = [||];
-        gval_dirty = Bytes.empty;
-        alive = Bytes.empty;
-        att = Bytes.empty;
-        any_cut = Bytes.empty;
-        tkn_count = [||];
-        grntd_count = [||];
-        down_count = [||];
-        det_count = [||];
-        upcntr = [||];
-        completed = [||];
-        epoch = [||];
-        deg = [||];
-        self_pos = [||];
-        slot_base = [||];
-        req_base = [||];
-        msk_base = [||];
-        policy = [||];
-        view = [||];
-        pending = [||];
-        pending_spans = [||];
-        glog = [||];
-        gwrites = [||];
-        gwrites_len = [||];
-        last_write = [||];
+        value = Array.make n Op.identity;
+        gval_cache = Array.make n Op.identity;
+        gval_dirty = Bytes.make n '\001';
+        alive = Bytes.make n '\001';
+        att = Bytes.make n '\001';
+        any_cut = Bytes.make n '\000';
+        tkn_count = Array.make n 0;
+        grntd_count = Array.make n 0;
+        down_count = Array.make n 0;
+        det_count = Array.make n 0;
+        upcntr = Array.make n 0;
+        completed = Array.make n 0;
+        epoch = Array.make n 0;
+        deg = Array.make n 0;
+        self_pos = Array.make n 0;
+        slot_base = Array.make n 0;
+        req_base = Array.make n 0;
+        msk_base = Array.make n 0;
+        policy =
+          Array.init n (fun u -> policy ~node_id:u ~nbrs:(Tree.neighbors tree u));
+        view = Array.make n uninit_view;
+        pending = Array.make n [];
+        pending_spans = Array.make n [];
+        glog = Array.make n [];
+        gwrites = Array.make n [||];
+        gwrites_len = Array.make n 0;
+        last_write =
+          (if ghost then Array.init n (fun _ -> Array.make n (-1))
+           else Array.make n [||]);
       }
     in
-    Slab.on_grow slab (grow_arr (fun () -> c.value) (fun a -> c.value <- a) Op.identity);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.gval_cache) (fun a -> c.gval_cache <- a) Op.identity);
-    Slab.on_grow slab
-      (grow_bytes (fun () -> c.gval_dirty) (fun b -> c.gval_dirty <- b) '\001');
-    Slab.on_grow slab
-      (grow_bytes (fun () -> c.alive) (fun b -> c.alive <- b) '\001');
-    Slab.on_grow slab
-      (grow_bytes (fun () -> c.att) (fun b -> c.att <- b) '\001');
-    Slab.on_grow slab
-      (grow_bytes (fun () -> c.any_cut) (fun b -> c.any_cut <- b) '\000');
-    Slab.on_grow slab (grow_arr (fun () -> c.tkn_count) (fun a -> c.tkn_count <- a) 0);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.grntd_count) (fun a -> c.grntd_count <- a) 0);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.down_count) (fun a -> c.down_count <- a) 0);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.det_count) (fun a -> c.det_count <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.upcntr) (fun a -> c.upcntr <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.completed) (fun a -> c.completed <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.epoch) (fun a -> c.epoch <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.deg) (fun a -> c.deg <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.self_pos) (fun a -> c.self_pos <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.slot_base) (fun a -> c.slot_base <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.req_base) (fun a -> c.req_base <- a) 0);
-    Slab.on_grow slab (grow_arr (fun () -> c.msk_base) (fun a -> c.msk_base <- a) 0);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.policy) (fun a -> c.policy <- a) uninit_policy);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.view) (fun a -> c.view <- a) uninit_view);
-    Slab.on_grow slab (grow_arr (fun () -> c.pending) (fun a -> c.pending <- a) []);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.pending_spans) (fun a -> c.pending_spans <- a) []);
-    Slab.on_grow slab (grow_arr (fun () -> c.glog) (fun a -> c.glog <- a) []);
-    Slab.on_grow slab (grow_arr (fun () -> c.gwrites) (fun a -> c.gwrites <- a) [||]);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.gwrites_len) (fun a -> c.gwrites_len <- a) 0);
-    Slab.on_grow slab
-      (grow_arr (fun () -> c.last_write) (fun a -> c.last_write <- a) [||]);
-    (* Cells are handed out in order on a fresh slab, so cell id = node
-       id — asserted, since every column access relies on it. *)
-    for u = 0 to n - 1 do
-      let cell = Slab.alloc slab in
-      assert (cell = u)
-    done;
     (* Per-node scalars and arena geometry.  Neighbour slots are the
        tree's channel numbering. *)
     let rdim = ref 0 and mdim = ref 0 in
@@ -1495,9 +1430,7 @@ module Make (Op : Agg.Operator.S) = struct
       c.req_base.(u) <- !rdim;
       c.msk_base.(u) <- !mdim;
       rdim := !rdim + d + 1;
-      mdim := !mdim + (d * (d + 1));
-      c.policy.(u) <- policy ~node_id:u ~nbrs:(Tree.neighbors tree u);
-      if ghost then c.last_write.(u) <- Array.make n (-1)
+      mdim := !mdim + (d * (d + 1))
     done;
     let s = Tree.n_channels tree in
     let a =
@@ -1558,9 +1491,6 @@ module Make (Op : Agg.Operator.S) = struct
       match metrics with
       | None -> None
       | Some m ->
-        Telemetry.Metrics.gauge_set
-          (Telemetry.Metrics.gauge m "slab.blocks")
-          (Slab.blocks slab);
         Some
           {
             lease_set = Telemetry.Metrics.counter m "mech.lease.set";
@@ -1582,7 +1512,6 @@ module Make (Op : Agg.Operator.S) = struct
       tree;
       net;
       pool;
-      slab;
       n;
       c;
       a;
@@ -1595,7 +1524,6 @@ module Make (Op : Agg.Operator.S) = struct
         (tel <> None
         || match sink with Some s -> Telemetry.Sink.enabled s | None -> false);
       clock = Simul.Network.clock net;
-      shard_of;
       spans = Telemetry.Span.allocator ();
       out_send = (fun ~src ~dst f -> Simul.Network.send net ~src ~dst f);
       out_pool = (fun _ -> pool);
@@ -1611,7 +1539,6 @@ module Make (Op : Agg.Operator.S) = struct
   let tree t = t.tree
   let network t = t.net
   let frame_pool t = t.pool
-  let slab t = t.slab
   let policy_name t = (t.c.policy.(0)).Policy.name
 
   let require_alive t node op =
@@ -1845,10 +1772,7 @@ module Make (Op : Agg.Operator.S) = struct
 
   let check_invariants t =
     let fail fmt = Printf.ksprintf failwith fmt in
-    Slab.check_invariants t.slab;
     Frame.check_pool t.pool;
-    if Slab.live t.slab <> t.n then
-      fail "slab: %d live cells <> %d nodes" (Slab.live t.slab) t.n;
     let c = t.c and a = t.a in
     for u = 0 to t.n - 1 do
       let sb = c.slot_base.(u) and d = c.deg.(u) in

@@ -23,9 +23,9 @@
     [sendresponse], [onrelease], [forwardrelease], [gval], [subval]).
 
     Internally the per-node state named by the paper is stored densely
-    as slab-indexed structure-of-arrays columns ({!Slab} hands out the
-    cell ids; every column is one flat array), with per-neighbour-slot
-    state packed into shared arenas indexed by per-node base offsets:
+    as structure-of-arrays columns indexed by node id (every column is
+    one flat array of length n, built once at {!Make.create}), with
+    per-neighbour-slot state packed into shared arenas indexed by per-node base offsets:
     [taken]/[granted] are byte arrays with incrementally maintained
     cardinalities, the neighbour subtree caches are a value array
     behind a cached [gval] (so [subval] is O(1) for operators with a
@@ -54,7 +54,7 @@
     None of this changes the protocol: message sequences are identical
     to the plain transcription (pinned by golden tests), and
     {!Make.check_invariants} audits the representation — and the frame
-    pool and slab — against the naive recomputation. *)
+    pool — against the naive recomputation. *)
 
 module IntSet : Set.S with type elt = int
 
@@ -67,7 +67,6 @@ module Make (Op : Agg.Operator.S) : sig
     ?metrics:Telemetry.Metrics.t ->
     ?sink:Telemetry.Sink.t ->
     ?clock:(unit -> float) ->
-    ?shard_of:(int -> int) ->
     ?detached:int list ->
     Tree.t ->
     policy:Policy.factory ->
@@ -92,14 +91,12 @@ module Make (Op : Agg.Operator.S) : sig
         nonempty cut).
       - [sink] receives lease-lifecycle events, a [Mark] per write, and
         a [combine] span per T1 request (begun at initiation, finished
-        at completion).
+        at completion), all tagged shard 0.  A sink is not synchronised:
+        under {!set_outbox} with several domains, record protocol
+        events only where handler executions are serialised.
       - [clock] stamps events; both the mechanism and the network
         default to the network's op-tick clock, so pass
         [Simul.Devent.clock] to put everything on virtual time.
-      - [shard_of] (default [fun _ -> 0]) maps each node to its owning
-        shard; sink events are tagged with the shard of the node that
-        recorded them, so a sharded run's merged trace attributes every
-        event ({!Telemetry.Export.chrome_trace_fleet}).
 
       [detached] (default [[]]) lists nodes that start outside the
       active aggregation tree (see {!depart}/{!join}); the remaining
@@ -135,10 +132,6 @@ module Make (Op : Agg.Operator.S) : sig
       the accounting).  Install before any domain is spawned and leave
       it alone afterwards; transitions for a node must then only run on
       the domain owning that node. *)
-
-  val slab : t -> Slab.t
-  (** The cell allocator behind the node-state columns (one live cell
-      per tree node; block accounting feeds the [slab.blocks] gauge). *)
 
   val policy_name : t -> string
 

@@ -164,7 +164,7 @@ module Make (Op : Agg.Operator.S) = struct
   (* Sharded path: same phases, repartitioned at every reconfiguration
      barrier.                                                          *)
 
-  let run_sharded ?repair ?(detached = []) ?(check = true) ~domains ~tree
+  let run_sharded ?repair ?(detached = []) ~domains ~tree
       ~policy ~phases () =
     if domains < 1 then invalid_arg "Fault.Churn.run_sharded: domains < 1";
     let n = Tree.n_nodes tree in
@@ -174,7 +174,7 @@ module Make (Op : Agg.Operator.S) = struct
     let make_sh () =
       let part = Tree.Dyn.partition dyn ~shards:domains in
       let sh =
-        Simul.Sharded.create ~check tree ~partition:part
+        Simul.Sharded.create tree ~partition:part
           ~handler:(M.handler sys)
       in
       M.set_outbox sys

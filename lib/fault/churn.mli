@@ -71,7 +71,6 @@ module Make (Op : Agg.Operator.S) : sig
   val run_sharded :
     ?repair:bool ->
     ?detached:int list ->
-    ?check:bool ->
     domains:int ->
     tree:Tree.t ->
     policy:Oat.Policy.factory ->
@@ -81,10 +80,9 @@ module Make (Op : Agg.Operator.S) : sig
   (** The same scenario on {!Simul.Sharded} at [domains] shards,
       repartitioning at every barrier whose phase has events.  Audits
       shard invariants, quiescence, frame conservation and the
-      always-on conservation ledger after every phase; [check]
-      (default true) additionally asserts frames never cross shard
-      pools.  Deterministic in (phases, domains): the windowed
-      schedule is a pure function of partition and requests. *)
+      always-on conservation ledger after every phase.  Deterministic
+      in (phases, domains): the windowed schedule is a pure function of
+      partition and requests. *)
 
   val phases_of_plan :
     ?spacing:float ->

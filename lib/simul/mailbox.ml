@@ -1,10 +1,6 @@
-(* Packed double-buffered byte arena.  See mailbox.mli for the
-   ownership story.  Pending entries live in one contiguous growable
-   byte region ([src u32][dst u32][len u32][frame bytes] records), so a
-   drain is an O(1) front/back buffer swap under the lock followed by a
-   lock-free walk on the receiving domain, and a window's worth of
-   sends can be staged in a sender-local {!batch} and published with a
-   single lock round and one bulk blit ([flush]).  Buffers are
+(* Two packed byte regions, one per window parity.  See mailbox.mli for
+   the ownership story.  Each region holds its pending entries as
+   [src u32][dst u32][len u32][frame bytes] records; regions are
    recycled, so the steady state allocates nothing. *)
 
 type buf = {
@@ -13,33 +9,22 @@ type buf = {
   mutable count : int; (* entries packed *)
 }
 
-type batch = buf
-
 type t = {
-  m : Mutex.t;
-  mutable front : buf; (* push side, guarded by [m] *)
-  mutable back : buf;  (* drain side, owned by the draining domain *)
+  bufs : buf array; (* indexed by parity *)
   mutable pushed : int;
-  mutable hwm : int;   (* max pending entry count ever observed *)
+  mutable hwm : int; (* deepest region ever observed *)
 }
 
 let entry_header = 12
 
-let mk_buf cap = { data = Bytes.create cap; len = 0; count = 0 }
+let mk_buf () = { data = Bytes.create 4096; len = 0; count = 0 }
 
-let create () =
-  {
-    m = Mutex.create ();
-    front = mk_buf 4096;
-    back = mk_buf 4096;
-    pushed = 0;
-    hwm = 0;
-  }
+let create () = { bufs = [| mk_buf (); mk_buf () |]; pushed = 0; hwm = 0 }
 
 let reserve b extra =
   let need = b.len + extra in
   if need > Bytes.length b.data then begin
-    let cap = ref (max 64 (Bytes.length b.data)) in
+    let cap = ref (Bytes.length b.data) in
     while !cap < need do
       cap := 2 * !cap
     done;
@@ -48,7 +33,8 @@ let reserve b extra =
     b.data <- data
   end
 
-let append b ~src ~dst f =
+let append t ~parity ~src ~dst f =
+  let b = t.bufs.(parity) in
   let flen = Frame.length f in
   reserve b (entry_header + flen);
   let base = b.len in
@@ -57,75 +43,37 @@ let append b ~src ~dst f =
   Frame.set_u32 b.data (base + 8) flen;
   Bytes.blit (Frame.buf f) 0 b.data (base + entry_header) flen;
   b.len <- base + entry_header + flen;
-  b.count <- b.count + 1
-
-let note_pushed t n =
-  t.pushed <- t.pushed + n;
-  if t.front.count > t.hwm then t.hwm <- t.front.count
-
-(* push/flush/drain take the lock by hand rather than through
-   [Mutex.protect]: its per-call closure is the only allocation on the
-   crossing hot path, and the GC gate pins that path to zero
-   steady-state words.  The locked bodies cannot raise in steady state
-   (growth paths only allocate). *)
-
-let push t ~src ~dst f =
-  Mutex.lock t.m;
-  append t.front ~src ~dst f;
-  note_pushed t 1;
-  Mutex.unlock t.m
-
-let batch () = mk_buf 4096
-let batch_add b ~src ~dst f = append b ~src ~dst f
-let batch_length b = b.count
-
-let flush t b =
-  if b.count > 0 then begin
-    Mutex.lock t.m;
-    reserve t.front b.len;
-    Bytes.blit b.data 0 t.front.data t.front.len b.len;
-    t.front.len <- t.front.len + b.len;
-    t.front.count <- t.front.count + b.count;
-    note_pushed t b.count;
-    Mutex.unlock t.m;
-    b.len <- 0;
-    b.count <- 0
-  end
+  b.count <- b.count + 1;
+  t.pushed <- t.pushed + 1;
+  if b.count > t.hwm then t.hwm <- b.count
 
 (* Top-level so the walk allocates nothing beyond the rebuilt frames: a
-   local [let rec] would close over [b]/[pool]/[fn] and cons a closure
-   per drain. *)
-let rec drain_loop b pos pool fn acc =
-  if pos >= b.len then acc
+   local [let rec] would close over its arguments and cons a closure
+   per drain.  It takes the region's bytes and length as arguments: the
+   two regions' headers may share a cache line, and the sender appends
+   to the other region while this one drains. *)
+let rec drain_loop data len pos pool fn acc =
+  if pos >= len then acc
   else begin
-    let src = Frame.get_u32 b.data pos in
-    let dst = Frame.get_u32 b.data (pos + 4) in
-    let flen = Frame.get_u32 b.data (pos + 8) in
+    let src = Frame.get_u32 data pos in
+    let dst = Frame.get_u32 data (pos + 4) in
+    let flen = Frame.get_u32 data (pos + 8) in
     let f = Frame.alloc pool in
     Frame.set_length f flen;
-    Bytes.blit b.data (pos + entry_header) (Frame.buf f) 0 flen;
+    Bytes.blit data (pos + entry_header) (Frame.buf f) 0 flen;
     fn ~src ~dst f;
-    drain_loop b (pos + entry_header + flen) pool fn (acc + 1)
+    drain_loop data len (pos + entry_header + flen) pool fn (acc + 1)
   end
 
-let drain t ~pool fn =
-  Mutex.lock t.m;
-  let b = t.front in
-  let have = b.count > 0 in
-  if have then begin
-    (* O(1) handover: pushes land in the old back buffer from here on;
-       [b] is walked lock-free because only this domain drains. *)
-    t.front <- t.back;
-    t.back <- b
-  end;
-  Mutex.unlock t.m;
-  if not have then 0
+let drain t ~parity ~pool fn =
+  let b = t.bufs.(parity) in
+  if b.count = 0 then 0
   else begin
     let delivered =
-      try drain_loop b 0 pool fn 0
+      try drain_loop b.data b.len 0 pool fn 0
       with e ->
         (* A raising callback aborts the run; drop the remainder so the
-           buffer is reusable if the mailbox outlives the error. *)
+           region is reusable if the mailbox outlives the error. *)
         b.len <- 0;
         b.count <- 0;
         raise e
@@ -135,20 +83,6 @@ let drain t ~pool fn =
     delivered
   end
 
-let length t =
-  Mutex.lock t.m;
-  let n = t.front.count in
-  Mutex.unlock t.m;
-  n
-
-let pushed t =
-  Mutex.lock t.m;
-  let n = t.pushed in
-  Mutex.unlock t.m;
-  n
-
-let hwm t =
-  Mutex.lock t.m;
-  let n = t.hwm in
-  Mutex.unlock t.m;
-  n
+let length t = t.bufs.(0).count + t.bufs.(1).count
+let pushed t = t.pushed
+let hwm t = t.hwm

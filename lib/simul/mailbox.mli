@@ -1,73 +1,50 @@
 (** Cross-shard frame handover for the sharded simulation engine.
 
-    A mailbox is a mutex-protected FIFO of frame images travelling from
-    one shard to another.  Frames themselves never cross shards — pools
-    are shard-local and not thread-safe — so {!push} copies the frame's
-    bytes into an internal packed byte region on the sending domain,
-    and {!drain} re-materialises each image as a fresh frame from the
-    {e receiving} shard's pool.  The mutex pairs give the byte copies
-    the happens-before edges the OCaml memory model requires.
+    A mailbox carries frame images from one shard to another.  Frames
+    themselves never cross shards — pools are shard-local and not
+    thread-safe — so {!append} copies the frame's bytes into a packed
+    byte region on the sending domain, and {!drain} re-materialises
+    each image as a fresh frame from the {e receiving} shard's pool.
 
-    The pending region is double-buffered: {!drain} swaps the front and
-    back buffers under the lock (O(1)) and walks the snapshot lock-free
-    on the receiving domain, so the lock is never held across
-    callbacks.  Senders can additionally stage a window's worth of
-    frames in a lock-free local {!batch} and publish them with a single
-    lock round and one bulk byte-copy ({!flush}) — one lock round per
-    peer per window instead of one per frame.  Buffers are recycled, so
-    a mailbox in steady state allocates nothing.
+    There are two regions, one per window parity, and no lock.  In
+    window [w] the sender appends to parity [w land 1] while the
+    receiver drains parity [(w - 1) land 1], so the two domains never
+    touch the same region within a window, and the barrier that ends
+    each window gives every byte copy its happens-before edge.  A
+    caller that serialises all access (one domain, or steps handed
+    over under a lock) may use a single parity.  Regions are recycled,
+    so a mailbox in steady state allocates nothing.
 
-    FIFO order is preserved per mailbox: with one mailbox per ordered
+    FIFO order is preserved per region: with one mailbox per ordered
     shard pair, messages between any two nodes keep the channel-FIFO
-    order the transport layer promises ({!flush} appends the batch's
-    entries in staging order). *)
+    order the transport layer promises. *)
 
 type t
 
 val create : unit -> t
 
-val push : t -> src:int -> dst:int -> Frame.t -> unit
-(** Copy [frame]'s bytes (header included) into the mailbox.  The
-    caller keeps its reference — release it to the sending shard's pool
-    as usual.  Called by a sending domain only. *)
+val append : t -> parity:int -> src:int -> dst:int -> Frame.t -> unit
+(** Copy [frame]'s bytes (header included) to the end of region
+    [parity] (0 or 1).  The caller keeps its reference — release it to
+    the sending shard's pool as usual. *)
 
-type batch
-(** A sender-local staging buffer.  Not thread-safe: owned by one
-    domain, typically one batch per (sender, destination) shard pair,
-    reused across windows. *)
-
-val batch : unit -> batch
-
-val batch_add : batch -> src:int -> dst:int -> Frame.t -> unit
-(** Stage a frame image in the batch without touching any lock.  The
-    caller keeps its frame reference, as with {!push}. *)
-
-val batch_length : batch -> int
-(** Entries currently staged (plain read; the batch is domain-local). *)
-
-val flush : t -> batch -> unit
-(** Publish every staged entry into the mailbox in staging order —
-    one lock acquisition and one bulk blit — and reset the batch for
-    reuse.  No-op (and lock-free) on an empty batch. *)
-
-val drain : t -> pool:Frame.pool -> (src:int -> dst:int -> Frame.t -> unit) -> int
-(** Pop every pending entry in FIFO order; each is rebuilt as a frame
-    allocated from [pool] (the receiving shard's) and passed to the
-    callback, which takes ownership of the single reference.  Entries
-    pushed or flushed concurrently with a drain are delivered by a
-    later drain.  At most one domain may drain a given mailbox (the
-    receiving shard); pushes from other domains may be concurrent.  If
-    the callback raises, the remaining undelivered entries of the
-    drained snapshot are discarded (the exception aborts the run).
-    Returns the number of entries delivered. *)
+val drain :
+  t -> parity:int -> pool:Frame.pool -> (src:int -> dst:int -> Frame.t -> unit) -> int
+(** Pop every entry of region [parity] in append order; each is rebuilt
+    as a frame allocated from [pool] (the receiving shard's) and passed
+    to the callback, which takes ownership of the single reference.
+    The other region is left as it is.  If the callback raises, the
+    region's undelivered entries are discarded (the exception aborts
+    the run).  Returns the number of entries delivered. *)
 
 val length : t -> int
-(** Entries currently pending (locked read; exact at barriers). *)
+(** Entries pending in both regions.  A plain read: call it only when
+    no domain is appending or draining. *)
 
 val pushed : t -> int
-(** Total entries ever pushed or flushed (monotone; read at
-    quiescence). *)
+(** Total entries ever appended (monotone; plain read, as {!length}). *)
 
 val hwm : t -> int
-(** High-water mark of the pending entry count — the deepest backlog
-    the mailbox ever held, a per-edge congestion signal. *)
+(** High-water mark of a region's entry count — the deepest backlog
+    the mailbox ever held, a per-edge congestion signal (plain read,
+    as {!length}). *)

@@ -5,11 +5,15 @@
    network, pool and metrics are touched only by domain [s] (the main
    domain reads them after [Domain.join], which gives the
    happens-before edge).  Mailboxes are the only cross-domain channel
-   and carry their own mutex.  The windowed drivers' scheduling state
-   (request cursors, stop flag) is written only inside the barrier's
-   serial section, which runs under the barrier mutex while every other
-   domain is parked on the condition variable — so worker reads between
-   barriers race with nothing. *)
+   and hold no lock: in window [w] the sender appends to the region of
+   parity [w land 1] and the receiver drains parity [(w-1) land 1], so
+   within a window no region has two domains on it, and the barrier
+   that ends the window (a mutex and a condition variable) orders every
+   append before the drain that reads it.  The windowed drivers'
+   scheduling state (request cursors, stop flag) is written only inside
+   the barrier's serial section, which runs under the barrier mutex
+   while every other domain is parked on the condition variable — so
+   worker reads between barriers race with nothing. *)
 
 type t = {
   part : Tree.Partition.partition;
@@ -17,12 +21,7 @@ type t = {
   pools : Frame.pool array;
   nets : Frame.t Network.t array;
   boxes : Mailbox.t array array; (* boxes.(i).(j): shard i -> shard j *)
-  (* bats.(i).(j): shard i's lock-free staging batch toward shard j.
-     Owned by domain i; flushed into boxes.(i).(j) once per window
-     (windowed drivers) or per replay command. *)
-  bats : Mailbox.batch array array;
   handler : src:int -> dst:int -> Frame.t -> unit;
-  check : bool;
   mets : Telemetry.Metrics.t array;
   m_deliv : Telemetry.Metrics.counter array;
   m_windows : Telemetry.Metrics.counter array;
@@ -41,8 +40,9 @@ type t = {
      the serial end-of-window section cross-checks the fleet's
      conservation ledgers (pure integer compares).  [series] and
      [latency] sample from the same serial section; [cur_w] mirrors
-     each shard's current window (single writer: the owning domain) so
-     the traced nets can stamp events on the shared window axis, and
+     each shard's current window (single writer: the owning domain; 0
+     outside a windowed run) so [route] picks the mailbox parity and
+     the traced nets stamp events on the shared window axis, and
      [win_inits]/[win_gc] publish per-window initiation counts and
      minor-words before the end barrier, like [win_work]. *)
   tracing : bool;
@@ -85,7 +85,7 @@ exception Desync of string
 
 let default_max_windows = 1_000_000
 
-let create ?(check = false) ?sink ?wall ?(trace = 0)
+let create ?wall ?(trace = 0)
     ?(series = Telemetry.Series.null) ?(latency = Telemetry.Latency.null)
     ?audit tree ~partition ~handler =
   let timed, wall =
@@ -114,10 +114,9 @@ let create ?(check = false) ?sink ?wall ?(trace = 0)
             ~clock:(fun () -> float_of_int cur_w.(s))
             tree ~kind_of
             ~frames:(fun f -> f)
-        else Network.create ?sink ~shard:s tree ~kind_of ~frames:(fun f -> f))
+        else Network.create ~shard:s tree ~kind_of ~frames:(fun f -> f))
   in
   let boxes = Array.init k (fun _ -> Array.init k (fun _ -> Mailbox.create ())) in
-  let bats = Array.init k (fun _ -> Array.init k (fun _ -> Mailbox.batch ())) in
   let mets = Array.init k (fun _ -> Telemetry.Metrics.create ()) in
   let c name = Array.init k (fun s -> Telemetry.Metrics.counter mets.(s) name) in
   let ingress_fn =
@@ -129,9 +128,7 @@ let create ?(check = false) ?sink ?wall ?(trace = 0)
     pools;
     nets;
     boxes;
-    bats;
     handler;
-    check;
     mets;
     m_deliv = c "shard.deliveries";
     m_windows = c "shard.windows";
@@ -172,7 +169,7 @@ let parallel_work t = (t.total_work, t.crit_work)
 
 let route t ~src ~dst f =
   let s = Tree.Partition.shard_of t.part src in
-  if t.check && Frame.pool_of f != t.pools.(s) then
+  if Frame.pool_of f != t.pools.(s) then
     failwith
       (Printf.sprintf
          "Sharded.route: frame from pool %s sent by node %d of shard %d"
@@ -181,39 +178,30 @@ let route t ~src ~dst f =
   let d = Tree.Partition.shard_of t.part dst in
   if s = d then Network.send t.nets.(s) ~src ~dst f
   else begin
-    (* Stage lock-free in the sender's batch; the driver publishes the
-       whole window's worth with one [Mailbox.flush] per peer. *)
-    Mailbox.batch_add t.bats.(s).(d) ~src ~dst f;
+    (* Straight into the receiver's region for this window's parity;
+       the receiver ingests it next window. *)
+    Mailbox.append t.boxes.(s).(d) ~parity:(t.cur_w.(s) land 1) ~src ~dst f;
     Telemetry.Metrics.incr t.m_cout.(s);
     Frame.release f
   end
 
-(* Publish shard [s]'s staged outbound batches.  Runs on domain [s]
-   (or the replay worker for [s]).  Top-level recursion: the window
-   control plane must not allocate. *)
-let rec flush_from t s d =
-  if d < t.k then begin
-    if d <> s then Mailbox.flush t.boxes.(s).(d) t.bats.(s).(d);
-    flush_from t s (d + 1)
-  end
-
-let flush_out t s = flush_from t s 0
-
-(* Drain every inbound mailbox of shard [s] into its net, in sender-
-   shard order.  Runs on domain [s]. *)
-(* Top-level accumulator so the per-window ingress sweep allocates
-   nothing (the GC gate pins the window control plane to ~0 words). *)
-let rec ingress_from t s j acc =
+(* Drain region [parity] of every inbound mailbox of shard [s] into its
+   net, in sender-shard order.  Runs on domain [s].  Top-level
+   accumulator so the per-window ingress sweep allocates nothing (the
+   GC gate pins the window control plane to ~0 words). *)
+let rec ingress_from t s parity j acc =
   if j >= t.k then acc
   else
     let d =
       if j = s then 0
-      else Mailbox.drain t.boxes.(j).(s) ~pool:t.pools.(s) t.ingress_fn.(s)
+      else
+        Mailbox.drain t.boxes.(j).(s) ~parity ~pool:t.pools.(s)
+          t.ingress_fn.(s)
     in
-    ingress_from t s (j + 1) (acc + d)
+    ingress_from t s parity (j + 1) (acc + d)
 
-let ingress t s =
-  let n = ingress_from t s 0 0 in
+let ingress t s ~parity =
+  let n = ingress_from t s parity 0 0 in
   if n > 0 then Telemetry.Metrics.add t.m_cin.(s) n;
   n
 
@@ -225,6 +213,16 @@ let pending_crossings t =
     done
   done;
   !n
+
+let mailbox_hwm t s =
+  let mx = ref 0 in
+  for j = 0 to t.k - 1 do
+    if j <> s then begin
+      let h = Mailbox.hwm t.boxes.(j).(s) in
+      if h > !mx then mx := h
+    end
+  done;
+  !mx
 
 (* Superstep span ids: negative, so they can never collide with the
    mechanism's combine-span ids (allocated non-negative by its own
@@ -294,12 +292,8 @@ let observe_window t window =
     for s = 0 to t.k - 1 do
       st := !st + Telemetry.Metrics.counter_value t.m_stalls.(s);
       gw := !gw + t.win_gc.(s);
-      for j = 0 to t.k - 1 do
-        if j <> s then begin
-          let h = Mailbox.hwm t.boxes.(j).(s) in
-          if h > !mbh then mbh := h
-        end
-      done
+      let h = mailbox_hwm t s in
+      if h > !mbh then mbh := h
     done;
     Telemetry.Series.sample t.series ~window
       ~deliveries:(!del - t.obs_deliv) ~in_flight:pending ~mailbox_hwm:!mbh
@@ -347,20 +341,19 @@ let barrier ctl k ~serial =
     done;
   Mutex.unlock ctl.bm
 
-(* One superstep per window, in two barrier-separated phases:
+(* One superstep per window, ended by one barrier:
 
-     phase A — ingress: drain inbound mailboxes (exactly the frames
-       mailed during window [w-1]);
-     barrier;
-     phase B — initiate this window's requests, deliver the local net
-       to quiescence (cross-shard sends land in mailboxes);
+     ingress — drain region [(w-1) land 1] of every inbound mailbox
+       (exactly the frames mailed during window [w-1]);
+     initiate this window's requests, deliver the local net to
+       quiescence (cross-shard sends are appended to region [w land 1]);
      barrier + serial termination decision.
 
-   The middle barrier is what enforces the one-window lookahead: every
-   phase-B push of window [w] happens after every phase-A drain of
-   window [w], so no shard can observe a same-window frame — with a
-   single barrier, a fast neighbour's pushes would race the ingress
-   and the schedule would depend on thread timing.
+   The parity split is what enforces the one-window lookahead: a fast
+   shard's window-[w] sends land in the region that no shard drains
+   until window [w+1], so no shard can observe a same-window frame,
+   and the end barrier orders every append before the drain that reads
+   it and every drain before the next append to the same region.
 
    [worker_inits s w] runs shard [s]'s initiations for window [w] and
    returns how many ran; [serial_step w] decides what happens after the
@@ -368,10 +361,11 @@ let barrier ctl k ~serial =
    returns the next window number to run, or a negative value to
    terminate.  Returning a window beyond [w + 1] is the adaptive
    lookahead: when no cross-shard traffic is pending, every local net
-   is quiescent (phase B ran it dry), so the skipped windows provably
-   execute nothing and the barrier rounds for them can be elided
-   without changing any delivery.  [max_windows] bounds the number of
-   windows actually executed (skipped windows are free). *)
+   is quiescent and both regions of every mailbox are empty, so the
+   skipped windows provably execute nothing, whatever their parity,
+   and the barrier rounds for them can be elided without changing any
+   delivery.  [max_windows] bounds the number of windows actually
+   executed (skipped windows are free). *)
 let run_windowed t ~max_windows ~worker_inits ~serial_step =
   let ctl =
     {
@@ -389,14 +383,11 @@ let run_windowed t ~max_windows ~worker_inits ~serial_step =
     let w = ref 0 in
     let running = ref true in
     let minor0 = Gc.minor_words () in
-    (* Both serial closures are built once per worker, not once per
-       window — the window loop's control plane must stay allocation-
-       free (the GC gate pins it).  [serial_end] reads [!w]; every
-       worker is at the same window when the end barrier's serial
-       section runs, so the last arriver's [!w] is the window. *)
-    let serial_mid () =
-      match ctl.err with Some _ -> ctl.stop <- true | None -> ()
-    in
+    (* The serial closure is built once per worker, not once per window
+       — the window loop's control plane must stay allocation-free (the
+       GC gate pins it).  [serial_end] reads [!w]; every worker is at
+       the same window when the end barrier's serial section runs, so
+       the last arriver's [!w] is the window. *)
     let serial_end () =
       t.windows_run <- t.windows_run + 1;
       incr executed;
@@ -444,12 +435,11 @@ let run_windowed t ~max_windows ~worker_inits ~serial_step =
         end
         else ctl.next_w <- max nw (window + 1)
     in
-    let inb = ref 0 in
     while !running do
-      (* publish this shard's window before any traced net event can be
-         recorded: the window clock reads it *)
+      (* publish this shard's window before any frame is routed or any
+         traced net event recorded: [route]'s parity and the window
+         clock read it *)
       t.cur_w.(s) <- !w;
-      inb := 0;
       if t.tracing then
         Telemetry.Sink.record t.ring_sinks.(s)
           (Telemetry.Sink.Span_begin
@@ -460,7 +450,12 @@ let run_windowed t ~max_windows ~worker_inits ~serial_step =
                name = "ingress";
                id = phase_id t !w s 0;
              });
-      (try inb := ingress t s with e -> record_error ctl e);
+      let inb =
+        try ingress t s ~parity:((!w - 1) land 1)
+        with e ->
+          record_error ctl e;
+          -1
+      in
       if t.tracing then
         Telemetry.Sink.record t.ring_sinks.(s)
           (Telemetry.Sink.Span_end
@@ -471,73 +466,63 @@ let run_windowed t ~max_windows ~worker_inits ~serial_step =
                name = "ingress";
                id = phase_id t !w s 0;
              });
-      barrier ctl t.k ~serial:serial_mid;
-      if ctl.stop then running := false
-      else begin
-        (* time only the busy section (initiations + local drain), not
-           the barrier waits: its worst case bounds every GC pause the
-           domain's data plane can suffer *)
-        let t0 = if t.timed then t.wall () else 0. in
-        let g0 = if t.sampling then Gc.minor_words () else 0. in
-        if t.tracing then
-          Telemetry.Sink.record t.ring_sinks.(s)
-            (Telemetry.Sink.Span_begin
-               {
-                 time = float_of_int !w +. 0.3;
-                 shard = s;
-                 node = -1;
-                 name = "drain";
-                 id = phase_id t !w s 1;
-               });
-        (try
+      (* time only the busy section (initiations + local drain), not
+         the barrier wait: its worst case bounds every GC pause the
+         domain's data plane can suffer *)
+      let t0 = if t.timed then t.wall () else 0. in
+      let g0 = if t.sampling then Gc.minor_words () else 0. in
+      if t.tracing then
+        Telemetry.Sink.record t.ring_sinks.(s)
+          (Telemetry.Sink.Span_begin
+             {
+               time = float_of_int !w +. 0.3;
+               shard = s;
+               node = -1;
+               name = "drain";
+               id = phase_id t !w s 1;
+             });
+      (if inb >= 0 then
+         try
            let inits = worker_inits s !w in
            let delivered =
              Engine.run_to_quiescence t.nets.(s) ~handler:t.handler
            in
-           (* one lock round per peer publishes the window's staged
-              cross-shard frames; next window's phase A drains them *)
-           flush_out t s;
            if delivered > 0 then Telemetry.Metrics.add t.m_deliv.(s) delivered;
            Telemetry.Metrics.incr t.m_windows.(s);
-           t.win_work.(s) <- !inb + inits + delivered;
+           t.win_work.(s) <- inb + inits + delivered;
            t.win_inits.(s) <- inits;
-           if !inb = 0 && inits = 0 && delivered = 0 then
+           if inb = 0 && inits = 0 && delivered = 0 then
              Telemetry.Metrics.incr t.m_stalls.(s)
          with e -> record_error ctl e);
-        if t.tracing then
-          Telemetry.Sink.record t.ring_sinks.(s)
-            (Telemetry.Sink.Span_end
-               {
-                 time = float_of_int !w +. 0.9;
-                 shard = s;
-                 node = -1;
-                 name = "drain";
-                 id = phase_id t !w s 1;
-               });
-        if t.sampling then
-          t.win_gc.(s) <- int_of_float (Gc.minor_words () -. g0);
-        if t.timed then begin
-          let dt = t.wall () -. t0 in
-          if dt > t.gc_worst.(s) then t.gc_worst.(s) <- dt
-        end;
-        barrier ctl t.k ~serial:serial_end;
-        if ctl.stop then running := false else w := ctl.next_w
-      end
+      if t.tracing then
+        Telemetry.Sink.record t.ring_sinks.(s)
+          (Telemetry.Sink.Span_end
+             {
+               time = float_of_int !w +. 0.9;
+               shard = s;
+               node = -1;
+               name = "drain";
+               id = phase_id t !w s 1;
+             });
+      if t.sampling then
+        t.win_gc.(s) <- int_of_float (Gc.minor_words () -. g0);
+      if t.timed then begin
+        let dt = t.wall () -. t0 in
+        if dt > t.gc_worst.(s) then t.gc_worst.(s) <- dt
+      end;
+      barrier ctl t.k ~serial:serial_end;
+      if ctl.stop then running := false else w := ctl.next_w
     done;
     t.gc_words.(s) <- t.gc_words.(s) +. (Gc.minor_words () -. minor0)
   in
   let doms = Array.init t.k (fun s -> Domain.spawn (worker s)) in
   Array.iter Domain.join doms;
+  (* between runs, sends (e.g. churn's barrier events) land in parity 0,
+     which the next run ingests in its window 1 *)
+  Array.fill t.cur_w 0 t.k 0;
   (* record the run's peak inbound mailbox depth per shard *)
   for s = 0 to t.k - 1 do
-    let mx = ref 0 in
-    for j = 0 to t.k - 1 do
-      if j <> s then begin
-        let h = Mailbox.hwm t.boxes.(j).(s) in
-        if h > !mx then mx := h
-      end
-    done;
-    Telemetry.Metrics.gauge_set_max t.g_mbhwm.(s) !mx
+    Telemetry.Metrics.gauge_set_max t.g_mbhwm.(s) (mailbox_hwm t s)
   done;
   match ctl.err with Some e -> raise e | None -> ()
 
@@ -632,7 +617,9 @@ let run_open ?max_windows t ~requests =
 
 (* ------------------------------------------------------------------ *)
 (* Replay: a coordinator (the calling domain) hands one recorded step
-   at a time to the owning shard's domain over a command slot.         *)
+   at a time to the owning shard's domain over a command slot.  The
+   slot's lock serialises the steps and [cur_w] stays 0, so every step
+   appends to mailbox parity 0 and ingests it at its next step.        *)
 
 type step =
   | Deliver of { src : int; dst : int }
@@ -642,7 +629,6 @@ type cmd =
   | Nop
   | Deliver_c of int * int
   | Run_c of (unit -> unit)
-  | Flush_c
   | Quit_c
 
 type slot = {
@@ -671,24 +657,17 @@ let run_replay t ~schedule =
          match c with
          | Nop -> ()
          | Quit_c -> running := false
-         | Flush_c ->
-           ignore (ingress t s);
-           flush_out t s
          | Run_c run ->
-           ignore (ingress t s);
-           run ();
-           (* publish this step's cross-shard sends immediately: the
-              next recorded step may deliver them on another shard *)
-           flush_out t s
+           ignore (ingress t s ~parity:0);
+           run ()
          | Deliver_c (src, dst) -> (
            (* Pull anything mailed by earlier steps first: the recorded
               message may still be sitting in an inbound mailbox. *)
-           ignore (ingress t s);
+           ignore (ingress t s ~parity:0);
            match Network.pop t.nets.(s) ~src ~dst with
            | Some f ->
              Telemetry.Metrics.incr t.m_deliv.(s);
-             t.handler ~src ~dst f;
-             flush_out t s
+             t.handler ~src ~dst f
            | None ->
              raise
                (Desync
@@ -728,10 +707,6 @@ let run_replay t ~schedule =
         in
         note (dispatch s c))
     schedule;
-  if !abort = None then
-    for s = 0 to t.k - 1 do
-      note (dispatch s Flush_c)
-    done;
   for s = 0 to t.k - 1 do
     ignore (dispatch s Quit_c)
   done;
@@ -757,16 +732,6 @@ let windows t = t.windows_run
 
 let deliveries_of t s = Telemetry.Metrics.counter_value t.m_deliv.(s)
 let stalls_of t s = Telemetry.Metrics.counter_value t.m_stalls.(s)
-
-let mailbox_hwm t s =
-  let mx = ref 0 in
-  for j = 0 to t.k - 1 do
-    if j <> s then begin
-      let h = Mailbox.hwm t.boxes.(j).(s) in
-      if h > !mx then mx := h
-    end
-  done;
-  !mx
 
 let stalls t =
   let n = ref 0 in
@@ -801,18 +766,6 @@ let latency t = t.latency
 let series t = t.series
 let tracing t = t.tracing
 
-let fleet_sink t =
-  if not t.tracing then Telemetry.Sink.null
-  else
-    (* Route each event to the ring of the shard it is tagged with —
-       mechanism events for node [u] are recorded by the domain that
-       owns [u]'s shard (handlers run shard-locally), so each ring
-       still has a single writing domain. *)
-    Telemetry.Sink.stream (fun e ->
-        let s = Telemetry.Sink.event_shard e in
-        let s = if s >= 0 && s < t.k then s else 0 in
-        Telemetry.Sink.record t.ring_sinks.(s) e)
-
 let fleet_events t =
   if not t.tracing then []
   else begin
@@ -838,10 +791,4 @@ let check_invariants t =
   Array.iter Network.check_invariants t.nets;
   Array.iter Frame.check_pool t.pools;
   if pending_crossings t <> 0 then
-    failwith "Sharded.check_invariants: undrained mailbox";
-  for i = 0 to t.k - 1 do
-    for j = 0 to t.k - 1 do
-      if i <> j && Mailbox.batch_length t.bats.(i).(j) > 0 then
-        failwith "Sharded.check_invariants: unflushed outbound batch"
-    done
-  done
+    failwith "Sharded.check_invariants: undrained mailbox"

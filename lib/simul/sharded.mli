@@ -7,7 +7,7 @@
     through {!Mailbox}es (one per ordered shard pair): a cross-shard
     send copies the frame's bytes out of the sender's pool and the
     receiver re-materialises them from its own, so pools stay
-    shard-local and the per-delivery hot path stays lock-free.
+    shard-local and the whole data path stays lock-free.
 
     {2 Conservative windows}
 
@@ -16,22 +16,22 @@
     every mailbox hop costs at least one window — so within a window
     each shard may freely deliver its local messages (any order is safe
     by the mechanism's confluence), and messages that crossed a shard
-    boundary become visible at the next window's ingress, after a full
-    barrier.  No shard ever delivers a message past the horizon its
-    neighbours have reached: window [w] ingests exactly the frames
-    mailed during window [w-1].
+    boundary become visible at the next window's ingress.  No shard
+    ever delivers a message past the horizon its neighbours have
+    reached: window [w] ingests exactly the frames mailed during window
+    [w-1].
 
-    Two pipelining refinements keep the window machinery off the
-    profile without weakening the discipline above.  Cross-shard sends
-    are staged in lock-free sender-local batches and published with
-    one lock round and one bulk byte-copy per peer per window
-    ({!Mailbox.flush}), so mailbox locking is per-window, not
-    per-frame.  And when a window ends with no cross-shard frames
-    pending, every local network is provably quiescent, so the drivers
-    jump the window counter straight to the next window with scheduled
-    arrivals (the adaptive lookahead) — the skipped windows would have
-    executed nothing, and eliding their barrier rounds changes no
-    delivery.  {!windows} counts executed windows only.
+    One barrier per window is the only synchronisation.  Each mailbox
+    has two byte regions, one per window parity: in window [w] a
+    sending shard appends its cross-shard frames to region [w land 1]
+    on its own domain while the receiving shard drains region
+    [(w-1) land 1], and the barrier that ends the window orders the
+    two.  When a window ends with no cross-shard frames pending, every
+    local network is provably quiescent and every region empty, so the
+    drivers jump the window counter straight to the next window with
+    scheduled arrivals (the adaptive lookahead) — the skipped windows
+    would have executed nothing, and eliding their barrier rounds
+    changes no delivery.  {!windows} counts executed windows only.
 
     {2 Determinism}
 
@@ -64,8 +64,6 @@ exception Desync of string
     schedule. *)
 
 val create :
-  ?check:bool ->
-  ?sink:Telemetry.Sink.t ->
   ?wall:(unit -> float) ->
   ?trace:int ->
   ?series:Telemetry.Series.t ->
@@ -79,31 +77,22 @@ val create :
     networks, mailboxes, metrics).  [handler] is the protocol's
     delivery handler (e.g. [Mechanism.handler]); it runs on the domain
     owning the destination node and owns each frame it is given.
-    [check] (default [false]) asserts on every routed frame that it was
-    allocated from its sender's shard pool — the frames-never-cross-
-    pools invariant — at the price of one comparison per send.
 
     [wall] (default [fun () -> 0.]) is the wall clock used to time each
     shard's busy section per window for {!gc_stats} — pass
     [Unix.gettimeofday] (or a monotonic clock) to enable pause
     tracking; the library itself takes no clock dependency.
 
-    [sink] is forwarded to every shard network ([Sent]/[Delivered]
-    events; cross-shard messages are stamped at receiver ingress).
-    Sinks are not synchronised: only wire one into runs whose handler
-    executions are serialised ({!run_replay}, or a single shard).
-
     {b Fleet observability} (all off by default; the disabled paths are
     one cached-bool branch each):
 
     - [trace] (default [0] = off): capacity, per shard, of an event
-      ring each shard network records into on its own domain, events
-      stamped with the shard id and the shared window axis as their
-      clock.  The windowed drivers additionally record window-phase
-      spans (ingress/drain per shard, decision per window).  Takes
-      precedence over [sink] for the shard networks.  Merge with
-      {!fleet_events} / {!fleet_trace}; route a mechanism sink through
-      {!fleet_sink}.
+      ring each shard network records into on its own domain
+      ([Sent]/[Delivered]; cross-shard messages are stamped at receiver
+      ingress), events stamped with the shard id and the shared window
+      axis as their clock.  The windowed drivers additionally record
+      window-phase spans (ingress/drain per shard, decision per
+      window).  Merge with {!fleet_events} / {!fleet_trace}.
     - [series] (default {!Telemetry.Series.null}): windowed
       time-series sampler, fed one sample per executed window from the
       serial section (fleet deliveries and stalls as deltas, pending
@@ -129,7 +118,10 @@ val route : t -> src:int -> dst:int -> Frame.t -> unit
 (** The egress hook: local destinations enqueue on the sending shard's
     network; cross-shard destinations are copied into the mailbox for
     the owning shard and the sender's reference is released.  Must be
-    called on the domain owning [src]. *)
+    called on the domain owning [src], or between runs on the calling
+    domain (such sends are ingested in the next run's window 1).
+    @raise Failure if [frame] was not allocated from the pool of
+    [src]'s shard — frames never cross pools. *)
 
 val pool_for : t -> int -> Frame.pool
 (** The pool the given {e node}'s frames must be drawn from: its owning
@@ -243,7 +235,7 @@ val stalls : t -> int
     measure of the partition). *)
 
 val crossings : t -> int
-(** Messages that crossed a shard boundary (mailbox pushes). *)
+(** Messages that crossed a shard boundary (mailbox appends). *)
 
 val deliveries_of : t -> int -> int
 (** Messages delivered by shard [s]'s handler (cumulative) — the
@@ -312,14 +304,6 @@ val audit : t -> Telemetry.Audit.t
 
 val tracing : t -> bool
 (** Whether {!create} was given a positive [trace] capacity. *)
-
-val fleet_sink : t -> Telemetry.Sink.t
-(** A sink that routes each event to the ring of the shard it is tagged
-    with ({!Telemetry.Sink.event_shard}).  Pass it (with a matching
-    [shard_of]) to [Mechanism.create] so protocol events land in the
-    fleet trace: handlers run on the owning shard's domain, so each
-    ring keeps a single writing domain.  {!Telemetry.Sink.null} when
-    not tracing. *)
 
 val fleet_events : t -> Telemetry.Sink.event list
 (** All per-shard ring events, merged and stably sorted by event time

@@ -1,4 +1,4 @@
-(* Pluggable event sinks.  The hot-path contract: instrumentation points
+(* Event sinks.  The hot-path contract: instrumentation points
    guard with [if Sink.enabled sink then Sink.record sink (Event ...)],
    so with the null sink the event constructor is never allocated and
    the cost is one branch.  Message kinds are carried as integer indices
@@ -24,17 +24,6 @@ let event_time = function
   | Span_end { time; _ }
   | Mark { time; _ } ->
     time
-
-let event_shard = function
-  | Sent { shard; _ }
-  | Delivered { shard; _ }
-  | Lease_set { shard; _ }
-  | Lease_broken { shard; _ }
-  | Lease_denied { shard; _ }
-  | Span_begin { shard; _ }
-  | Span_end { shard; _ }
-  | Mark { shard; _ } ->
-    shard
 
 (* Bounded ring: overwrites the oldest event once full, counting what it
    dropped, so a long run records its tail instead of growing without
@@ -77,15 +66,13 @@ let ring_clear r =
   r.stored <- 0;
   r.total <- 0
 
-type t = Null | Ring of ring | Stream of (event -> unit)
+type t = Null | Ring of ring
 
 let null = Null
 
 let of_ring r = Ring r
 
-let stream f = Stream f
-
-let enabled = function Null -> false | Ring _ | Stream _ -> true
+let enabled = function Null -> false | Ring _ -> true
 
 let record t e =
-  match t with Null -> () | Ring r -> ring_record r e | Stream f -> f e
+  match t with Null -> () | Ring r -> ring_record r e

@@ -1,5 +1,4 @@
-(** Pluggable telemetry event sinks: null, bounded ring buffer, or
-    streaming callback.
+(** Telemetry event sinks: null or a bounded ring buffer.
 
     Instrumentation points follow the pattern
 
@@ -29,10 +28,6 @@ type event =
 
 val event_time : event -> float
 
-val event_shard : event -> int
-(** The shard (OCaml domain) the event was recorded on; 0 for events
-    from single-domain components. *)
-
 (** {1 Ring buffer} *)
 
 type ring
@@ -59,13 +54,11 @@ val ring_clear : ring -> unit
 
 (** {1 Sinks} *)
 
-type t = Null | Ring of ring | Stream of (event -> unit)
+type t = Null | Ring of ring
 
 val null : t
 
 val of_ring : ring -> t
-
-val stream : (event -> unit) -> t
 
 val enabled : t -> bool
 (** [false] only for {!null}.  Check before constructing an event to
@@ -73,4 +66,4 @@ val enabled : t -> bool
 
 val record : t -> event -> unit
 (** No-op on {!null}; appends to the ring (overwriting the oldest once
-    full); calls the callback for [Stream]. *)
+    full). *)

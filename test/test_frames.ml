@@ -1,11 +1,10 @@
-(* The flat-frame data plane: frame pool reference counting, the slab
-   allocator, every message kind through the real senders and handler,
-   and the steady-state delivery path running with zero minor-heap
+(* The flat-frame data plane: frame pool reference counting, every
+   message kind through the real senders and handler, and the
+   steady-state delivery path running with zero minor-heap
    allocation. *)
 
 module Frame = Simul.Frame
 module Net = Simul.Network
-module Slab = Oat.Slab
 module M = Oat.Mechanism.Make (Agg.Ops.Union)
 module Mc = Oat.Mechanism.Make (Agg.Ops.Count)
 
@@ -49,44 +48,6 @@ let test_pool_refcounts () =
     | exception Frame.Frame_error _ -> true);
   Alcotest.(check int) "hwm" 1 (Frame.hwm pool);
   Frame.check_pool pool
-
-(* {1 Slab} *)
-
-let test_slab_alloc_free () =
-  let s = Slab.create ~block:4 () in
-  Alcotest.(check (list int)) "fresh slab counts up" [ 0; 1; 2; 3 ]
-    (List.init 4 (fun _ -> Slab.alloc s));
-  Alcotest.(check int) "one block" 1 (Slab.blocks s);
-  Slab.free s 2;
-  Alcotest.(check bool) "freed cell not live" false (Slab.is_live s 2);
-  Alcotest.(check int) "freed cell recycled first" 2 (Slab.alloc s);
-  (* exhausting the block grows by exactly one block *)
-  Alcotest.(check int) "growth starts a new block" 4 (Slab.alloc s);
-  Alcotest.(check int) "two blocks" 2 (Slab.blocks s);
-  Alcotest.(check int) "hwm" 5 (Slab.hwm s);
-  Slab.check_invariants s
-
-let test_slab_guards_and_hooks () =
-  let s = Slab.create ~block:2 () in
-  let grown = ref [] in
-  Slab.on_grow s (fun old_cap cap -> grown := (old_cap, cap) :: !grown);
-  let a = Slab.alloc s in
-  ignore (Slab.alloc s);
-  Alcotest.(check (list (pair int int))) "hook saw the first block"
-    [ (0, 2) ] !grown;
-  ignore (Slab.alloc s);
-  Alcotest.(check (list (pair int int))) "hook saw the second block"
-    [ (2, 4); (0, 2) ] !grown;
-  Slab.free s a;
-  Alcotest.(check bool) "double free rejected" true
-    (match Slab.free s a with
-    | () -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "foreign index rejected" true
-    (match Slab.free s 99 with
-    | () -> false
-    | exception Invalid_argument _ -> true);
-  Slab.check_invariants s
 
 (* {1 The codec the system runs}
 
@@ -200,9 +161,6 @@ let suite =
   [
     Alcotest.test_case "pool recycles frames" `Quick test_pool_recycles;
     Alcotest.test_case "pool reference counts" `Quick test_pool_refcounts;
-    Alcotest.test_case "slab alloc/free" `Quick test_slab_alloc_free;
-    Alcotest.test_case "slab guards and grow hooks" `Quick
-      test_slab_guards_and_hooks;
     Alcotest.test_case "real frames carry every section" `Quick
       test_real_frames_carry_every_section;
     Alcotest.test_case "steady-state delivery allocates zero minor words"

@@ -967,11 +967,40 @@ let test_policy_state_sized_by_degree () =
       ("timed", Oat.Timed_policy.policy ~now:(fun () -> 0.0) ~ttl:1.0);
     ]
 
+(* Set-up is linear in the tree: the words [create] allocates per node
+   under lease-all (minor words plus words allocated straight into the
+   major heap, after a warm-up create) stay under one bound on
+   binary-4095 and on binary-16383, about 99 and 101.  Node columns
+   that re-copy themselves at every 1024-node block read 138 and 276,
+   so the bound sits between. *)
+let create_words_per_node n =
+  let tree = Tree.Build.binary n in
+  let policy = Oat.Policy.noop ~name:"lease-all" ~set_lease:true in
+  ignore (Sys.opaque_identity (M.create tree ~policy));
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let sys = M.create tree ~policy in
+  let minor1, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity sys);
+  let direct_major = major1 -. promoted1 -. (major0 -. promoted0) in
+  (minor1 -. minor0 +. direct_major) /. float_of_int n
+
+let test_create_words_per_node () =
+  List.iter
+    (fun n ->
+      let w = create_words_per_node n in
+      if w > 115.0 then
+        Alcotest.failf "binary-%d: create allocates %.1f words per node (bound 115)"
+          n w)
+    [ 4095; 16383 ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "policy state sized by degree" `Quick
         test_policy_state_sized_by_degree;
+      Alcotest.test_case "create allocates linearly in the tree" `Quick
+        test_create_words_per_node;
       Alcotest.test_case "invariant audit, sequential fuzz" `Quick
         test_fuzz_invariants_sequential;
       Alcotest.test_case "invariant audit, concurrent fuzz" `Quick

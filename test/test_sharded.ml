@@ -58,12 +58,13 @@ let mk_partition ?(strategy = env_strategy) tree ~shards =
   | _ -> Tree.Partition.create tree ~shards
 
 (* A mechanism wired to a sharded runtime: per-shard pools and
-   networks, cross-shard mailboxes, pool-crossing assertions on. *)
-let mk_sharded ?(ghost = false) ?sink ?metrics ?strategy tree ~domains =
+   networks, cross-shard mailboxes.  [sink] is the mechanism's own;
+   [trace] gives every shard network an event ring. *)
+let mk_sharded ?(ghost = false) ?sink ?metrics ?trace ?strategy tree ~domains =
   let part = mk_partition ?strategy tree ~shards:domains in
   let sys = M.create ~ghost ?sink ?metrics tree ~policy:Oat.Rww.policy in
   let sh =
-    Simul.Sharded.create ~check:true ?sink tree ~partition:part
+    Simul.Sharded.create ?trace tree ~partition:part
       ~latency:
         (if observe then Telemetry.Latency.create () else Telemetry.Latency.null)
       ~series:
@@ -227,9 +228,9 @@ let record_concurrent ?(ghost = false) tree ~seed ~n_requests =
     ~requests;
   (sys, Array.of_list (List.rev !sched), specs)
 
-let replay_concurrent ?(ghost = false) ?sink ?marks tree ~domains
+let replay_concurrent ?(ghost = false) ?sink ?trace ?marks tree ~domains
     ~(sched : rstep array) ~(specs : rspec array) =
-  let sys, sh = mk_sharded ~ghost ?sink tree ~domains in
+  let sys, sh = mk_sharded ~ghost ?sink ?trace tree ~domains in
   let schedule =
     Array.map
       (function
@@ -299,9 +300,9 @@ let test_differential_concurrent_1171 () =
     ~n_requests:200 ~expect_total:1171
 
 (* The telemetry golden: same fixed-seed run as test_telemetry's
-   [golden_run], whose ring must hold exactly 228 events.  The sharded
-   replay wires a fresh ring into both the mechanism and the shard
-   networks (safe: replay serialises all handler executions) and must
+   [golden_run], whose ring must hold exactly 228 events.  In the
+   sharded replay the mechanism records into a ring of its own and the
+   shard networks into their [~trace] rings; together they must
    reproduce the same event census — one Sent and one Delivered per
    message, the same lease-lifecycle events, one Mark per initiation. *)
 let test_differential_telemetry_228 () =
@@ -345,12 +346,15 @@ let test_differential_telemetry_228 () =
       let sink' = Telemetry.Sink.of_ring ring' in
       let sys', sh =
         replay_concurrent tree ~domains ~sched ~specs ~sink:sink' ~marks:sink'
+          ~trace:100_000
       in
       check_drained tag sh;
-      Alcotest.(check int)
-        (tag ^ ": ring events") 228 (Telemetry.Sink.ring_length ring');
+      let events =
+        Telemetry.Sink.ring_events ring' @ Simul.Sharded.fleet_events sh
+      in
+      Alcotest.(check int) (tag ^ ": ring events") 228 (List.length events);
       Alcotest.(check int) (tag ^ ": none dropped") 0
-        (Telemetry.Sink.ring_dropped ring');
+        (Telemetry.Sink.ring_dropped ring' + Simul.Sharded.trace_dropped sh);
       let sent, delivered =
         List.fold_left
           (fun (s, d) e ->
@@ -358,8 +362,7 @@ let test_differential_telemetry_228 () =
             | Telemetry.Sink.Sent _ -> (s + 1, d)
             | Telemetry.Sink.Delivered _ -> (s, d + 1)
             | _ -> (s, d))
-          (0, 0)
-          (Telemetry.Sink.ring_events ring')
+          (0, 0) events
         in
       Alcotest.(check int) (tag ^ ": sent = total") (Simul.Sharded.total sh) sent;
       Alcotest.(check int) (tag ^ ": delivered = sent") sent delivered;
@@ -443,6 +446,83 @@ let test_open_pinned () =
              (Simul.Sharded.total sh) (Simul.Sharded.windows sh)
              (Simul.Sharded.stalls sh) (Simul.Sharded.crossings sh) work crit))
     domain_counts
+
+(* The trace path the CLI uses: the pinned config again, with a
+   [~trace] ring per shard.  Tracing must not move the schedule, and the
+   merged trace must account for every message and every executed
+   window. *)
+let test_open_traced () =
+  let tree = Tree.Build.binary 31 in
+  List.iter
+    (fun domains ->
+      let tag = Printf.sprintf "open-loop traced @ %d domains" domains in
+      let sys, sh =
+        mk_sharded ~strategy:"naive" ~trace:100_000 tree ~domains
+      in
+      Simul.Sharded.run_open sh ~requests:(open_workload sys 31 ~n_requests:160);
+      check_drained tag sh;
+      let work, crit = Simul.Sharded.parallel_work sh in
+      Alcotest.(check string) (tag ^ ": untraced pins")
+        (List.assoc domains open_pins)
+        (Printf.sprintf "%d / %d / %d / %d / (%d, %d)"
+           (Simul.Sharded.total sh) (Simul.Sharded.windows sh)
+           (Simul.Sharded.stalls sh) (Simul.Sharded.crossings sh) work crit);
+      Alcotest.(check int) (tag ^ ": none dropped") 0
+        (Simul.Sharded.trace_dropped sh);
+      let events = Simul.Sharded.fleet_events sh in
+      let count p = List.length (List.filter p events) in
+      Alcotest.(check int) (tag ^ ": one Sent per message")
+        (Simul.Sharded.total sh)
+        (count (function Telemetry.Sink.Sent _ -> true | _ -> false));
+      Alcotest.(check int) (tag ^ ": one Delivered per delivery")
+        (Simul.Sharded.delivered sh)
+        (count (function Telemetry.Sink.Delivered _ -> true | _ -> false));
+      let spans ~shard ~name =
+        ( count (function
+            | Telemetry.Sink.Span_begin b -> b.shard = shard && b.name = name
+            | _ -> false),
+          count (function
+            | Telemetry.Sink.Span_end e -> e.shard = shard && e.name = name
+            | _ -> false) )
+      in
+      let windows = Simul.Sharded.windows sh in
+      for s = 0 to domains - 1 do
+        List.iter
+          (fun name ->
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s: shard %d %s spans" tag s name)
+              (windows, windows) (spans ~shard:s ~name))
+          [ "ingress"; "drain" ]
+      done;
+      Alcotest.(check (pair int int)) (tag ^ ": decision spans")
+        (windows, windows)
+        (spans ~shard:0 ~name:"decision");
+      let open Test_telemetry in
+      let entries =
+        match parse_json (Simul.Sharded.fleet_trace sh) with
+        | exception Bad_json msg -> Alcotest.fail ("bad JSON: " ^ msg)
+        | j -> (
+          match member "traceEvents" j with
+          | Some (Jarr l) -> l
+          | _ -> Alcotest.fail "missing traceEvents array")
+      in
+      let pids =
+        List.filter_map
+          (fun e ->
+            match (member "name" e, member "pid" e) with
+            | Some (Jstr "process_name"), Some (Jnum p) -> Some (int_of_float p)
+            | _ -> None)
+          entries
+      in
+      Alcotest.(check (list int)) (tag ^ ": one process per shard")
+        (List.init domains Fun.id) pids;
+      List.iter
+        (fun e ->
+          match member "pid" e with
+          | Some (Jnum p) when p >= 0. && p < float_of_int domains -> ()
+          | _ -> Alcotest.fail (tag ^ ": entry outside the shard processes"))
+        entries)
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: partitioner soundness on random trees.                      *)
@@ -615,11 +695,10 @@ let test_partition_edge_cases () =
     (Tree.Partition.balance_ratio pz)
 
 (* ------------------------------------------------------------------ *)
-(* Multicore pool/mailbox stress.  Frame pools are shard-local by
-   design (not thread-safe); the sharded engine's discipline is that a
-   pool is only ever touched by its owning domain and frames cross
-   shards by mailbox byte-copy.  The stress below exercises exactly
-   that discipline from real domains.                                  *)
+(* Frame pools and mailboxes.  Frame pools are shard-local by design
+   (not thread-safe); the sharded engine's discipline is that a pool is
+   only ever touched by its owning domain and frames cross shards by
+   mailbox byte-copy.                                                  *)
 
 let test_multicore_pool_stress () =
   (* one private pool per domain, hammered concurrently *)
@@ -653,66 +732,83 @@ let test_multicore_pool_stress () =
     (fun d -> Alcotest.(check int) "domain pool drained" 0 (Domain.join d))
     domains
 
-let test_multicore_mailbox_stress () =
-  (* 4 producer domains push checksummed frames from private pools into
-     one consumer's mailboxes; the consumer drains into its own pool.
-     Conservation: every pushed byte arrives intact, every pool drains
-     to zero. *)
-  let producers = 4 and per = 5_000 in
-  let boxes = Array.init producers (fun _ -> Simul.Mailbox.create ()) in
-  let doms =
-    Array.init producers (fun d ->
-        Domain.spawn (fun () ->
-            let pool =
-              Simul.Frame.create_pool ~name:(Printf.sprintf "prod%d" d) ()
-            in
-            let sum = ref 0 in
-            for i = 1 to per do
-              let f = Simul.Frame.alloc pool in
-              Simul.Frame.set_length f 26;
-              let v = (d * 1_000_000) + i in
-              Simul.Frame.set_int (Simul.Frame.buf f) 18 v;
-              sum := !sum + v;
-              Simul.Mailbox.push boxes.(d) ~src:d ~dst:0 f;
-              Simul.Frame.release f
-            done;
-            Simul.Frame.check_pool pool;
-            (!sum, Simul.Frame.live pool)))
+(* One mailbox's two parity regions, driven from one domain (the
+   differential goldens and the open-loop runs cover the handover
+   across domains).  A drain of one parity returns exactly the entries
+   appended at it, in append order and byte for byte, and leaves the
+   other parity's entries in place. *)
+let test_mailbox_parity_regions () =
+  let module F = Simul.Frame in
+  let module Mb = Simul.Mailbox in
+  let sender = F.create_pool ~name:"sender" ()
+  and receiver = F.create_pool ~name:"receiver" () in
+  let box = Mb.create () in
+  (* entry i: parity i land 1, a payload of i bytes of value i past the
+     header; entry 5 alone outgrows a region's initial 4096 bytes *)
+  let len i = if i = 5 then 5000 else 3 * i in
+  let images =
+    Array.init 8 (fun i ->
+        let f = F.alloc sender in
+        F.set_kind f (i mod 5);
+        F.set_seq f (1000 + i);
+        F.set_length f (F.header_size + len i);
+        Bytes.fill (F.buf f) F.header_size (len i) (Char.chr i);
+        Mb.append box ~parity:(i land 1) ~src:i ~dst:(100 + i) f;
+        let image = Bytes.sub (F.buf f) 0 (F.length f) in
+        F.release f;
+        (i, 100 + i, image))
   in
-  let pool = Simul.Frame.create_pool ~name:"consumer" () in
-  let got = ref 0 and count = ref 0 in
-  let deadline = 10_000_000 in
-  let spins = ref 0 in
-  while !count < producers * per && !spins < deadline do
-    incr spins;
-    Array.iter
-      (fun b ->
-        count :=
-          !count
-          + Simul.Mailbox.drain b ~pool (fun ~src:_ ~dst:_ f ->
-                got := !got + Simul.Frame.get_int (Simul.Frame.buf f) 18;
-                Simul.Frame.release f))
-      boxes
-  done;
-  let pushed = ref 0 in
-  Array.iter
-    (fun d ->
-      let sum, live = Domain.join d in
-      pushed := !pushed + sum;
-      Alcotest.(check int) "producer pool drained" 0 live)
-    doms;
-  Alcotest.(check int) "all frames arrived" (producers * per) !count;
-  Alcotest.(check int) "payload checksum conserved" !pushed !got;
-  Simul.Frame.check_pool pool;
-  Alcotest.(check int) "consumer pool drained" 0 (Simul.Frame.live pool)
+  let counts tag ~length ~pushed ~hwm =
+    Alcotest.(check (list int))
+      (tag ^ ": length, pushed, hwm")
+      [ length; pushed; hwm ]
+      [ Mb.length box; Mb.pushed box; Mb.hwm box ]
+  in
+  counts "appended" ~length:8 ~pushed:8 ~hwm:4;
+  let drain parity =
+    let got = ref [] in
+    let n =
+      Mb.drain box ~parity ~pool:receiver (fun ~src ~dst f ->
+          Alcotest.(check bool) "rebuilt in the receiver's pool" true
+            (F.pool_of f == receiver);
+          got := (src, dst, Bytes.sub (F.buf f) 0 (F.length f)) :: !got;
+          F.release f)
+    in
+    Alcotest.(check int) "drain count" (List.length !got) n;
+    List.rev !got
+  in
+  let entries parity =
+    List.filter (fun (i, _, _) -> i land 1 = parity) (Array.to_list images)
+  in
+  let image = Alcotest.(triple int int bytes) in
+  Alcotest.(check (list image)) "parity 1: its entries in order" (entries 1)
+    (drain 1);
+  counts "parity 0 left in place" ~length:4 ~pushed:8 ~hwm:4;
+  Alcotest.(check (list image)) "parity 1 drained empty" [] (drain 1);
+  Alcotest.(check (list image)) "parity 0: its entries in order" (entries 0)
+    (drain 0);
+  counts "both drained" ~length:0 ~pushed:8 ~hwm:4;
+  (* a drained region is reused from its start *)
+  let f = F.alloc sender in
+  F.set_length f (F.header_size + 2);
+  Mb.append box ~parity:1 ~src:7 ~dst:9 f;
+  let again = (7, 9, Bytes.sub (F.buf f) 0 (F.length f)) in
+  F.release f;
+  counts "reused" ~length:1 ~pushed:9 ~hwm:4;
+  Alcotest.(check (list image)) "reused region" [ again ] (drain 1);
+  List.iter
+    (fun pool ->
+      F.check_pool pool;
+      Alcotest.(check int) "pool drained" 0 (F.live pool))
+    [ sender; receiver ]
 
 let test_pool_crossing_detected () =
-  (* the check:true assertion fires when a frame from one shard's pool
+  (* the always-on assertion fires when a frame from one shard's pool
      is routed as if sent by another shard's node *)
   let tree = Tree.Build.path 8 in
   let part = Tree.Partition.create tree ~shards:2 in
   let sh =
-    Simul.Sharded.create ~check:true tree ~partition:part
+    Simul.Sharded.create tree ~partition:part
       ~handler:(fun ~src:_ ~dst:_ f -> Simul.Frame.release f)
   in
   (* nodes 0 and 7 land in different halves of the post-order split *)
@@ -746,14 +842,16 @@ let suite =
       test_open_deterministic;
     Alcotest.test_case "open-loop schedule pinned per domain count" `Quick
       test_open_pinned;
+    Alcotest.test_case "open-loop traced: pins, census, spans" `Quick
+      test_open_traced;
     QCheck_alcotest.to_alcotest prop_partition;
     QCheck_alcotest.to_alcotest prop_partition_weighted;
     Alcotest.test_case "partition edge cases (clamps, validation)" `Quick
       test_partition_edge_cases;
     Alcotest.test_case "multicore pool stress (shard-local)" `Quick
       test_multicore_pool_stress;
-    Alcotest.test_case "multicore mailbox handover stress" `Quick
-      test_multicore_mailbox_stress;
+    Alcotest.test_case "mailbox parity regions" `Quick
+      test_mailbox_parity_regions;
     Alcotest.test_case "pool-crossing assertion" `Quick
       test_pool_crossing_detected;
   ]
