@@ -41,6 +41,12 @@ expect_error "$cli" simulate --nodes 15 --series no-such-dir/s.csv
 expect_error "$cli" simulate --nodes 15 --domains 2 --metrics no-such-dir/m.json
 expect_error "$cli" simulate --nodes 15 --faults drop=0.1 --metrics no-such-dir/m.json
 expect_error "$cli" record --nodes 15 -o no-such-dir/w.trace
+expect_error "$cli" simulate --churn crash=99999@1+1
+expect_error "$cli" simulate --churn crash=99999@1+1 --domains 2
+expect_error "$cli" simulate --churn leave=0@1
+expect_error "$cli" simulate --churn leave=0@1 --domains 2
+expect_error "$cli" simulate --read-fraction 2
+expect_error "$cli" simulate --domains 0
 expect_error "$bench" --gcgate
 expect_error "$bench" --gc-gate extra
 exit $fail

@@ -12,6 +12,12 @@ open Cmdliner
 
 module Sm = Prng.Splitmix
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline ("oat: " ^ msg);
+    exit 2
+
 (* ---- shared arguments ---- *)
 
 let seed_arg =
@@ -33,8 +39,15 @@ let requests_arg =
   Arg.(value & opt int 1000 & info [ "requests" ] ~docv:"COUNT" ~doc)
 
 let read_fraction_arg =
-  let doc = "Fraction of requests that are combines (reads)." in
-  Arg.(value & opt float 0.5 & info [ "read-fraction" ] ~docv:"P" ~doc)
+  let doc = "Fraction of requests that are combines (reads), in [0, 1]." in
+  let check p =
+    if p >= 0.0 && p <= 1.0 then p
+    else
+      or_die (Error (Printf.sprintf "--read-fraction must be in [0, 1] (got %g)" p))
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt float 0.5 & info [ "read-fraction" ] ~docv:"P" ~doc))
 
 let policy_arg =
   let doc =
@@ -102,12 +115,6 @@ let build_lease_policy spec =
       "\"astrolabe\" is a standalone baseline; telemetry needs a lease \
        policy (rww, always, never, ab:A,B)"
   | other -> Error (Printf.sprintf "unknown lease policy %S" other)
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline ("oat: " ^ msg);
-    exit 2
 
 (* Output files named by --trace/--metrics/--series: their directory is
    checked before the run starts, so a bad path costs no simulation; a
@@ -238,6 +245,47 @@ let run_sharded tree sigma ~policy ~part ~trace ~series ~latency =
 
 (* ---- simulate --churn ---- *)
 
+(* A plan, parsed, that fits the tree: every node it names exists, and
+   its leaves and joins, replayed in time order from the initial
+   membership, are legal moves (a leave takes an active leaf, a join
+   needs an active neighbour).  Checked before any output, so a plan
+   that Fault.Runner or Fault.Churn would reject ends in one line. *)
+let plan_for tree spec_str =
+  let spec = or_die (Fault.Plan.spec_of_string spec_str) in
+  let n = Tree.n_nodes tree in
+  let outside what u =
+    if u >= n then
+      or_die (Error (Printf.sprintf "%s: node %d outside the tree (n=%d)" what u n))
+  in
+  List.iter (fun (c : Fault.Plan.crash) -> outside "crash" c.node) spec.crashes;
+  List.iter (fun (f : Fault.Plan.flap) -> outside "flap" f.fnode) spec.flaps;
+  List.iter (fun (c : Fault.Plan.churn) -> outside "churn" c.cnode) spec.churn;
+  List.iter (outside "detached") spec.detached;
+  let dyn =
+    try Tree.Dyn.create ~detached:spec.detached tree
+    with Invalid_argument m -> or_die (Error ("detached: " ^ m))
+  in
+  List.iter
+    (fun (c : Fault.Plan.churn) ->
+      let move, legal =
+        match c.ckind with
+        | Fault.Plan.Leave ->
+          ("leave", Result.map (fun _ -> ignore (Tree.Dyn.detach dyn c.cnode))
+                      (Tree.Dyn.can_detach dyn c.cnode))
+        | Fault.Plan.Join ->
+          ("join", Result.map (fun _ -> ignore (Tree.Dyn.attach dyn c.cnode))
+                     (Tree.Dyn.can_attach dyn c.cnode))
+      in
+      match legal with
+      | Ok () -> ()
+      | Error m ->
+        or_die
+          (Error (Printf.sprintf "churn: node %d cannot %s at %g: %s" c.cnode move c.cat m)))
+    (List.stable_sort
+       (fun (a : Fault.Plan.churn) b -> compare a.cat b.cat)
+       spec.churn);
+  spec
+
 (* Churn runs: membership events (leave/join/flap/detached, plus any
    wire faults) from a Fault.Plan spec, with the Merkle anti-entropy
    pass healing ghost-log divergence at the end.  Single-domain goes
@@ -246,7 +294,7 @@ let run_sharded tree sigma ~policy ~part ~trace ~series ~latency =
    the sharded engine, repartitioning at every barrier. *)
 let simulate_churn seed tree_kind tree sigma ~requests ~read_fraction ~policy
     ~spec_str ~domains =
-  let spec = or_die (Fault.Plan.spec_of_string spec_str) in
+  let spec = plan_for tree spec_str in
   let policy = or_die (build_lease_policy policy) in
   Printf.printf "tree:              %s (n=%d, diameter=%d)\n" tree_kind
     (Tree.n_nodes tree) (Tree.diameter tree);
@@ -449,7 +497,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
        with the seeded fault plan installed (see Fault.Runner) *)
     if report_flag || series_out <> None then
       or_die (Error "--faults does not combine with --report or --series");
-    let spec = or_die (Fault.Plan.spec_of_string spec_str) in
+    let spec = plan_for tree spec_str in
     let policy = or_die (build_lease_policy policy) in
     let metrics = Telemetry.Metrics.create () in
     let plan = Fault.Plan.create ~metrics ~seed spec in
@@ -597,7 +645,11 @@ let domains_arg =
      --report, --trace (one Chrome track per shard), --metrics \
      (fleet-merged) and --series, but not with --faults."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  let check d =
+    if d >= 1 then d
+    else or_die (Error (Printf.sprintf "--domains must be at least 1 (got %d)" d))
+  in
+  Term.(const check $ Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc))
 
 let partition_arg =
   let doc =

@@ -81,26 +81,7 @@ module Make (Op : Agg.Operator.S) = struct
     probed : int array;  (* # masks containing this slot *)
     nbr_epoch : int array;  (* last epoch heard; -1 none *)
     shipped : int array;  (* ghost: gwrites prefix already sent *)
-    (* The update log: one record per update received from the slot's
-       neighbour since the last reset, holding its id and, when T5
-       forwarded it, its sntid.  [uaw[v]] is the ids from the head on;
-       the live [sntupdates] tuples are the forwarded records with
-       sntid above [lg_mark].  Both ids (FIFO receipt of a monotone
-       counter) and sntids ([upcntr]) strictly increase, so a record is
-       two byte-coded deltas from the previous id and sntid (see
-       [log_put]; sntid delta 0 = not forwarded).  [lg_hid]/[lg_hsnt]
-       are the bases of the head record, [lg_id]/[lg_snt] of the tail:
-       the last id received and last sntid forwarded, which run on
-       across resets until a new incarnation clears the channel. *)
-    lg_buf : Bytes.t array;
-    lg_head : int array;  (* byte offset of the head record *)
-    lg_tail : int array;  (* byte offset past the last record *)
-    lg_count : int array;  (* records in [head, tail) = |uaw[v]| *)
-    lg_hid : int array;
-    lg_hsnt : int array;
-    lg_id : int array;
-    lg_snt : int array;
-    lg_mark : int array;
+    log : Ulog.t;  (* the update logs: [uaw] and [sntupdates] *)
     subcut : IntSet.t array;  (* unreachable roots this slot reported *)
     (* requester slots: 0..deg-1 = neighbours, deg = self *)
     pndg : Bytes.t;
@@ -205,125 +186,6 @@ module Make (Op : Agg.Operator.S) = struct
     end
 
   (* ------------------------------------------------------------------ *)
-  (* The update log (on global slot index [s]).                         *)
-
-  (* A delta below 255 is one byte; a larger one is 0xFF followed by the
-     delta as 8 bytes.  [log_delta]/[log_width] decode the delta at
-     [pos] and its encoded size. *)
-  let log_put b pos d =
-    if d < 255 then begin
-      Bytes.unsafe_set b pos (Char.unsafe_chr d);
-      pos + 1
-    end
-    else begin
-      Bytes.unsafe_set b pos '\255';
-      Frame.set_int b (pos + 1) d;
-      pos + 9
-    end
-
-  let log_delta b pos =
-    let d = Char.code (Bytes.unsafe_get b pos) in
-    if d < 255 then d else Frame.get_int b (pos + 1)
-
-  let log_width b pos = if Bytes.unsafe_get b pos = '\255' then 9 else 1
-
-  (* The paper's [uaw[v] := {}], which also retires every sntupdates
-     tuple of the channel: the watermark moves up to the last sntid.  A
-     few stores and no scan — every combine resets its taken slots. *)
-  let log_reset a s =
-    a.lg_head.(s) <- 0;
-    a.lg_tail.(s) <- 0;
-    a.lg_count.(s) <- 0;
-    a.lg_hid.(s) <- a.lg_id.(s);
-    a.lg_hsnt.(s) <- a.lg_snt.(s);
-    a.lg_mark.(s) <- a.lg_snt.(s)
-
-  (* A new incarnation at either end restarts both counters. *)
-  let log_clear a s =
-    a.lg_id.(s) <- 0;
-    a.lg_snt.(s) <- 0;
-    log_reset a s
-
-  (* T5's record of update [id], forwarded under [snt] (0: not
-     forwarded).  Room for the widest record (18 bytes) comes first: the
-     live bytes move to the front when the consumed prefix is at least
-     half the buffer, otherwise the buffer grows by half, which leaves
-     18 bytes free because it is at least 36 long. *)
-  let log_append a s ~id ~snt =
-    if id <= a.lg_id.(s) then
-      failwith
-        (Printf.sprintf
-           "Mechanism: update id %d arrived after id %d on its channel" id
-           a.lg_id.(s));
-    let head = a.lg_head.(s) and tail = a.lg_tail.(s) in
-    let cap = Bytes.length a.lg_buf.(s) in
-    if tail + 18 > cap then begin
-      let live = tail - head in
-      if head > 0 && 2 * (live + 18) <= cap then
-        Bytes.blit a.lg_buf.(s) head a.lg_buf.(s) 0 live
-      else begin
-        let nb = Bytes.create (max 36 (cap + (cap / 2))) in
-        Bytes.blit a.lg_buf.(s) head nb 0 live;
-        a.lg_buf.(s) <- nb
-      end;
-      a.lg_head.(s) <- 0;
-      a.lg_tail.(s) <- live
-    end;
-    let b = a.lg_buf.(s) in
-    let p = log_put b a.lg_tail.(s) (id - a.lg_id.(s)) in
-    a.lg_tail.(s) <- log_put b p (if snt = 0 then 0 else snt - a.lg_snt.(s));
-    a.lg_id.(s) <- id;
-    if snt > 0 then a.lg_snt.(s) <- snt;
-    a.lg_count.(s) <- a.lg_count.(s) + 1
-
-  (* [onrelease]'s trim, given a released minimum [m] with
-     [lg_mark < m <= lg_snt]: the paper's beta is the first forwarded
-     record with sntid >= [m], which is live, and [uaw[v]] keeps the
-     ids from beta's on.  The scan from the head drops every record it
-     passes, so it is amortized O(1).  Beta becomes the head and its
-     sntid the watermark: a later release whose beta is at or below it
-     leaves [uaw[v]] as it is. *)
-  let log_trim a s m =
-    let b = a.lg_buf.(s) in
-    let pos = ref a.lg_head.(s)
-    and id = ref a.lg_hid.(s)
-    and snt = ref a.lg_hsnt.(s)
-    and dropped = ref 0
-    and beta = ref 0 in
-    while !beta = 0 do
-      let q = !pos + log_width b !pos in
-      let ds = log_delta b q in
-      if ds > 0 && !snt + ds >= m then beta := !snt + ds
-      else begin
-        id := !id + log_delta b !pos;
-        snt := !snt + ds;
-        pos := q + log_width b q;
-        incr dropped
-      end
-    done;
-    a.lg_head.(s) <- !pos;
-    a.lg_hid.(s) <- !id;
-    a.lg_hsnt.(s) <- !snt;
-    a.lg_count.(s) <- a.lg_count.(s) - !dropped;
-    a.lg_mark.(s) <- !beta
-
-  (* Cold decoder: [f id snt] per record from the head, [snt] = 0 for
-     an update that was not forwarded. *)
-  let log_iter a s f =
-    let b = a.lg_buf.(s) in
-    let pos = ref a.lg_head.(s)
-    and id = ref a.lg_hid.(s)
-    and snt = ref a.lg_hsnt.(s) in
-    while !pos < a.lg_tail.(s) do
-      id := !id + log_delta b !pos;
-      let q = !pos + log_width b !pos in
-      let ds = log_delta b q in
-      pos := q + log_width b q;
-      snt := !snt + ds;
-      f !id (if ds = 0 then 0 else !snt)
-    done
-
-  (* ------------------------------------------------------------------ *)
   (* Cut tracking: which subtree roots are unreachable.                 *)
 
   (* Neighbour slots that participate in lease coverage: not crashed and
@@ -397,7 +259,7 @@ module Make (Op : Agg.Operator.S) = struct
       uaw_size =
         (fun u w ->
           let i = slot_in c a u w in
-          if i >= 0 then a.lg_count.(c.slot_base.(u) + i) else 0);
+          if i >= 0 then Ulog.count a.log (c.slot_base.(u) + i) else 0);
       slot = (fun u w -> slot_in c a u w);
     }
 
@@ -586,25 +448,17 @@ module Make (Op : Agg.Operator.S) = struct
     ignore (put_wlog_shipped t u i f pos);
     send_frame t ~src:u ~dst:(nbr t u i) f
 
-  (* Encoded before [log_reset]: the ids are the slot's [uaw], decoded
+  (* Encoded before [Ulog.reset]: the ids are the slot's [uaw], decoded
      from the head, so they go out ascending and the receiver's minimum
      is the first id. *)
   let send_release t u i =
-    let a = t.a in
     let s = t.c.slot_base.(u) + i in
-    let len = a.lg_count.(s) in
+    let len = Ulog.count t.a.log s in
     let f = Frame.alloc (t.out_pool u) in
     Frame.set_kind f k_release;
     Frame.set_length f (hs + 4 + (8 * len));
-    let b = Frame.buf f and lb = a.lg_buf.(s) in
-    Frame.set_u32 b hs len;
-    let pos = ref a.lg_head.(s) and id = ref a.lg_hid.(s) in
-    for j = 0 to len - 1 do
-      id := !id + log_delta lb !pos;
-      let q = !pos + log_width lb !pos in
-      pos := q + log_width lb q;
-      Frame.set_int b (hs + 4 + (8 * j)) !id
-    done;
+    Frame.set_u32 (Frame.buf f) hs len;
+    Ulog.write_ids t.a.log s (Frame.buf f) (hs + 4);
     send_frame t ~src:u ~dst:(nbr t u i) f
 
   (* Cold decode helpers (nonzero counts only under faults/ghost). *)
@@ -764,7 +618,7 @@ module Make (Op : Agg.Operator.S) = struct
       then begin
         set_taken t u i false;
         send_release t u i;
-        log_reset t.a (sb + i);
+        Ulog.reset t.a.log (sb + i);
         (* The lease on neighbour [v]'s subtree was granted by [v] to
            this node; breaking it is the grantee's move. *)
         if t.obs then observe_break t u ~granter:t.a.nbr.(sb + i)
@@ -790,12 +644,12 @@ module Make (Op : Agg.Operator.S) = struct
        for i = 0 to d - 1 do
          if t.a.nbr.(sb + i) <> w && bget t.a.taken (sb + i) then begin
            let s = sb + i in
-           if t.a.lg_snt.(s) < min_id then
+           if Ulog.last_snt t.a.log s < min_id then
              (* A empty: every update from this neighbour was forwarded
                 before the released window, i.e. consumed downstream by a
                 combine — nothing left unaccounted. *)
-             log_reset t.a s
-           else if min_id > t.a.lg_mark.(s) then log_trim t.a s min_id
+             Ulog.reset t.a.log s
+           else if min_id > Ulog.mark t.a.log s then Ulog.trim t.a.log s min_id
            (* else beta is at or below the watermark: its id was at most
               some earlier min uaw, so the filter {>= beta.rcvid} keeps
               all of uaw — a no-op. *)
@@ -882,7 +736,7 @@ module Make (Op : Agg.Operator.S) = struct
     p.Policy.on_combine (node_view t u);
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     for i = 0 to d - 1 do
-      if bget t.a.taken (sb + i) then log_reset t.a (sb + i)
+      if bget t.a.taken (sb + i) then Ulog.reset t.a.log (sb + i)
     done;
     if not (bget t.a.pndg (t.c.req_base.(u) + d)) then begin
       if t.c.tkn_count.(u) = up_count t u then complete_combines t u
@@ -918,7 +772,7 @@ module Make (Op : Agg.Operator.S) = struct
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     for i = 0 to d - 1 do
       if bget t.a.taken (sb + i) && t.a.nbr.(sb + i) <> w then
-        log_reset t.a (sb + i)
+        Ulog.reset t.a.log (sb + i)
     done;
     let r = slot t u w in
     if not (bget t.a.pndg (t.c.req_base.(u) + r)) then begin
@@ -986,11 +840,11 @@ module Make (Op : Agg.Operator.S) = struct
     in
     if other_grantees then begin
       let nid = newid t u in
-      log_append t.a (sb + sw) ~id ~snt:nid;
+      Ulog.append t.a.log (sb + sw) ~id ~snt:nid;
       forwardupdates t u w nid
     end
     else begin
-      log_append t.a (sb + sw) ~id ~snt:0;
+      Ulog.append t.a.log (sb + sw) ~id ~snt:0;
       forwardrelease t u
     end
 
@@ -1036,7 +890,7 @@ module Make (Op : Agg.Operator.S) = struct
       set_granted t u i false;
       t.a.aval.(sb + i) <- Op.identity;
       bset t.c.gval_dirty u true;
-      log_clear t.a (sb + i);
+      Ulog.clear t.a.log (sb + i);
       set_subcut t u i [];
       t.a.shipped.(sb + i) <- 0;
       bset t.a.resync (sb + i) true;
@@ -1080,7 +934,7 @@ module Make (Op : Agg.Operator.S) = struct
     set_granted t v j false;
     t.a.aval.(s) <- Op.identity;
     bset t.c.gval_dirty v true;
-    log_clear t.a s;
+    Ulog.clear t.a.log s;
     t.a.subcut.(s) <- IntSet.empty;
     t.a.shipped.(s) <- 0;
     bset t.a.resync s false;
@@ -1149,7 +1003,7 @@ module Make (Op : Agg.Operator.S) = struct
     Array.fill t.a.aval sb d Op.identity;
     bset t.c.gval_dirty node true;
     for i = 0 to d - 1 do
-      log_clear t.a (sb + i);
+      Ulog.clear t.a.log (sb + i);
       t.a.subcut.(sb + i) <- IntSet.empty;
       t.a.shipped.(sb + i) <- 0;
       t.a.nbr_epoch.(sb + i) <- -1;
@@ -1446,15 +1300,7 @@ module Make (Op : Agg.Operator.S) = struct
         probed = Array.make (max 1 s) 0;
         nbr_epoch = Array.make (max 1 s) (-1);
         shipped = Array.make (max 1 s) 0;
-        lg_buf = Array.make (max 1 s) Bytes.empty;
-        lg_head = Array.make (max 1 s) 0;
-        lg_tail = Array.make (max 1 s) 0;
-        lg_count = Array.make (max 1 s) 0;
-        lg_hid = Array.make (max 1 s) 0;
-        lg_hsnt = Array.make (max 1 s) 0;
-        lg_id = Array.make (max 1 s) 0;
-        lg_snt = Array.make (max 1 s) 0;
-        lg_mark = Array.make (max 1 s) 0;
+        log = Ulog.create s;
         subcut = Array.make (max 1 s) IntSet.empty;
         pndg = Bytes.make (max 1 !rdim) '\000';
         snt_count = Array.make (max 1 !rdim) 0;
@@ -1658,7 +1504,7 @@ module Make (Op : Agg.Operator.S) = struct
     if i < 0 then IntSet.empty
     else begin
       let acc = ref IntSet.empty in
-      log_iter t.a (t.c.slot_base.(u) + i) (fun id _ ->
+      Ulog.iter t.a.log (t.c.slot_base.(u) + i) (fun id _ ->
           acc := IntSet.add id !acc);
       !acc
     end
@@ -1689,8 +1535,8 @@ module Make (Op : Agg.Operator.S) = struct
     let sb = t.c.slot_base.(u) in
     let acc = ref 0 in
     for i = 0 to t.c.deg.(u) - 1 do
-      let mark = t.a.lg_mark.(sb + i) in
-      log_iter t.a (sb + i) (fun _ snt -> if snt > mark then incr acc)
+      let mark = Ulog.mark t.a.log (sb + i) in
+      Ulog.iter t.a.log (sb + i) (fun _ snt -> if snt > mark then incr acc)
     done;
     !acc
 
@@ -1890,48 +1736,14 @@ module Make (Op : Agg.Operator.S) = struct
         if probed'.(i) <> a.probed.(sb + i) then
           fail "node %d: probed[%d] %d <> %d" u i a.probed.(sb + i) probed'.(i)
       done;
-      (* update logs: the records from the head decode to the cached
-         count and end on the tail bases, ids and sntids strictly
-         increase, every forwarded record past the head is above the
-         watermark, and head sntid base <= watermark <= last sntid <=
-         upcntr *)
+      (* update logs: each one's own audit (Ulog.audit), and its last
+         sntid is one this node issued *)
       for i = 0 to d - 1 do
         let s = sb + i in
-        let b = a.lg_buf.(s) and tail = a.lg_tail.(s) in
-        if a.lg_head.(s) < 0 || a.lg_head.(s) > tail || tail > Bytes.length b
-        then fail "node %d: update log [%d,%d) out of range" u a.lg_head.(s) tail;
-        let pos = ref a.lg_head.(s) and n = ref 0 in
-        let id = ref a.lg_hid.(s) and snt = ref a.lg_hsnt.(s) in
-        while !pos < tail do
-          let did = log_delta b !pos in
-          let q = !pos + log_width b !pos in
-          let ds = log_delta b q in
-          if did <= 0 then fail "node %d: update log ids not increasing" u;
-          if ds < 0 then fail "node %d: update log sntids not increasing" u;
-          if ds > 0 && !n > 0 && !snt + ds <= a.lg_mark.(s) then
-            fail "node %d: forwarded record at or below the watermark" u;
-          id := !id + did;
-          snt := !snt + ds;
-          pos := q + log_width b q;
-          incr n
-        done;
-        if !pos <> tail then fail "node %d: update log overruns its tail" u;
-        if !n <> a.lg_count.(s) then
-          fail "node %d: update log holds %d records, count %d" u !n
-            a.lg_count.(s);
-        if !id <> a.lg_id.(s) || !snt <> a.lg_snt.(s) then
-          fail "node %d: update log ends at (%d,%d), last id/sntid (%d,%d)" u
-            !id !snt a.lg_id.(s) a.lg_snt.(s);
-        if
-          not
-            (a.lg_hsnt.(s) <= a.lg_mark.(s)
-            && a.lg_mark.(s) <= a.lg_snt.(s)
-            && a.lg_snt.(s) <= c.upcntr.(u))
-        then
-          fail
-            "node %d: update log sntid base %d, watermark %d, last %d, \
-             upcntr %d"
-            u a.lg_hsnt.(s) a.lg_mark.(s) a.lg_snt.(s) c.upcntr.(u)
+        (try Ulog.audit a.log s with Failure m -> fail "node %d: slot %d: %s" u i m);
+        if Ulog.last_snt a.log s > c.upcntr.(u) then
+          fail "node %d: update log last sntid %d above upcntr %d" u
+            (Ulog.last_snt a.log s) c.upcntr.(u)
       done;
       (* ghost: gwrites mirrors glog's write subsequence; per-origin
          indices increase chronologically; last_write is their max *)

@@ -30,14 +30,14 @@
     cardinalities, the neighbour subtree caches are a value array
     behind a cached [gval] (so [subval] is O(1) for operators with a
     group inverse), and [uaw] and [sntupdates] are one delta-coded
-    update log per channel: a record per update received from the
-    neighbour since the last reset, holding its id and, when it was
-    forwarded, its sntid, each as a byte-coded delta (about two bytes a
-    record).  A reset is a few stores, and [onrelease] finds the paper's
-    beta by a forward scan from the head whose passed records all leave
-    the log.  Ghost write logs are delta-encoded per channel: each
-    message carries only the suffix of the write log not previously
-    shipped on that channel.
+    update log per channel ({!Ulog}): a record per update received from
+    the neighbour since the last reset, holding its id and, when it was
+    forwarded, its sntid, in about one byte, in a chain of blocks that
+    grows without copying.  A reset is a few stores, and [onrelease]
+    finds the paper's beta by a forward scan from the head whose passed
+    records all leave the log.  Ghost write logs are delta-encoded per
+    channel: each message carries only the suffix of the write log not
+    previously shipped on that channel.
 
     The data plane is flat binary frames ({!Simul.Frame}) drawn from a
     per-system recycling pool: the outbox encodes each message straight
@@ -329,9 +329,11 @@ module Make (Op : Agg.Operator.S) : sig
       against their incrementally maintained cardinalities ([tkn_count],
       [grntd_count], snt popcounts, the sntprobes membership counters),
       the cached [gval] against a fresh fold, the per-channel update logs
-      (records decode to the cached count, ids and sntids strictly
-      increase, the tail matches the last id and sntid, and watermark <=
-      last sntid <= [upcntr]) and the ghost state (write array mirrors the log,
+      ({!Ulog.audit}: head and tail inside the slot's own chain of
+      blocks, records decode to the cached count, ids and sntids
+      strictly increase, the tail matches the last id and sntid, and
+      watermark <= last sntid; here also last sntid <= [upcntr]) and
+      the ghost state (write array mirrors the log,
       per-origin prefix order, [last_write] high-water marks).  Safe to
       call between any two request/delivery steps.
       @raise Failure on the first violated invariant. *)

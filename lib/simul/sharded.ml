@@ -341,6 +341,17 @@ let barrier ctl k ~serial =
     done;
   Mutex.unlock ctl.bm
 
+(* A spawned domain's minor heap is fresh memory, and its first pass
+   page-faults once per 4 KB page inside whatever the shard allocates
+   first: the requests of the first windows (a lease-all combine
+   allocates ~21 words, so one in ~24 paid a fault until the heap had
+   been round once).  Each worker first allocates and drops a minor
+   heap's worth of 2 KB blocks, whose header writes touch every page. *)
+let touch_minor_heap () =
+  for _ = 1 to (Gc.get ()).Gc.minor_heap_size / 256 do
+    ignore (Sys.opaque_identity (Bytes.create 2040))
+  done
+
 (* One superstep per window, ended by one barrier:
 
      ingress — drain region [(w-1) land 1] of every inbound mailbox
@@ -380,6 +391,7 @@ let run_windowed t ~max_windows ~worker_inits ~serial_step =
   in
   let executed = ref 0 in
   let worker s () =
+    touch_minor_heap ();
     let w = ref 0 in
     let running = ref true in
     let minor0 = Gc.minor_words () in

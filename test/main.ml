@@ -9,6 +9,7 @@ let () =
       ("frames", Test_frames.suite);
       ("telemetry", Test_telemetry.suite);
       ("mechanism", Test_mechanism.suite);
+      ("ulog", Test_ulog.suite);
       ("offline", Test_offline.suite);
       ("lp", Test_lp.suite);
       ("workload", Test_workload.suite);
