@@ -32,6 +32,21 @@ expect_error() {
   fi
 }
 
+# A good input must run to exit 0: the checks above must not refuse it.
+expect_ok() {
+  out=$("$@" 2>&1)
+  code=$?
+  if [ "$code" -ne 0 ] \
+     || printf '%s\n' "$out" | grep -qi -e 'uncaught exception' -e 'fatal error'
+  then
+    echo "cli-smoke: FAIL (exit $code): $*"
+    printf '%s\n' "$out" | tail -5
+    fail=1
+  else
+    echo "cli-smoke: ok (exit 0): $*"
+  fi
+}
+
 expect_error "$cli" simulate --nodes 0
 expect_error "$cli" simulate --nodes 0 --tree binary
 expect_error "$cli" simulate --nodes 1 --tree star
@@ -45,8 +60,15 @@ expect_error "$cli" simulate --churn crash=99999@1+1
 expect_error "$cli" simulate --churn crash=99999@1+1 --domains 2
 expect_error "$cli" simulate --churn leave=0@1
 expect_error "$cli" simulate --churn leave=0@1 --domains 2
+expect_error "$cli" simulate --tree path --nodes 5 --churn crash=3@1+10,leave=4@5
+expect_error "$cli" simulate --tree path --nodes 5 --churn crash=3@1+10,leave=4@5 --domains 2
+expect_error "$cli" simulate --tree path --nodes 5 --churn flap=3@1+10*1:5,leave=4@5
+expect_error "$cli" simulate --tree path --nodes 5 --churn flap=3@1+10*1:5,leave=4@5 --domains 2
 expect_error "$cli" simulate --read-fraction 2
 expect_error "$cli" simulate --domains 0
 expect_error "$bench" --gcgate
 expect_error "$bench" --gc-gate extra
+# the crash window ends before the leave
+expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+2,leave=4@5
+expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+2,leave=4@5 --domains 2
 exit $fail

@@ -247,9 +247,10 @@ let run_sharded tree sigma ~policy ~part ~trace ~series ~latency =
 
 (* A plan, parsed, that fits the tree: every node it names exists, and
    its leaves and joins, replayed in time order from the initial
-   membership, are legal moves (a leave takes an active leaf, a join
-   needs an active neighbour).  Checked before any output, so a plan
-   that Fault.Runner or Fault.Churn would reject ends in one line. *)
+   membership, are legal moves (a leave takes an active leaf whose
+   handoff neighbour is up, a join needs an active neighbour).  Checked
+   before any output, so a plan that Fault.Runner or Fault.Churn would
+   reject ends in one line. *)
 let plan_for tree spec_str =
   let spec = or_die (Fault.Plan.spec_of_string spec_str) in
   let n = Tree.n_nodes tree in
@@ -265,13 +266,29 @@ let plan_for tree spec_str =
     try Tree.Dyn.create ~detached:spec.detached tree
     with Invalid_argument m -> or_die (Error ("detached: " ^ m))
   in
+  (* Both engines crash and restart before membership moves at equal
+     times, and a restart's Hello has not reached the leaver at that
+     instant, so a window covers both of its ends. *)
+  let windows = Fault.Plan.crash_windows spec in
+  let down_window h t =
+    List.find_opt
+      (fun (w : Fault.Plan.crash) ->
+        w.node = h && w.at <= t && t <= w.at +. w.down_for)
+      windows
+  in
   List.iter
     (fun (c : Fault.Plan.churn) ->
       let move, legal =
         match c.ckind with
         | Fault.Plan.Leave ->
-          ("leave", Result.map (fun _ -> ignore (Tree.Dyn.detach dyn c.cnode))
-                      (Tree.Dyn.can_detach dyn c.cnode))
+          ( "leave",
+            Result.bind (Tree.Dyn.can_detach dyn c.cnode) (fun h ->
+                match down_window h c.cat with
+                | Some w ->
+                  Error
+                    (Printf.sprintf "handoff neighbour %d is down in [%g,%g]" h
+                       w.at (w.at +. w.down_for))
+                | None -> Ok (ignore (Tree.Dyn.detach dyn c.cnode))) )
         | Fault.Plan.Join ->
           ("join", Result.map (fun _ -> ignore (Tree.Dyn.attach dyn c.cnode))
                      (Tree.Dyn.can_attach dyn c.cnode))
