@@ -130,10 +130,11 @@ let words_per_window label sh run =
    registry slot and six per-kind counters per channel, plus a cell
    pool sized by the messages in flight; a lease-all mechanism after
    its root sweep is its columns, arenas, frame pool and a three-word
-   policy view per node.  Each budget sits 10-13% above the measured
-   value (11.1 and 62.2 words) and below what per-channel rings and
-   per-node view closures cost (24.5 and 152.7), so either coming back
-   fails the gate. *)
+   policy view per node.  Each budget sits 10-11% above the measured
+   value (11.1 and 63.2 words; the pending-combine column is one word
+   per node) and below what per-channel rings and per-node view
+   closures cost (24.5 and 152.7), so either coming back fails the
+   gate. *)
 let chan_words_budget = 12.2
 let node_words_budget = 70.0
 
@@ -187,6 +188,49 @@ let log_words () =
     per_record records log_words_budget;
   per_record <= log_words_budget
 
+(* The RWW request path: rww-seq's mix (binary-1023, RWW, half reads,
+   Zipf 0.9 node draw, perfbench's workload), one request at a time to
+   quiescence, so every combine runs the probe/response wave and every
+   write the update and release traffic its leases cause.  Policy hooks
+   and transitions address neighbours by slot, sends go straight onto
+   the channel id and a lone pending combine waits in a per-node column,
+   so the path allocates nothing per request: 42 words over the run, the
+   probe's own boxing included.  One closure per message or a wrapper
+   per combine costs thousands of words here (id-addressed hooks and
+   list-queued combines read 252 556), so the budget trips on either. *)
+let rww_words_budget = 64
+
+let rww_words () =
+  let n = 1023 and warmup = 40_000 and reqs = 5_000 in
+  let sys = Mc.create (Tree.Build.binary n) ~policy:Oat.Rww.policy in
+  let net = Mc.network sys and h = Mc.handler sys in
+  let feed =
+    Workload.Feed.create ~read_fraction:0.5 ~skew:0.9 ~seed:7
+      ~length:(warmup + reqs) ~n_nodes:n ()
+  in
+  let issued = ref 0 and fired = ref 0 in
+  let k _ = incr fired in
+  let request () =
+    ignore (Workload.Feed.advance feed);
+    let node = Workload.Feed.node feed in
+    if Workload.Feed.is_write feed then
+      Mc.write sys ~node (Workload.Feed.value feed)
+    else begin
+      incr issued;
+      Mc.combine sys ~node k
+    end;
+    ignore (Simul.Engine.run_to_quiescence net ~handler:h)
+  in
+  for _ = 1 to warmup do request () done;
+  issued := 0;
+  fired := 0;
+  let words = minor_words (fun () -> for _ = 1 to reqs do request () done) in
+  Printf.printf
+    "gc-gate[rww]: %d minor words over %d requests of the rww-seq mix on \
+     binary-1023, %d of %d combines completed (budget %d)\n"
+    words reqs !fired !issued rww_words_budget;
+  words <= rww_words_budget && !fired = !issued
+
 (* --gc-gate: deterministic budgets over the steady-state paths.  Every
    figure is a count and the gate reads no clock (the pause budgets are
    in --timing-gate).  After warmup the leased write cascade must
@@ -202,6 +246,7 @@ let run_gc_gate () =
   Printf.printf "gc-gate: %d minor words over %d rounds (budget 16)\n" words
     rounds;
   let log_ok = log_words () in
+  let rww_ok = rww_words () in
   (* Open-loop streams: [sys] driven by a pull-based Workload.Feed (Zipf
      node draw, int-coded requests) through Engine.run_stream; [stream k]
      pulls the next [k] requests. *)
@@ -303,7 +348,8 @@ let run_gc_gate () =
     "gc-gate[sharded-feed]: %d series samples over %d windows; %d of %d \
      requests settled\n"
     samples feed_windows settled sh_reqs;
-  memory_ok && log_ok && words <= 16 && feed_words <= 16 && inst_rate <= 16.0
+  memory_ok && log_ok && rww_ok && words <= 16 && feed_words <= 16
+  && inst_rate <= 16.0
   && seq_rate <= 8.0
   && feed_rate <= 8.0 && samples = feed_windows && settled = sh_reqs
 

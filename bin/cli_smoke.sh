@@ -71,4 +71,9 @@ expect_error "$bench" --gc-gate extra
 # the crash window ends before the leave
 expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+2,leave=4@5
 expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+2,leave=4@5 --domains 2
+# the handoff neighbour restarts one time unit before the leave: on one
+# domain its Hello reaches the leaver after the leave is due, and the
+# runner puts the leave off until it has
+expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+3,leave=4@5
+expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+3,leave=4@5 --domains 2
 exit $fail

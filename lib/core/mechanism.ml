@@ -45,12 +45,17 @@ module Make (Op : Agg.Operator.S) = struct
     (* cold columns *)
     policy : Policy.t array;
     view : Policy.view array;  (* {id = u; ops}, built at create *)
-    (* Pending local combines.  Continuations take the aggregate and the
-       cut (unreachable subtree roots; [] on a full aggregate).
+    (* Pending local combines.  The oldest waits in [pending1], as the
+       caller's continuation itself, when {!combine} issued it with
+       nothing else pending at the node and no sink recording spans
+       ([no_k] marks the column empty).  Every other one queues in
+       [pending], newest first, as a continuation taking the aggregate
+       and the cut (unreachable subtree roots; [] on a full aggregate).
        [pending_spans] carries the matching telemetry span ids, in the
        same order; it stays [[]] (no per-combine allocation) when no
        sink is recording. *)
-    pending : (Op.t -> int list -> unit) list array;
+    pending1 : (Op.t -> unit) array;
+    pending : (Op.t -> cut:int list -> unit) list array;
     pending_spans : int list array;
     (* Ghost state (Figure 6).  [gwrites] mirrors the write subsequence
        of [glog] in chronological order; arena [shipped] is the prefix
@@ -124,8 +129,9 @@ module Make (Op : Agg.Operator.S) = struct
        shard's pool and cross-shard sends go through mailboxes.  Plain
        closures, installed before any domain is spawned and never
        mutated afterwards — the sequential hot path pays one indirect
-       call and zero allocation. *)
-    mutable out_send : src:int -> dst:int -> Frame.t -> unit;
+       call and zero allocation.  [out_send] takes the channel id
+       (slot [i] of node [u] is channel [slot_base u + i]). *)
+    mutable out_send : int -> Frame.t -> unit;
     mutable out_pool : int -> Frame.pool;
   }
 
@@ -156,18 +162,13 @@ module Make (Op : Agg.Operator.S) = struct
 
   let nbr t u i = t.a.nbr.(t.c.slot_base.(u) + i)
 
-  (* Requester slots in ascending order of node id, self included at its
-     sorted position — the iteration order of the old
-     [IntSet.elements pndg] snapshot in T4. *)
-  let iter_requester_slots t u f =
-    let sp = t.c.self_pos.(u) and d = t.c.deg.(u) in
-    for i = 0 to sp - 1 do
-      f i
-    done;
-    f d;
-    for i = sp to d - 1 do
-      f i
-    done
+  (* The [k]-th requester slot, [k] in [0 .. deg], in ascending order of
+     node id: self (requester slot [deg]) sits at its sorted position —
+     the iteration order of the old [IntSet.elements pndg] snapshot in
+     T4.  Walks are plain [for] loops over [k]: no closure. *)
+  let requester_slot t u k =
+    let sp = t.c.self_pos.(u) in
+    if k < sp then k else if k = sp then t.c.deg.(u) else k - 1
 
   let set_taken t u i flag =
     let s = t.c.slot_base.(u) + i in
@@ -240,27 +241,16 @@ module Make (Op : Agg.Operator.S) = struct
   (* Views for the policy layer.                                        *)
 
   (* The accessors every policy view shares: one record per system,
-     reading the slot arenas of the node it is handed. *)
+     reading the slot arenas of the node and slot it is handed. *)
   let policy_ops c a =
     {
-      Policy.iter_taken =
-        (fun u f ->
-          let sb = c.slot_base.(u) in
-          for i = 0 to c.deg.(u) - 1 do
-            if bget a.taken (sb + i) then f a.nbr.(sb + i)
-          done);
+      Policy.taken = (fun u i -> bget a.taken (c.slot_base.(u) + i));
       other_grantee =
-        (fun u w ->
+        (fun u i ->
           c.grntd_count.(u) > 1
           || c.grntd_count.(u) = 1
-             && not
-                  (let i = slot_in c a u w in
-                   i >= 0 && bget a.granted (c.slot_base.(u) + i)));
-      uaw_size =
-        (fun u w ->
-          let i = slot_in c a u w in
-          if i >= 0 then Ulog.count a.log (c.slot_base.(u) + i) else 0);
-      slot = (fun u w -> slot_in c a u w);
+             && not (bget a.granted (c.slot_base.(u) + i)));
+      uaw_size = (fun u i -> Ulog.count a.log (c.slot_base.(u) + i));
     }
 
   let node_view t u = t.c.view.(u)
@@ -419,19 +409,22 @@ module Make (Op : Agg.Operator.S) = struct
       !p
     end
 
-  let send_frame t ~src ~dst f = t.out_send ~src ~dst f
+  (* Every sender addresses neighbour slot [i] of [u]: the frame goes
+     onto channel [slot_base u + i] with no search. *)
+  let send_frame t u i f = t.out_send (t.c.slot_base.(u) + i) f
 
-  let send_probe t ~src ~dst =
-    let f = Frame.alloc (t.out_pool src) in
+  let send_probe t u i =
+    let f = Frame.alloc (t.out_pool u) in
     Frame.set_kind f k_probe;
-    send_frame t ~src ~dst f
+    send_frame t u i f
 
-  let send_hello t ~src ~dst ~epoch =
-    let f = Frame.alloc (t.out_pool src) in
+  (* Announce [u]'s current epoch to slot [i]. *)
+  let send_hello t u i =
+    let f = Frame.alloc (t.out_pool u) in
     Frame.set_kind f k_hello;
     Frame.set_length f (hs + 8);
-    Frame.set_int (Frame.buf f) hs epoch;
-    send_frame t ~src ~dst f
+    Frame.set_int (Frame.buf f) hs t.c.epoch.(u);
+    send_frame t u i f
 
   let report_at k = if k = k_update then hs + 8 else hs + 1
 
@@ -446,7 +439,7 @@ module Make (Op : Agg.Operator.S) = struct
     let pos = put_x f (report_at k) (subval t u i) in
     let pos = put_cut_list f pos (cut_to t u i) in
     ignore (put_wlog_shipped t u i f pos);
-    send_frame t ~src:u ~dst:(nbr t u i) f
+    send_frame t u i f
 
   (* Encoded before [Ulog.reset]: the ids are the slot's [uaw], decoded
      from the head, so they go out ascending and the receiver's minimum
@@ -459,7 +452,7 @@ module Make (Op : Agg.Operator.S) = struct
     Frame.set_length f (hs + 4 + (8 * len));
     Frame.set_u32 (Frame.buf f) hs len;
     Ulog.write_ids t.a.log s (Frame.buf f) (hs + 4);
-    send_frame t ~src:u ~dst:(nbr t u i) f
+    send_frame t u i f
 
   (* Cold decode helpers (nonzero counts only under faults/ghost). *)
   let decode_ids b pos n =
@@ -484,7 +477,8 @@ module Make (Op : Agg.Operator.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Procedures of Figure 1.                                            *)
 
-  (* sendprobes(w): mark [w] pending and probe every neighbour whose
+  (* sendprobes(w), [w] given as its requester slot [r] ([deg] for the
+     node itself): mark [w] pending and probe every neighbour whose
      subtree aggregate is neither leased ([taken]) nor already being
      probed ([probed], the paper's sntprobes() membership counter). *)
   let count_reprobe t u i =
@@ -496,21 +490,19 @@ module Make (Op : Agg.Operator.S) = struct
       | Some tel -> Telemetry.Metrics.incr tel.recovery_reprobes
     end
 
-  let sendprobes t u w =
+  let sendprobes t u r =
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
-    let r = if w = u then d else slot t u w in
     bset t.a.pndg (t.c.req_base.(u) + r) true;
     for i = 0 to d - 1 do
-      let v = t.a.nbr.(sb + i) in
       if
-        v <> w
+        i <> r
         && (not (bget t.a.taken (sb + i)))
         && t.a.probed.(sb + i) = 0
         && (not (bget t.a.down (sb + i)))
         && not (bget t.a.det (sb + i))
       then begin
         count_reprobe t u i;
-        send_probe t ~src:u ~dst:v
+        send_probe t u i
       end
     done
 
@@ -535,19 +527,19 @@ module Make (Op : Agg.Operator.S) = struct
     done
 
   (* forwardupdates(w, id): push fresh subtree aggregates to every
-     grantee except [w]. *)
-  let forwardupdates t u w id =
+     grantee except the one at slot [ws] (-1 for a local write). *)
+  let forwardupdates t u ws id =
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     match t.tel with
     | None ->
       for i = 0 to d - 1 do
-        if bget t.a.granted (sb + i) && t.a.nbr.(sb + i) <> w then
+        if bget t.a.granted (sb + i) && i <> ws then
           send_report t u i k_update id
       done
     | Some tel ->
       let fanout = ref 0 in
       for i = 0 to d - 1 do
-        if bget t.a.granted (sb + i) && t.a.nbr.(sb + i) <> w then begin
+        if bget t.a.granted (sb + i) && i <> ws then begin
           send_report t u i k_update id;
           incr fanout
         end
@@ -580,11 +572,11 @@ module Make (Op : Agg.Operator.S) = struct
         (Telemetry.Sink.Lease_broken
            { time = t.clock (); shard = 0; granter; grantee = u })
 
-  (* sendresponse(w): answer a probe; grant a lease iff every other
-     neighbour is covered by a taken lease and the policy agrees. *)
-  let sendresponse t u w =
+  (* sendresponse(w), [w] at slot [i]: answer a probe; grant a lease iff
+     every other neighbour is covered by a taken lease and the policy
+     agrees. *)
+  let sendresponse t u i =
     let sb = t.c.slot_base.(u) in
-    let i = slot t u w in
     (* every neighbour other than [w] that is still up holds a taken
        lease (crashed subtrees are excluded from coverage — their
        absence is reported via [cut] instead) *)
@@ -594,9 +586,9 @@ module Make (Op : Agg.Operator.S) = struct
     in
     if others_covered then begin
       let p = t.c.policy.(u) in
-      let grant = p.Policy.set_lease (node_view t u) ~target:w in
+      let grant = p.Policy.set_lease (node_view t u) ~target:i in
       set_granted t u i grant;
-      if t.obs then observe_grant t u w grant
+      if t.obs then observe_grant t u (nbr t u i) grant
     end;
     send_report t u i k_response (if bget t.a.granted (sb + i) then 1 else 0)
 
@@ -614,7 +606,7 @@ module Make (Op : Agg.Operator.S) = struct
         && bget t.a.taken (sb + i)
         &&
         let p = t.c.policy.(u) in
-        p.Policy.break_lease (node_view t u) ~target:t.a.nbr.(sb + i)
+        p.Policy.break_lease (node_view t u) ~target:i
       then begin
         set_taken t u i false;
         send_release t u i;
@@ -625,9 +617,9 @@ module Make (Op : Agg.Operator.S) = struct
       end
     done
 
-  (* onrelease(w, S): trim each uaw[v] down to the update ids that were
-     forwarded to [w] within the released window, then let the policy
-     react, then try to propagate the release.
+  (* onrelease(w, S), [w] at slot [ws]: trim each uaw[v] down to the
+     update ids that were forwarded to [w] within the released window,
+     then let the policy react, then try to propagate the release.
 
      The released window arrives pre-digested: all [onrelease] ever
      consumed of S was its minimum, and the wire format puts the ids in
@@ -638,11 +630,11 @@ module Make (Op : Agg.Operator.S) = struct
      after min S — is the first forwarded record of the slot's update
      log with sntid >= min S: per channel, ids and sntids both increase
      in log order. *)
-  let onrelease t u w ~has_ids ~min_id =
+  let onrelease t u ws ~has_ids ~min_id =
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     (if has_ids then
        for i = 0 to d - 1 do
-         if t.a.nbr.(sb + i) <> w && bget t.a.taken (sb + i) then begin
+         if i <> ws && bget t.a.taken (sb + i) then begin
            let s = sb + i in
            if Ulog.last_snt t.a.log s < min_id then
              (* A empty: every update from this neighbour was forwarded
@@ -656,13 +648,9 @@ module Make (Op : Agg.Operator.S) = struct
          end
        done);
     for i = 0 to d - 1 do
-      if
-        t.a.nbr.(sb + i) <> w
-        && bget t.a.taken (sb + i)
-        && isgoodforrelease t u i
-      then
+      if i <> ws && bget t.a.taken (sb + i) && isgoodforrelease t u i then
         let p = t.c.policy.(u) in
-        p.Policy.release_policy (node_view t u) ~target:t.a.nbr.(sb + i)
+        p.Policy.release_policy (node_view t u) ~target:i
     done;
     forwardrelease t u
 
@@ -670,8 +658,52 @@ module Make (Op : Agg.Operator.S) = struct
     t.c.upcntr.(u) <- t.c.upcntr.(u) + 1;
     t.c.upcntr.(u)
 
+  (* The column's filler: no combine waits there. *)
+  let no_k : Op.t -> unit = fun _ -> ()
+
+  (* No combine waits at [u]. *)
+  let idle t u =
+    t.c.pending1.(u) == no_k
+    && match t.c.pending.(u) with [] -> true | _ :: _ -> false
+
+  (* One combine completes: its gather entry and request count (exact
+     aggregates only); its span and continuation follow. *)
+  let settle t u value exact =
+    if exact then begin
+      if t.ghost then
+        t.c.glog.(u) <-
+          Ghost.Combine
+            {
+              cnode = u;
+              cindex = t.c.completed.(u);
+              cvalue = value;
+              crecent = ghost_recentwrites t u;
+            }
+          :: t.c.glog.(u);
+      t.c.completed.(u) <- t.c.completed.(u) + 1
+    end
+
+  (* Fire the queued continuations [ks] (newest first) oldest first,
+     each after its span from [spans] (same order; [] when no sink
+     records): the recursion reaches the oldest before firing anything,
+     so no reversed copy is built. *)
+  let rec fire_queued t u value cut exact ks spans =
+    match ks with
+    | [] -> ()
+    | k :: older ->
+      fire_queued t u value cut exact older
+        (match spans with [] -> [] | _ :: s -> s);
+      settle t u value exact;
+      (match spans with
+      | [] -> ()
+      | span :: _ ->
+        Telemetry.Span.finish t.sink ~shard:0 ~clock:t.clock ~node:u
+          ~name:"combine" ~id:span);
+      k value ~cut
+
   (* Completion of a local combine: log the matching gather (ghost) and
-     fire every pending continuation with the global aggregate.
+     fire every pending continuation with the global aggregate, oldest
+     first.
 
      With unreachable subtrees the aggregate is partial: the value
      covers only the reachable component and the continuation gets the
@@ -687,51 +719,25 @@ module Make (Op : Agg.Operator.S) = struct
        match t.tel with
        | None -> ()
        | Some tel -> Telemetry.Metrics.incr tel.partial_combines);
-    let callbacks = List.rev t.c.pending.(u) in
-    let spans = List.rev t.c.pending_spans.(u) in
+    (* detach the waiting combines first: a continuation may issue the
+       node's next combine *)
+    let k1 = t.c.pending1.(u) in
+    let ks = t.c.pending.(u) and spans = t.c.pending_spans.(u) in
+    t.c.pending1.(u) <- no_k;
     t.c.pending.(u) <- [];
     t.c.pending_spans.(u) <- [];
-    let rec fire callbacks spans =
-      match callbacks with
-      | [] -> ()
-      | k :: callbacks ->
-        if exact then begin
-          if t.ghost then
-            t.c.glog.(u) <-
-              Ghost.Combine
-                {
-                  cnode = u;
-                  cindex = t.c.completed.(u);
-                  cvalue = value;
-                  crecent = ghost_recentwrites t u;
-                }
-              :: t.c.glog.(u);
-          t.c.completed.(u) <- t.c.completed.(u) + 1
-        end;
-        let spans =
-          match spans with
-          | [] -> []
-          | span :: rest ->
-            Telemetry.Span.finish t.sink ~shard:0 ~clock:t.clock
-              ~node:u ~name:"combine" ~id:span;
-            rest
-        in
-        k value cut;
-        fire callbacks spans
-    in
-    fire callbacks spans
+    if k1 != no_k then begin
+      settle t u value exact;
+      k1 value
+    end;
+    fire_queued t u value cut exact ks spans
 
   (* ------------------------------------------------------------------ *)
-  (* Transitions.                                                       *)
+  (* Transitions.  Each takes the node and, for T3-T7, the slot of the  *)
+  (* neighbour [w] the message came from; [handler] finds it once.      *)
 
-  (* T1: combine request at [u]. *)
-  let t1_combine t u k =
-    if t.recording then
-      t.c.pending_spans.(u) <-
-        Telemetry.Span.start t.sink t.spans ~shard:0
-          ~clock:t.clock ~node:u ~name:"combine"
-        :: t.c.pending_spans.(u);
-    t.c.pending.(u) <- k :: t.c.pending.(u);
+  (* T1: combine request at [u], its continuation already waiting. *)
+  let t1_combine t u =
     let p = t.c.policy.(u) in
     p.Policy.on_combine (node_view t u);
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
@@ -741,7 +747,7 @@ module Make (Op : Agg.Operator.S) = struct
     if not (bget t.a.pndg (t.c.req_base.(u) + d)) then begin
       if t.c.tkn_count.(u) = up_count t u then complete_combines t u
       else begin
-        sendprobes t u u;
+        sendprobes t u d;
         set_snt_mask t u d ~exclude:(-1)
       end
     end
@@ -762,56 +768,62 @@ module Make (Op : Agg.Operator.S) = struct
     p.Policy.on_write (node_view t u);
     if t.c.grntd_count.(u) > 0 then begin
       let id = newid t u in
-      forwardupdates t u u id
+      forwardupdates t u (-1) id
     end
 
-  (* T3: receive probe from [w]. *)
-  let t3_probe t u w =
+  (* T3: receive probe from [w], at slot [r]. *)
+  let t3_probe t u r =
     let p = t.c.policy.(u) in
-    p.Policy.probe_rcvd (node_view t u) ~from:w;
+    p.Policy.probe_rcvd (node_view t u) ~from:r;
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
     for i = 0 to d - 1 do
-      if bget t.a.taken (sb + i) && t.a.nbr.(sb + i) <> w then
-        Ulog.reset t.a.log (sb + i)
+      if bget t.a.taken (sb + i) && i <> r then Ulog.reset t.a.log (sb + i)
     done;
-    let r = slot t u w in
     if not (bget t.a.pndg (t.c.req_base.(u) + r)) then begin
       let missing =
         up_count t u - t.c.tkn_count.(u)
         - (if bget t.a.taken (sb + r) then 0 else 1)
       in
-      if missing = 0 then sendresponse t u w
+      if missing = 0 then sendresponse t u r
       else begin
-        sendprobes t u w;
+        sendprobes t u r;
         set_snt_mask t u r ~exclude:r
       end
     end
 
-  (* T4: receive response(x, flag, cut) from [w]. *)
-  let t4_response t u w x flag cut wlog_w =
+  (* The neighbour at slot [sw] answered, or can no longer answer, the
+     probe requester slot [r] sent it, if any: strike it from [snt r],
+     and finish [r]'s request — respond, or complete the local combines
+     — when it was the last outstanding. *)
+  let strike_probe t u r sw =
+    let d = t.c.deg.(u) in
+    let ri = t.c.req_base.(u) + r in
+    let mi = t.c.msk_base.(u) + (r * d) + sw in
+    if bget t.a.pndg ri && bget t.a.snt mi then begin
+      bset t.a.snt mi false;
+      t.a.snt_count.(ri) <- t.a.snt_count.(ri) - 1;
+      let s = t.c.slot_base.(u) + sw in
+      t.a.probed.(s) <- t.a.probed.(s) - 1;
+      if t.a.snt_count.(ri) = 0 then begin
+        bset t.a.pndg ri false;
+        if r = d then complete_combines t u else sendresponse t u r
+      end
+    end
+
+  (* T4: receive response(x, flag, cut) from [w], at slot [sw]. *)
+  let t4_response t u sw x flag cut wlog_w =
     let p = t.c.policy.(u) in
-    p.Policy.response_rcvd (node_view t u) ~flag ~from:w;
+    p.Policy.response_rcvd (node_view t u) ~flag ~from:sw;
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
-    let sw = slot t u w in
     t.a.aval.(sb + sw) <- x;
     bset t.c.gval_dirty u true;
     bset t.a.resync (sb + sw) false;
     set_subcut t u sw cut;
     ghost_merge t u wlog_w;
     set_taken t u sw flag;
-    iter_requester_slots t u (fun r ->
-        let ri = t.c.req_base.(u) + r in
-        let mi = t.c.msk_base.(u) + (r * d) + sw in
-        if bget t.a.pndg ri && bget t.a.snt mi then begin
-          bset t.a.snt mi false;
-          t.a.snt_count.(ri) <- t.a.snt_count.(ri) - 1;
-          t.a.probed.(sb + sw) <- t.a.probed.(sb + sw) - 1;
-          if t.a.snt_count.(ri) = 0 then begin
-            bset t.a.pndg ri false;
-            if r = d then complete_combines t u
-            else sendresponse t u t.a.nbr.(sb + r)
-          end
-        end);
+    for k = 0 to d do
+      strike_probe t u (requester_slot t u k) sw
+    done;
     (* Recovery refresh: this response re-reads a subtree that went
        through a crash; grantees upstream still cache the pre-crash
        aggregate (or a cut excluding it), and no write will push it to
@@ -820,16 +832,15 @@ module Make (Op : Agg.Operator.S) = struct
       bset t.a.refresh (sb + sw) false;
       if t.c.grntd_count.(u) > 0 then begin
         let id = newid t u in
-        forwardupdates t u w id
+        forwardupdates t u sw id
       end
     end
 
-  (* T5: receive update(x, id, cut) from [w]. *)
-  let t5_update t u w x id cut wlog_w =
+  (* T5: receive update(x, id, cut) from [w], at slot [sw]. *)
+  let t5_update t u sw x id cut wlog_w =
     let p = t.c.policy.(u) in
-    p.Policy.update_rcvd (node_view t u) ~from:w;
+    p.Policy.update_rcvd (node_view t u) ~from:sw;
     let sb = t.c.slot_base.(u) in
-    let sw = slot t u w in
     t.a.aval.(sb + sw) <- x;
     bset t.c.gval_dirty u true;
     set_subcut t u sw cut;
@@ -841,44 +852,43 @@ module Make (Op : Agg.Operator.S) = struct
     if other_grantees then begin
       let nid = newid t u in
       Ulog.append t.a.log (sb + sw) ~id ~snt:nid;
-      forwardupdates t u w nid
+      forwardupdates t u sw nid
     end
     else begin
       Ulog.append t.a.log (sb + sw) ~id ~snt:0;
       forwardrelease t u
     end
 
-  (* T6: receive release(S) from [w] — S arrives as its cardinality flag
-     and minimum (see [onrelease]). *)
-  let t6_release t u w ~has_ids ~min_id =
+  (* T6: receive release(S) from [w], at slot [sw] — S arrives as its
+     cardinality flag and minimum (see [onrelease]). *)
+  let t6_release t u sw ~has_ids ~min_id =
     let p = t.c.policy.(u) in
-    p.Policy.release_rcvd (node_view t u) ~from:w;
-    set_granted t u (slot t u w) false;
+    p.Policy.release_rcvd (node_view t u) ~from:sw;
+    set_granted t u sw false;
     match t.tel with
-    | None -> onrelease t u w ~has_ids ~min_id
+    | None -> onrelease t u sw ~has_ids ~min_id
     | Some tel ->
       (* Cascade width: releases this node forwards while handling one
          received release (chains of these per-hop forwards are the
          release cascades of a cooling subtree). *)
       let before = Simul.Network.total_of_kind t.net Simul.Kind.Release in
-      onrelease t u w ~has_ids ~min_id;
+      onrelease t u sw ~has_ids ~min_id;
       Telemetry.Metrics.observe tel.release_cascade
         (Simul.Network.total_of_kind t.net Simul.Kind.Release - before)
 
-  (* T7: receive hello(epoch) from [w] — the neighbour announces a new
-     incarnation after a restart.  Any state involving its previous
-     incarnation is void: leases both ways, its cached aggregate,
-     unacknowledged updates, the forwarded-update log, its reported cut,
-     and the shipped-ghost-prefix watermark (the session teardown may
-     have eaten frames already marked shipped, so the full log is
-     reshipped; the receiver's merge deduplicates).  Requests still
-     pending here were counting on the old incarnation's lease or on its
-     down-ness, so the fresh subtree is re-probed on their behalf.
-     Reply with our own epoch so the handshake converges from either
-     side (a repeated epoch is ignored, which terminates it). *)
-  let t7_hello t u w epoch =
+  (* T7: receive hello(epoch) from [w], at slot [i] — the neighbour
+     announces a new incarnation after a restart.  Any state involving
+     its previous incarnation is void: leases both ways, its cached
+     aggregate, unacknowledged updates, the forwarded-update log, its
+     reported cut, and the shipped-ghost-prefix watermark (the session
+     teardown may have eaten frames already marked shipped, so the full
+     log is reshipped; the receiver's merge deduplicates).  Requests
+     still pending here were counting on the old incarnation's lease or
+     on its down-ness, so the fresh subtree is re-probed on their
+     behalf.  Reply with our own epoch so the handshake converges from
+     either side (a repeated epoch is ignored, which terminates it). *)
+  let t7_hello t u i epoch =
     let sb = t.c.slot_base.(u) and d = t.c.deg.(u) in
-    let i = slot t u w in
     if epoch > t.a.nbr_epoch.(sb + i) then begin
       t.a.nbr_epoch.(sb + i) <- epoch;
       if bget t.a.down (sb + i) then begin
@@ -896,17 +906,19 @@ module Make (Op : Agg.Operator.S) = struct
       bset t.a.resync (sb + i) true;
       bset t.a.refresh (sb + i) true;
       let probed_before = t.a.probed.(sb + i) in
-      iter_requester_slots t u (fun r ->
-          let ri = t.c.req_base.(u) + r in
-          let mi = t.c.msk_base.(u) + (r * d) + i in
-          if r <> i && bget t.a.pndg ri && not (bget t.a.snt mi) then begin
-            bset t.a.snt mi true;
-            t.a.snt_count.(ri) <- t.a.snt_count.(ri) + 1;
-            t.a.probed.(sb + i) <- t.a.probed.(sb + i) + 1
-          end);
+      for k = 0 to d do
+        let r = requester_slot t u k in
+        let ri = t.c.req_base.(u) + r in
+        let mi = t.c.msk_base.(u) + (r * d) + i in
+        if r <> i && bget t.a.pndg ri && not (bget t.a.snt mi) then begin
+          bset t.a.snt mi true;
+          t.a.snt_count.(ri) <- t.a.snt_count.(ri) + 1;
+          t.a.probed.(sb + i) <- t.a.probed.(sb + i) + 1
+        end
+      done;
       if t.a.probed.(sb + i) > probed_before && probed_before = 0 then begin
         count_reprobe t u i;
-        send_probe t ~src:u ~dst:w
+        send_probe t u i
       end
       else if t.a.probed.(sb + i) = 0 && t.c.grntd_count.(u) > 0 then begin
         (* No request is waiting on this subtree, but grantees cache it:
@@ -915,9 +927,9 @@ module Make (Op : Agg.Operator.S) = struct
            push above) so their caches heal without waiting for the next
            write below the recovered node. *)
         count_reprobe t u i;
-        send_probe t ~src:u ~dst:w
+        send_probe t u i
       end;
-      send_hello t ~src:u ~dst:w ~epoch:t.c.epoch.(u)
+      send_hello t u i
     end
 
   (* ------------------------------------------------------------------ *)
@@ -959,20 +971,11 @@ module Make (Op : Agg.Operator.S) = struct
       t.a.snt_count.(t.c.req_base.(v) + j) <- 0;
       bset t.a.pndg (t.c.req_base.(v) + j) false
     end;
-    (* probes sent to the lost node can never be answered *)
-    iter_requester_slots t v (fun r ->
-        let ri = t.c.req_base.(v) + r in
-        let mi = t.c.msk_base.(v) + (r * d) + j in
-        if r <> j && bget t.a.pndg ri && bget t.a.snt mi then begin
-          bset t.a.snt mi false;
-          t.a.snt_count.(ri) <- t.a.snt_count.(ri) - 1;
-          t.a.probed.(sb + j) <- t.a.probed.(sb + j) - 1;
-          if t.a.snt_count.(ri) = 0 then begin
-            bset t.a.pndg ri false;
-            if r = d then complete_combines t v
-            else sendresponse t v t.a.nbr.(sb + r)
-          end
-        end)
+    (* probes sent to the lost node can never be answered (its own
+       requester slot is no longer pending, so the walk skips it) *)
+    for k = 0 to d do
+      strike_probe t v (requester_slot t v k) j
+    done
 
   (* A neighbour of the crashed node (slot [j] here) marks it down,
      voids the slot and cancels the exchanges — completing requests
@@ -1019,6 +1022,7 @@ module Make (Op : Agg.Operator.S) = struct
     Array.fill t.a.snt_count (t.c.req_base.(node)) (d + 1) 0;
     t.c.upcntr.(node) <- 0;
     (* pending combines die with the node; close their spans *)
+    t.c.pending1.(node) <- no_k;
     t.c.pending.(node) <- [];
     List.iter
       (fun span ->
@@ -1054,7 +1058,7 @@ module Make (Op : Agg.Operator.S) = struct
       if bget t.a.det (sb + i) then ()
       else if bget t.c.alive v then begin
         bset t.a.resync (sb + i) true;
-        send_hello t ~src:node ~dst:v ~epoch:t.c.epoch.(node)
+        send_hello t node i
       end
       else begin
         bset t.a.down (sb + i) true;
@@ -1203,7 +1207,7 @@ module Make (Op : Agg.Operator.S) = struct
         end;
         if bget t.c.alive v then begin
           bset t.a.resync s true;
-          send_hello t ~src:node ~dst:v ~epoch:t.c.epoch.(node)
+          send_hello t node i
         end
         else begin
           bset t.a.down s true;
@@ -1222,10 +1226,9 @@ module Make (Op : Agg.Operator.S) = struct
       Policy.id = -1;
       ops =
         {
-          Policy.iter_taken = (fun _ _ -> ());
+          Policy.taken = (fun _ _ -> false);
           other_grantee = (fun _ _ -> false);
           uaw_size = (fun _ _ -> 0);
-          slot = (fun _ _ -> -1);
         };
     }
 
@@ -1260,6 +1263,7 @@ module Make (Op : Agg.Operator.S) = struct
         policy =
           Array.init n (fun u -> policy ~node_id:u ~nbrs:(Tree.neighbors tree u));
         view = Array.make n uninit_view;
+        pending1 = Array.make n no_k;
         pending = Array.make n [];
         pending_spans = Array.make n [];
         glog = Array.make n [];
@@ -1371,12 +1375,16 @@ module Make (Op : Agg.Operator.S) = struct
         || match sink with Some s -> Telemetry.Sink.enabled s | None -> false);
       clock = Simul.Network.clock net;
       spans = Telemetry.Span.allocator ();
-      out_send = (fun ~src ~dst f -> Simul.Network.send net ~src ~dst f);
+      out_send = Simul.Network.send_chan net;
       out_pool = (fun _ -> pool);
     }
 
+  (* The router addresses nodes: adapt it to channel ids once, here. *)
   let set_outbox t ~send ~pool_for =
-    t.out_send <- send;
+    let tree = t.tree in
+    t.out_send <-
+      (fun c f ->
+        send ~src:(Tree.channel_src tree c) ~dst:(Tree.channel_dst tree c) f);
     t.out_pool <- pool_for
 
   (* ------------------------------------------------------------------ *)
@@ -1397,13 +1405,27 @@ module Make (Op : Agg.Operator.S) = struct
     require_alive t node "write";
     t2_write t node arg
 
+  (* Queue a combine's continuation behind the node's pending ones. *)
+  let queue_combine t u k =
+    if t.recording then
+      t.c.pending_spans.(u) <-
+        Telemetry.Span.start t.sink t.spans ~shard:0 ~clock:t.clock ~node:u
+          ~name:"combine"
+        :: t.c.pending_spans.(u);
+    t.c.pending.(u) <- k :: t.c.pending.(u)
+
   let combine_tagged t ~node k =
     require_alive t node "combine";
-    t1_combine t node (fun v cut -> k v ~cut)
+    queue_combine t node k;
+    t1_combine t node
 
+  (* A lone combine's continuation is stored as given, in its column:
+     no wrapper, no cons cell. *)
   let combine t ~node k =
     require_alive t node "combine";
-    t1_combine t node (fun v _cut -> k v)
+    if idle t node && not t.recording then t.c.pending1.(node) <- k
+    else queue_combine t node (fun v ~cut:_ -> k v);
+    t1_combine t node
 
   (* Inbox boundary, the one decoder: read the payload straight off the
      frame (layouts above the senders) and dispatch, with Update and
@@ -1413,6 +1435,13 @@ module Make (Op : Agg.Operator.S) = struct
      plain-network drivers may still deliver in-flight messages of a
      dead incarnation). *)
   let handler t ~src ~dst f =
+    (* The sender's slot, found once: every transition takes it. *)
+    let i = slot t dst src in
+    if i < 0 then begin
+      Frame.release f;
+      invalid_arg
+        (Printf.sprintf "Mechanism.handler: %d is not a neighbour of %d" src dst)
+    end;
     (* Frames addressed to (or from the previous attachment of) a node
        outside the active tree are dropped like a dead incarnation's:
        the [det_count] short-circuit keeps the churn-free hot path at
@@ -1421,9 +1450,7 @@ module Make (Op : Agg.Operator.S) = struct
        bget t.c.alive dst
        && bget t.c.att dst
        && (t.c.det_count.(dst) = 0
-          ||
-          let i = slot t dst src in
-          i < 0 || not (bget t.a.det (t.c.slot_base.(dst) + i)))
+          || not (bget t.a.det (t.c.slot_base.(dst) + i)))
      then begin
        let b = Frame.buf f in
        let k = Frame.kind f in
@@ -1438,16 +1465,16 @@ module Make (Op : Agg.Operator.S) = struct
          let nw = Frame.get_u32 b pos in
          let wlog = if nw = 0 then [] else decode_wlog b (pos + 4) nw in
          if k = k_update then
-           t5_update t dst src x (Frame.get_int b hs) cut wlog
-         else t4_response t dst src x (Frame.get_u8 b hs <> 0) cut wlog
+           t5_update t dst i x (Frame.get_int b hs) cut wlog
+         else t4_response t dst i x (Frame.get_u8 b hs <> 0) cut wlog
        end
-       else if k = k_probe then t3_probe t dst src
+       else if k = k_probe then t3_probe t dst i
        else if k = k_release then begin
          let count = Frame.get_u32 b hs in
-         t6_release t dst src ~has_ids:(count > 0)
+         t6_release t dst i ~has_ids:(count > 0)
            ~min_id:(if count > 0 then Frame.get_int b (hs + 4) else 0)
        end
-       else if k = k_hello then t7_hello t dst src (Frame.get_int b hs)
+       else if k = k_hello then t7_hello t dst i (Frame.get_int b hs)
        else invalid_arg (Printf.sprintf "Mechanism.handler: kind %d" k)
      end);
     Frame.release f
@@ -1677,7 +1704,7 @@ module Make (Op : Agg.Operator.S) = struct
       if not (bget c.att u) then begin
         if c.tkn_count.(u) <> 0 || c.grntd_count.(u) <> 0 then
           fail "node %d: detached but holds lease state" u;
-        if c.pending.(u) <> [] then
+        if not (idle t u) then
           fail "node %d: detached with pending combines" u;
         if not (Op.equal c.value.(u) Op.identity) then
           fail "node %d: detached with non-identity value" u
@@ -1696,7 +1723,7 @@ module Make (Op : Agg.Operator.S) = struct
       if not (bget c.alive u) then begin
         if c.tkn_count.(u) <> 0 || c.grntd_count.(u) <> 0 then
           fail "node %d: crashed but holds lease state" u;
-        if c.pending.(u) <> [] then
+        if not (idle t u) then
           fail "node %d: crashed with pending combines" u
       end;
       (* gval cache *)

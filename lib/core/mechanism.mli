@@ -39,6 +39,15 @@
     channel: each message carries only the suffix of the write log not
     previously shipped on that channel.
 
+    A neighbour is addressed by its {e slot} (its position in the
+    node's ascending neighbour list, see {!Policy}) end to end: the
+    handler finds the sender's slot once per message, transitions,
+    policy hooks and view accessors take slots, and a send goes onto
+    channel [Tree.channel_base tree u + slot] with no search.  The
+    oldest pending combine of a node waits in a per-node column as the
+    caller's continuation itself; completion fires oldest first without
+    building a list.
+
     The data plane is flat binary frames ({!Simul.Frame}) drawn from a
     per-system recycling pool: the outbox encodes each message straight
     into a pooled frame, the network queues carry the frames
@@ -49,7 +58,8 @@
     [mechanism.ml].  In the fault-free, ghost-free steady state the
     whole send -> queue -> pop -> decode -> dispatch path performs
     {e zero} minor allocation (asserted by the frames test suite and
-    gated in [bench-smoke]).
+    gated in [bench-smoke]), and so does a sequential RWW request,
+    probe waves and combine completion included ([gc-gate\[rww\]]).
 
     None of this changes the protocol: message sequences are identical
     to the plain transcription (pinned by golden tests), and
@@ -125,7 +135,9 @@ module Make (Op : Agg.Operator.S) : sig
     unit
   (** Reroute message egress: every outgoing frame is allocated from
       [pool_for sender] and handed to [send] instead of the internal
-      network.  This is the {!Simul.Sharded} hook — each node draws
+      network (which takes it by channel id, {!Simul.Network.send_chan});
+      the mechanism's channel ids are adapted to [send]'s [~src ~dst]
+      once, here.  This is the {!Simul.Sharded} hook — each node draws
       from its owning shard's pool and cross-shard sends go through
       mailboxes — and after installation {!network}, {!message_total}
       and friends no longer see this system's traffic (the router does
@@ -166,7 +178,8 @@ module Make (Op : Agg.Operator.S) : sig
       Update sharing the report decode (layouts above the senders in
       [mechanism.ml]).  Consumes the caller's frame reference.  Frames
       addressed to a crashed node are silently dropped (and still
-      released). *)
+      released).
+      @raise Invalid_argument if [src] is not a neighbour of [dst]. *)
 
   val run_to_quiescence : ?max_deliveries:int -> t -> int
   (** Deliver queued messages until quiescent; returns deliveries.

@@ -1,16 +1,14 @@
 type ops = {
-  iter_taken : int -> (int -> unit) -> unit;
+  taken : int -> int -> bool;
   other_grantee : int -> int -> bool;
   uaw_size : int -> int -> int;
-  slot : int -> int -> int;
 }
 
 type view = { id : int; ops : ops }
 
-let iter_taken v f = v.ops.iter_taken v.id f
-let other_grantee v w = v.ops.other_grantee v.id w
-let uaw_size v w = v.ops.uaw_size v.id w
-let slot v w = v.ops.slot v.id w
+let taken v i = v.ops.taken v.id i
+let other_grantee v i = v.ops.other_grantee v.id i
+let uaw_size v i = v.ops.uaw_size v.id i
 
 type t = {
   name : string;

@@ -37,6 +37,7 @@ module Make (Op : Agg.Operator.S) = struct
     events : int;
     makespan : float;
     mean_combine_latency : float;
+    values : Op.t array;
     causal_violations : int;
     divergence_before : int;
     divergence_after : int;
@@ -158,7 +159,18 @@ module Make (Op : Agg.Operator.S) = struct
       (* Membership schedule.  The transport stays up through both
          transitions: a departed node's channels idle (the mechanism
          discards frames across detached slots at both ends), and a
-         join's Hello resync rides the established sessions. *)
+         join's Hello resync rides the established sessions.  A leave
+         waits while the leaver still counts a neighbour down: after its
+         handoff neighbour restarts, the Hello announcing it reaches the
+         leaver a hop later, and later still under drops, so the leave
+         is put off one time unit at a time and counted when it runs. *)
+      let rec leave node () =
+        if Oat.Mechanism.IntSet.is_empty (M.known_down s node) then begin
+          Plan.count_leave p;
+          M.depart s ~node
+        end
+        else Dev.after dev 1.0 (leave node)
+      in
       List.iter
         (fun (c : Plan.churn) ->
           if c.cnode < 0 || c.cnode >= n then
@@ -167,9 +179,7 @@ module Make (Op : Agg.Operator.S) = struct
                  c.cnode);
           Dev.at dev c.cat (fun () ->
               match c.ckind with
-              | Plan.Leave ->
-                Plan.count_leave p;
-                M.depart s ~node:c.cnode
+              | Plan.Leave -> leave c.cnode ()
               | Plan.Join ->
                 Plan.count_join p;
                 M.join s ~node:c.cnode))
@@ -273,6 +283,7 @@ module Make (Op : Agg.Operator.S) = struct
       makespan = Dev.now dev;
       mean_combine_latency =
         (if completed = 0 then 0.0 else !lat_sum /. float_of_int completed);
+      values = Array.init n (M.local_value s);
       causal_violations = List.length violations;
       divergence_before;
       divergence_after;

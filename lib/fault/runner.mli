@@ -47,6 +47,10 @@ module Make (Op : Agg.Operator.S) : sig
     events : int;  (** virtual-time events processed (deliveries + timers) *)
     makespan : float;  (** virtual time at quiescence *)
     mean_combine_latency : float;  (** over completed combines; 0 if none *)
+    values : Op.t array;
+        (** durable value per node at quiescence (before any [repair]
+            pass); a departed node's value was handed off, so their
+            fold is the active tree's aggregate *)
     causal_violations : int;
         (** from {!Consistency.Causal.check} on the protocol's own
             history, before any [repair] pass (anti-entropy admits are
@@ -60,7 +64,8 @@ module Make (Op : Agg.Operator.S) : sig
   }
 
   val pp_outcome : Format.formatter -> outcome -> unit
-  (** Deterministic multi-line rendering (one [key: value] per line). *)
+  (** Deterministic multi-line rendering (one [key: value] per line;
+      [values] is left out). *)
 
   val run :
     ?metrics:Telemetry.Metrics.t ->
@@ -88,7 +93,11 @@ module Make (Op : Agg.Operator.S) : sig
 
       The plan's crash windows (explicit plus flap expansion) hit
       transport and mechanism together; its churn schedule drives
-      {!Oat.Mechanism.Make.depart}/[join], and requests whose node is
+      {!Oat.Mechanism.Make.depart}/[join].  A leave is put off one time
+      unit at a time while the leaver still counts a neighbour down
+      ({!Oat.Mechanism.Make.known_down}): a restarted handoff
+      neighbour's Hello reaches it a hop after the restart, later
+      under drops.  [leaves] counts the departures run.  Requests whose node is
       down {e or detached} at injection time are counted [skipped].
       Nodes in the spec's [detached] list start outside the active
       tree.
@@ -104,6 +113,6 @@ module Make (Op : Agg.Operator.S) : sig
       not quiescent.
       @raise Invalid_argument if a scheduled crash or churn event
       names a node outside the tree, a churn event is illegal at
-      execution time (departing non-leaf, dead handoff), or
+      execution time (departing non-leaf, leaver down), or
       [spacing <= 0]. *)
 end

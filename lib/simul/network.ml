@@ -292,8 +292,10 @@ let enqueue_faulty t cid ~src ~dst m depth =
   account t cid ~src ~dst m len;
   t.on_send ~src ~dst
 
-let send t ~src ~dst m =
-  let cid = chan t ~src ~dst in
+(* The one send implementation, on a channel id; [send] is the channel
+   lookup in front of it. *)
+let send_chan t cid m =
+  let src = Tree.channel_src t.tree cid and dst = Tree.channel_dst t.tree cid in
   match t.fault with
   | None ->
     if count t cid = 0 then registry_add t cid;
@@ -327,6 +329,8 @@ let send t ~src ~dst m =
         enqueue_faulty t cid ~src ~dst m 0
       end
     end
+
+let send t ~src ~dst m = send_chan t (chan t ~src ~dst) m
 
 let set_fault t fault =
   t.fault <- fault;

@@ -103,8 +103,17 @@ val clock : 'm t -> unit -> float
 
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 (** Enqueue a message on the directed edge [(src,dst)] (subject to the
-    fault hook, if any — see {!create}).
+    fault hook, if any — see {!create}): {!send_chan} on the edge's
+    channel id, found by {!Tree.channel}'s search.
     @raise Invalid_argument if [src] and [dst] are not neighbours. *)
+
+val send_chan : 'm t -> int -> 'm -> unit
+(** [send_chan t c m] enqueues [m] on the directed channel with id [c]
+    ({!Tree.channel}); the one send implementation, which {!send} calls.
+    A sender that already knows the channel (the mechanism addresses
+    neighbours by slot, and the channel to slot [i] of node [u] is
+    [Tree.channel_base tree u + i]) skips the search.
+    @raise Invalid_argument if [c] is not a channel id of the tree. *)
 
 val set_fault : 'm t -> fault_hook option -> unit
 (** Install or remove the fault hook after creation.  Per-channel

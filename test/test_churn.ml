@@ -337,6 +337,32 @@ let test_runner_initially_detached () =
   Alcotest.(check int) "causal" 0 o.R.causal_violations;
   Alcotest.(check int) "converged" 0 o.R.divergence_after
 
+(* A leave one time unit after its handoff neighbour restarts: the
+   restart's Hello reaches the leaver a hop later, so the runner puts
+   the leave off until it has instead of failing the handoff check. *)
+let test_runner_leave_after_restart () =
+  let plan = P.create ~seed:11 (parse "crash=3@1+3,leave=4@5") in
+  let requests =
+    Oat.Request.
+      [
+        write 4 16.0; write 0 1.0; write 1 2.0; write 2 4.0; combine 0;
+        write 4 100.0;
+      ]
+  in
+  let o =
+    R.run ~plan ~tree:(Tree.Build.path 5) ~policy:Oat.Rww.policy ~requests ()
+  in
+  Alcotest.(check int) "leave executed" 1 o.R.leaves;
+  Alcotest.(check (float 1e-9)) "departed value handed off" 16.0
+    o.R.values.(3);
+  Alcotest.(check (float 1e-9)) "departed value surrendered" 0.0
+    o.R.values.(4);
+  Alcotest.(check (float 1e-9)) "aggregate conserved" 23.0
+    (Array.fold_left ( +. ) 0.0 o.R.values);
+  Alcotest.(check int) "write at the departed node skipped" 1 o.R.skipped;
+  Alcotest.(check int) "combine exact" 1 o.R.exact;
+  Alcotest.(check int) "causal" 0 o.R.causal_violations
+
 (* satellite: capped, jittered retransmission backoff.  A long crash
    window used to double the RTO without bound; with the cap the timer
    can't blow up, with jitter incident channels don't fire in
@@ -398,6 +424,8 @@ let suite =
       test_runner_churn_reproducible;
     Alcotest.test_case "runner: initially detached + late join" `Quick
       test_runner_initially_detached;
+    Alcotest.test_case "runner: leave waits for the handoff's restart" `Quick
+      test_runner_leave_after_restart;
     Alcotest.test_case "rto cap + seeded jitter regression" `Quick
       test_rto_cap_and_jitter_regression;
   ]

@@ -967,6 +967,47 @@ let test_policy_state_sized_by_degree () =
       ("timed", Oat.Timed_policy.policy ~now:(fun () -> 0.0) ~ttl:1.0);
     ]
 
+(* Hooks name neighbours by slot.  On binary-7 node 1's neighbours are
+   [0; 3; 4], so a combine at leaf 3 reaches node 1's [probercvd] and
+   [setlease] with slot 1, not node id 3; and when node 1 grants, its
+   view reads the leases it took from 0 and 4 at slots 0 and 2. *)
+let test_hooks_receive_slots () =
+  let tree = Tree.Build.binary 7 in
+  Alcotest.(check (list int)) "node 1's neighbours" [ 0; 3; 4 ]
+    (Tree.neighbors tree 1);
+  let seen = ref [] in
+  let recording : Oat.Policy.factory =
+   fun ~node_id ~nbrs ->
+    let note hook i = if node_id = 1 then seen := (hook, i) :: !seen in
+    {
+      (Oat.Policy.noop ~name:"recording" ~set_lease:true ~node_id ~nbrs) with
+      probe_rcvd = (fun _ ~from -> note "probe_rcvd" from);
+      set_lease =
+        (fun view ~target ->
+          note "set_lease" target;
+          if node_id = 1 then
+            Alcotest.(check (list bool)) "taken, by slot" [ true; false; true ]
+              (List.init 3 (Oat.Policy.taken view));
+          true);
+    }
+  in
+  let sys = M.create tree ~policy:recording in
+  M.write_sync sys ~node:5 2.0;
+  check_float "combine at 3" 2.0 (M.combine_sync sys ~node:3);
+  Alcotest.(check (list (pair string int)))
+    "node 1's hook arguments"
+    [ ("probe_rcvd", 1); ("set_lease", 1) ]
+    (List.rev !seen);
+  (* the handler's slot search is the one place a node id is resolved:
+     a frame from a non-neighbour is refused, and still released *)
+  let f = Simul.Frame.alloc (M.frame_pool sys) in
+  Simul.Frame.set_kind f (Simul.Kind.index Simul.Kind.Probe);
+  Alcotest.check_raises "frame from a non-neighbour"
+    (Invalid_argument "Mechanism.handler: 5 is not a neighbour of 1")
+    (fun () -> M.handler sys ~src:5 ~dst:1 f);
+  Alcotest.(check int) "refused frame released" 0
+    (Simul.Frame.live (M.frame_pool sys))
+
 (* Set-up is linear in the tree: the words [create] allocates per node
    under lease-all (minor words plus words allocated straight into the
    major heap, after a warm-up create) stay under one bound on
@@ -999,6 +1040,8 @@ let suite =
   @ [
       Alcotest.test_case "policy state sized by degree" `Quick
         test_policy_state_sized_by_degree;
+      Alcotest.test_case "policy hooks receive slots" `Quick
+        test_hooks_receive_slots;
       Alcotest.test_case "create allocates linearly in the tree" `Quick
         test_create_words_per_node;
       Alcotest.test_case "invariant audit, sequential fuzz" `Quick

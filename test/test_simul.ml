@@ -158,8 +158,9 @@ let prop_pop_random_subset_of_nonempty =
       drain ();
       !ok && Simul.Network.is_quiescent net)
 
-(* Interleaving sends, targeted pops, scheduler pops, and counter resets
-   must never desynchronise the registry from the queues. *)
+(* Interleaving sends (by node pair and by channel id), targeted pops,
+   scheduler pops, and counter resets must never desynchronise the
+   registry from the queues. *)
 let test_fuzz_invariants () =
   let rng = Sm.create 20240806 in
   for round = 1 to 4 do
@@ -173,9 +174,12 @@ let test_fuzz_invariants () =
     in
     for op = 1 to 2500 do
       (match Sm.int rng 10 with
-      | 0 | 1 | 2 | 3 ->
+      | 0 | 1 ->
         let src, dst = random_edge () in
         Simul.Network.send net ~src ~dst (Ping op)
+      | 2 | 3 ->
+        let src, dst = random_edge () in
+        Simul.Network.send_chan net (Tree.channel t ~src ~dst) (Ping op)
       | 4 | 5 ->
         let src, dst = random_edge () in
         ignore (Simul.Network.pop net ~src ~dst)
@@ -198,7 +202,14 @@ let test_fuzz_invariants () =
     Alcotest.(check bool)
       (Printf.sprintf "round %d drained" round)
       true
-      (Simul.Network.is_quiescent net)
+      (Simul.Network.is_quiescent net);
+    List.iter
+      (fun c ->
+        match Simul.Network.send_chan net c (Ping 0) with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "round %d: send_chan on channel id %d" round c)
+      [ -1; Tree.n_channels t ];
+    Simul.Network.check_invariants net
   done
 
 (* Fixed-seed regression pinning the schedule of an E8-style concurrent
@@ -292,8 +303,9 @@ let test_fuzz_frame_pool () =
 
 (* A reference model of the channel queues under faults: one OCaml list
    per channel, updated from the fault hook's own decisions.  Random
-   trees and random mixes of send / pop / pop_any / pop_random /
-   deliver_any, with drop, duplicate and reorder depths 0-4 — deep
+   trees and random mixes of send (by node pair and by channel id) /
+   pop / pop_any / pop_random / deliver_any, with drop, duplicate and
+   reorder depths 0-4 — deep
    enough queues that a reordered message lands at the head, in the
    middle and at the tail.  After every step the popped payload must be
    the model's head of its channel, [nonempty_channels] and [in_flight]
@@ -328,9 +340,11 @@ let test_queue_model_under_faults () =
       | [] -> [ x ]
       | y :: l -> y :: insert_at (i - 1) x l
     in
+    (* every other send goes straight onto the channel id *)
     let send src dst payload =
-      Simul.Network.send net ~src ~dst (Ping payload);
       let c = Tree.channel t ~src ~dst in
+      if payload land 1 = 0 then Simul.Network.send net ~src ~dst (Ping payload)
+      else Simul.Network.send_chan net c (Ping payload);
       let d = !last in
       if not d.drop then begin
         let len = List.length model.(c) in
