@@ -126,17 +126,20 @@ let words_per_window label sh run =
 
 (* Memory pins: heap words reachable from a structure, shared parts
    subtracted ([Obj.reachable_words] counts each block once and reads
-   no clock).  A network on binary-1023 is a four-int header, a
-   registry slot and six per-kind counters per channel, plus a cell
-   pool sized by the messages in flight; a lease-all mechanism after
-   its root sweep is its columns, arenas, frame pool and a three-word
-   policy view per node.  Each budget sits 10-11% above the measured
-   value (11.1 and 63.2 words; the pending-combine column is one word
-   per node) and below what per-channel rings and per-node view
-   closures cost (24.5 and 152.7), so either coming back fails the
-   gate. *)
-let chan_words_budget = 12.2
-let node_words_budget = 70.0
+   no clock).  A network on binary-1023 is a four-int header per
+   channel, plus a cell pool and an active-channel registry sized by
+   the traffic; a lease-all mechanism after its root sweep is its
+   columns, arenas, per-edge ledger, frame pool and a three-word policy
+   view per node.  The per-edge ledger (five ints per channel) moved
+   from every network into the mechanism, once per system: the pins
+   read 4.1 and 72.7 words, against 11.1 and 63.2 with the ledger and
+   a registry slot per channel in the network.  Each budget sits about
+   10% above its value, so the pair's combined budget at two channels
+   per node falls from 94.4 to 89.0 words per node; counters back in
+   the network (10.1), per-channel rings (24.5) or per-node view
+   closures (152.7) fail the gate. *)
+let chan_words_budget = 4.5
+let node_words_budget = 80.0
 
 let words x = Obj.reachable_words (Obj.repr x)
 

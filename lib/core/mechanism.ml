@@ -11,6 +11,10 @@ module Make (Op : Agg.Operator.S) = struct
   let k_hello = Simul.Kind.index Simul.Kind.Hello
   let hs = Frame.header_size
 
+  (* The kinds the mechanism sends (Probe..Hello; Ack is the
+     transport's): the width of a slot's row in the per-edge ledger. *)
+  let ledger_kinds = k_hello + 1
+
   (* ------------------------------------------------------------------ *)
   (* Dense state.                                                       *)
   (*                                                                    *)
@@ -113,6 +117,12 @@ module Make (Op : Agg.Operator.S) = struct
     tree : Tree.t;
     net : Frame.t Simul.Network.t;
     pool : Frame.pool;  (* every frame this system sends *)
+    (* The per-edge ledger (Lemma 3.9's C_A(sigma,u,v) by kind): frames
+       sent on slot [s] of kind [k] at [s * ledger_kinds + k], counted in
+       [send_frame], the one exit of every frame, so it reads the same on
+       both engines.  Slot [s] is written only by its owning node's
+       domain. *)
+    ledger : int array;
     n : int;
     c : cols;
     a : arena;
@@ -409,9 +419,14 @@ module Make (Op : Agg.Operator.S) = struct
       !p
     end
 
-  (* Every sender addresses neighbour slot [i] of [u]: the frame goes
-     onto channel [slot_base u + i] with no search. *)
-  let send_frame t u i f = t.out_send (t.c.slot_base.(u) + i) f
+  (* Every sender addresses neighbour slot [i] of [u]: the frame is
+     counted in the ledger and goes onto channel [slot_base u + i] with
+     no search. *)
+  let send_frame t u i f =
+    let s = t.c.slot_base.(u) + i in
+    let l = (s * ledger_kinds) + Frame.kind f in
+    t.ledger.(l) <- t.ledger.(l) + 1;
+    t.out_send s f
 
   let send_probe t u i =
     let f = Frame.alloc (t.out_pool u) in
@@ -859,6 +874,14 @@ module Make (Op : Agg.Operator.S) = struct
       forwardrelease t u
     end
 
+  (* Releases [u] has sent, summed over its slots' ledger rows. *)
+  let releases_from t u =
+    let sb = t.c.slot_base.(u) and acc = ref 0 in
+    for i = 0 to t.c.deg.(u) - 1 do
+      acc := !acc + t.ledger.(((sb + i) * ledger_kinds) + k_release)
+    done;
+    !acc
+
   (* T6: receive release(S) from [w], at slot [sw] — S arrives as its
      cardinality flag and minimum (see [onrelease]). *)
   let t6_release t u sw ~has_ids ~min_id =
@@ -871,10 +894,10 @@ module Make (Op : Agg.Operator.S) = struct
       (* Cascade width: releases this node forwards while handling one
          received release (chains of these per-hop forwards are the
          release cascades of a cooling subtree). *)
-      let before = Simul.Network.total_of_kind t.net Simul.Kind.Release in
+      let before = releases_from t u in
       onrelease t u sw ~has_ids ~min_id;
       Telemetry.Metrics.observe tel.release_cascade
-        (Simul.Network.total_of_kind t.net Simul.Kind.Release - before)
+        (releases_from t u - before)
 
   (* T7: receive hello(epoch) from [w], at slot [i] — the neighbour
      announces a new incarnation after a restart.  Any state involving
@@ -1362,6 +1385,7 @@ module Make (Op : Agg.Operator.S) = struct
       tree;
       net;
       pool;
+      ledger = Array.make (max 1 (s * ledger_kinds)) 0;
       n;
       c;
       a;
@@ -1573,13 +1597,25 @@ module Make (Op : Agg.Operator.S) = struct
   let message_total t = Simul.Network.total t.net
   let messages_of_kind t k = Simul.Network.total_of_kind t.net k
 
-  let cost_between t u v =
-    Simul.Network.sent t.net ~src:v ~dst:u Simul.Kind.Probe
-    + Simul.Network.sent t.net ~src:u ~dst:v Simul.Kind.Response
-    + Simul.Network.sent t.net ~src:u ~dst:v Simul.Kind.Update
-    + Simul.Network.sent t.net ~src:v ~dst:u Simul.Kind.Release
+  let sent t ~src ~dst kind =
+    let i = slot t src dst in
+    if i < 0 then
+      invalid_arg
+        (Printf.sprintf "Mechanism.sent: (%d,%d) is not an edge of the tree"
+           src dst);
+    let k = Simul.Kind.index kind in
+    if k >= ledger_kinds then 0
+    else t.ledger.(((t.c.slot_base.(src) + i) * ledger_kinds) + k)
 
-  let reset_message_counters t = Simul.Network.reset_counters t.net
+  let cost_between t u v =
+    sent t ~src:v ~dst:u Simul.Kind.Probe
+    + sent t ~src:u ~dst:v Simul.Kind.Response
+    + sent t ~src:u ~dst:v Simul.Kind.Update
+    + sent t ~src:v ~dst:u Simul.Kind.Release
+
+  let reset_message_counters t =
+    Array.fill t.ledger 0 (Array.length t.ledger) 0;
+    Simul.Network.reset_counters t.net
 
   let log t u = List.rev t.c.glog.(u)
   let completed_requests t u = t.c.completed.(u)

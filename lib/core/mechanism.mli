@@ -139,11 +139,13 @@ module Make (Op : Agg.Operator.S) : sig
       the mechanism's channel ids are adapted to [send]'s [~src ~dst]
       once, here.  This is the {!Simul.Sharded} hook — each node draws
       from its owning shard's pool and cross-shard sends go through
-      mailboxes — and after installation {!network}, {!message_total}
-      and friends no longer see this system's traffic (the router does
-      the accounting).  Install before any domain is spawned and leave
-      it alone afterwards; transitions for a node must then only run on
-      the domain owning that node. *)
+      mailboxes.  The per-edge ledger ({!sent}, {!cost_between}) is
+      counted before the frame leaves, so it keeps seeing this system's
+      traffic; {!network}, {!message_total} and {!messages_of_kind} no
+      longer do (the router's networks count the totals).  Install
+      before any domain is spawned and leave it alone afterwards;
+      transitions for a node must then only run on the domain owning
+      that node. *)
 
   val policy_name : t -> string
 
@@ -329,13 +331,26 @@ module Make (Op : Agg.Operator.S) : sig
 
   val message_total : t -> int
   val messages_of_kind : t -> Simul.Kind.t -> int
+  (** Totals of the system's own network: blind under {!set_outbox}. *)
+
+  val sent : t -> src:int -> dst:int -> Simul.Kind.t -> int
+  (** Frames of one kind this system sent on the directed edge
+      [(src,dst)] since creation (or the last
+      {!reset_message_counters}), read from a per-slot ledger that
+      {!handler} and the request entry points fill as each frame
+      leaves.  It counts on both engines, and it counts what the
+      mechanism sent: a transport's retransmissions and a faulty
+      wire's duplicates and drops are not in it, and [Ack] reads 0.
+      Five ints per directed channel, once per system.
+      @raise Invalid_argument if [src] and [dst] are not neighbours. *)
 
   val cost_between : t -> int -> int -> int
   (** [cost_between t u v] is the paper's [C_A(sigma, u, v)]: probes
-      v->u + responses u->v + updates u->v + releases v->u, since
-      creation (or the last counter reset). *)
+      v->u + responses u->v + updates u->v + releases v->u, from
+      {!sent}'s ledger, so per slot and on both engines. *)
 
   val reset_message_counters : t -> unit
+  (** Zero the ledger and the network's totals. *)
 
   val check_invariants : t -> unit
   (** Audit the internal representation: the dense per-slot lease arrays

@@ -43,10 +43,11 @@ module Make (Op : Agg.Operator.S) = struct
     let load = Array.make n 0 in
     Hashtbl.iter
       (fun _ sys ->
-        let net = M.network sys in
         List.iter
           (fun (u, v) ->
-            load.(u) <- load.(u) + Simul.Network.sent_on_edge net ~src:u ~dst:v)
+            List.iter
+              (fun k -> load.(u) <- load.(u) + M.sent sys ~src:u ~dst:v k)
+              Simul.Kind.all)
           (Tree.ordered_pairs (M.tree sys)))
       t.instances;
     load

@@ -29,7 +29,10 @@ and pool = {
 }
 
 let header_size = 18
-let initial_capacity = 256
+(* Sized to the common payload: a fault-free, ghost-free Update is 42
+   bytes (50 with a 16-byte operator), and a larger frame grows once in
+   [set_length] and keeps its buffer through the pool. *)
+let initial_capacity = 64
 
 let create_pool ?(name = "frames") () =
   let rec nil =

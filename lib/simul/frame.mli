@@ -49,7 +49,12 @@ val create_pool : ?name:string -> unit -> pool
 val alloc : pool -> t
 (** A frame with reference count 1, [length] = {!header_size} and a
     zeroed header.  Recycles the free list when possible; a recycled
-    frame keeps its grown capacity. *)
+    frame keeps its grown capacity.  A new frame's buffer is 64 bytes,
+    the size of the common payload: a fault-free, ghost-free Update is
+    42 bytes with an 8-byte operator and 50 with a 16-byte one, so a
+    pool of such frames holds little beyond them.  Larger frames (a
+    Release of more than five ids, a cut list, a ghost write log) grow
+    once in {!set_length}. *)
 
 val retain : t -> unit
 (** One more owner.  @raise Frame_error if the frame is on the free

@@ -3,8 +3,9 @@
     The lease-based mechanism exchanges four kinds of messages in
     failure-free operation (paper Section 3.1); baselines reuse the same
     vocabulary ([Update] for pushed aggregates, [Probe]/[Response] for
-    pull).  The network layer counts sent messages per kind and per
-    directed edge, which is the paper's entire cost model.
+    pull).  The network layer counts sent messages per kind, and the
+    mechanism per kind and directed edge: the paper's entire cost
+    model.
 
     Two further kinds exist only in the fault-tolerant extension:
     [Hello] is the mechanism's post-restart resynchronization message

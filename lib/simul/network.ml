@@ -3,13 +3,14 @@
    the payload, [cnext] the index of the next cell in the same channel,
    and free cells chain from [free] through [cnext].  A channel is a
    four-int header in [q] (first cell, last cell, queued count,
-   registry position), so a network costs O(1) words per channel plus
-   O(messages in flight), allocates nothing per channel, and the
-   steady-state send/pop cycle is allocation-free once the pool has
-   grown to the run's in-flight high-water (it doubles when it runs
-   out).  On top of the headers sits the active-channel registry: a
-   dense array of the ids of all nonempty channels, each channel's
-   position in it kept in its header.  [send] and the pop/deliver
+   registry position), so a network costs four words per channel plus
+   O(messages in flight), and the steady-state send/pop cycle is
+   allocation-free once the pool has grown to the run's in-flight
+   high-water (it doubles when it runs out).  On top of the headers
+   sits the active-channel registry: a dense array of the ids of all
+   nonempty channels, each channel's position in it kept in its
+   header; it starts small and doubles when a channel joins a full
+   one, so it follows the traffic too.  [send] and the pop/deliver
    family maintain it incrementally, so the scheduler never scans the
    tree: [deliver_any] reads the registry head and [deliver_random]
    picks a uniform index and swap-removes — both O(1) per delivery and
@@ -45,9 +46,8 @@ type 'm t = {
   mutable cnext : int array;  (* next cell of the same list, -1 = end *)
   mutable free : int;         (* free-list head, -1 = pool exhausted *)
   dummy : 'm;                 (* unreachable slot filler *)
-  registry : int array;       (* ids of nonempty channels: dense prefix *)
+  mutable registry : int array; (* ids of nonempty channels: dense prefix *)
   mutable reg_len : int;
-  counters : int array;       (* per channel id x kind *)
   kind_of : 'm -> Kind.t;
   frames : ('m -> Frame.t) option;
       (* payload-to-frame view: lets the fault path keep pool reference
@@ -69,6 +69,7 @@ type 'm t = {
 }
 
 let initial_pool_capacity = 64
+let initial_registry_capacity = 16
 
 (* Thread cells [lo, hi) onto the free list, ascending. *)
 let free_cells t lo hi =
@@ -121,9 +122,8 @@ let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
     cnext = Array.make initial_pool_capacity (-1);
     free = -1;
     dummy;
-    registry = Array.make (max 1 n_chans) (-1);
+    registry = Array.make initial_registry_capacity (-1);
     reg_len = 0;
-    counters = Array.make (n_chans * Kind.count) 0;
     kind_of;
     frames;
     on_send;
@@ -214,7 +214,16 @@ let pop_cell t cid =
   t.free <- c;
   m
 
+(* Doubling, like the cell pool: a warmed-up registry never grows
+   again, and it holds at most 16 slots or twice the run's peak count
+   of nonempty channels. *)
 let registry_add t cid =
+  let cap = Array.length t.registry in
+  if t.reg_len = cap then begin
+    let r = Array.make (2 * cap) (-1) in
+    Array.blit t.registry 0 r 0 cap;
+    t.registry <- r
+  end;
   t.registry.(t.reg_len) <- cid;
   t.q.((4 * cid) + h_reg) <- t.reg_len;
   t.reg_len <- t.reg_len + 1
@@ -242,14 +251,12 @@ let observe_send t ~src ~dst k qlen =
       (Telemetry.Sink.Sent
          { time = t.clock (); shard = t.shard; src; dst; kind = k })
 
-(* Count a transmission attempt (counters, totals, tick, telemetry).
-   Shared by the fault-free path, faulty enqueues and wire drops: the
-   per-kind/per-edge counters measure physical transmissions — the cost
-   actually paid — whether or not the message reaches the queue. *)
-let account t cid ~src ~dst m qlen =
+(* Count a transmission attempt (totals, tick, telemetry).  Shared by
+   the fault-free path, faulty enqueues and wire drops: the per-kind
+   totals measure physical transmissions — the cost actually paid —
+   whether or not the message reaches the queue. *)
+let account t ~src ~dst m qlen =
   let k = Kind.index (t.kind_of m) in
-  let ci = (cid * Kind.count) + k in
-  t.counters.(ci) <- t.counters.(ci) + 1;
   t.kind_totals.(k) <- t.kind_totals.(k) + 1;
   t.total <- t.total + 1;
   t.tick <- t.tick + 1;
@@ -289,7 +296,7 @@ let enqueue_faulty t cid ~src ~dst m depth =
     if depth <= 0 then push t cid m else insert_reordered t cid depth m
   in
   t.in_flight <- t.in_flight + 1;
-  account t cid ~src ~dst m len;
+  account t ~src ~dst m len;
   t.on_send ~src ~dst
 
 (* The one send implementation, on a channel id; [send] is the channel
@@ -301,8 +308,6 @@ let send_chan t cid m =
     if count t cid = 0 then registry_add t cid;
     let len = push t cid m in
     let k = Kind.index (t.kind_of m) in
-    let ci = (cid * Kind.count) + k in
-    t.counters.(ci) <- t.counters.(ci) + 1;
     t.kind_totals.(k) <- t.kind_totals.(k) + 1;
     t.total <- t.total + 1;
     t.in_flight <- t.in_flight + 1;
@@ -318,7 +323,7 @@ let send_chan t cid m =
          nothing is queued and no delivery is scheduled ([on_send] is
          not invoked, so virtual-time schedulers stay in sync).  The
          sender's frame reference dies with the message. *)
-      account t cid ~src ~dst m (count t cid);
+      account t ~src ~dst m (count t cid);
       match t.frames with None -> () | Some g -> Frame.release (g m)
     end
     else begin
@@ -441,19 +446,11 @@ let nonempty_channels t =
   done;
   !acc
 
-let sent t ~src ~dst kind =
-  let cid = chan t ~src ~dst in
-  t.counters.((cid * Kind.count) + Kind.index kind)
-
-let sent_on_edge t ~src ~dst =
-  List.fold_left (fun acc k -> acc + sent t ~src ~dst k) 0 Kind.all
-
 let total_of_kind t k = t.kind_totals.(Kind.index k)
 
 let total t = t.total
 
 let reset_counters t =
-  Array.fill t.counters 0 (Array.length t.counters) 0;
   Array.fill t.kind_totals 0 Kind.count 0;
   t.total <- 0
 
@@ -461,8 +458,9 @@ let check_invariants t =
   let fail fmt = Format.kasprintf failwith ("Network.check_invariants: " ^^ fmt) in
   let n_chans = Tree.n_channels t.tree in
   let src c = Tree.channel_src t.tree c and dst c = Tree.channel_dst t.tree c in
-  if t.reg_len < 0 || t.reg_len > n_chans then
-    fail "registry length %d out of range [0,%d]" t.reg_len n_chans;
+  if t.reg_len < 0 || t.reg_len > min n_chans (Array.length t.registry) then
+    fail "registry length %d out of range [0,%d]" t.reg_len
+      (min n_chans (Array.length t.registry));
   let cap = Array.length t.cmsg in
   if Array.length t.cnext <> cap then
     fail "pool arrays disagree: %d payloads, %d links" cap
@@ -518,9 +516,6 @@ let check_invariants t =
     fail "%d queued + %d free cells <> pool capacity %d" !queued !free cap;
   if t.in_flight <> !queued then
     fail "in_flight %d but %d messages queued" t.in_flight !queued;
-  let counted = Array.fold_left ( + ) 0 t.counters in
-  if counted <> t.total then
-    fail "per-channel counters sum to %d but total is %d" counted t.total;
   if Array.fold_left ( + ) 0 t.kind_totals <> t.total then
     fail "kind totals do not sum to total %d" t.total;
   (* Frame-pool bookkeeping: every queued payload must hold a live

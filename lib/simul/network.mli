@@ -4,19 +4,20 @@
     Each directed edge [(u,v)] of the tree carries an unbounded FIFO
     channel.  [send] enqueues; delivery happens when a scheduler (see
     {!Engine}) pops a message and hands it to the receiving node's
-    handler.  The network counts every sent message by directed edge and
-    by {!Kind.t}; the total message count is the cost measure of the
-    aggregation problem.
+    handler.  The network counts every transmission by {!Kind.t}; the
+    total message count is the cost measure of the aggregation problem.
+    The per-edge split of that cost (the paper's C_A(sigma,u,v)) belongs
+    to the protocol, so the mechanism keeps it, once per system on both
+    engines ([Oat.Mechanism.Make.sent]); a network has no per-edge
+    counters.
 
     The payload type ['m] is chosen by the protocol; a [kind_of]
     classifier supplied at creation drives the accounting.
 
     Channels are the tree's directed-channel ids ({!Tree.channel}).
     Every queued message occupies one cell of a shared pool, linked by
-    index to the next message of its channel, so a channel costs O(1)
-    words — a four-int header, a registry slot and one counter per
-    kind — plus one cell per message in flight, and creation allocates
-    nothing per channel.
+    index to the next message of its channel, so a channel costs a
+    four-int header plus one cell per message in flight.
 
     Delivery is O(1) per message independently of tree size: the network
     maintains an active-channel registry (the set of nonempty directed
@@ -55,11 +56,12 @@ val create :
   kind_of:('m -> Kind.t) ->
   'm t
 (** Allocates per channel only the four-int queue header (first cell,
-    last cell, count, registry position), a registry slot and
-    {!Kind.count} counters: 11 words per channel, the tree's channel
-    index excluded.  The message cells come from one pool that starts
-    small and doubles when it runs out, so memory follows the messages
-    in flight, not the tree.
+    last cell, count, registry position): four words per channel, the
+    tree's channel index excluded.  The message cells come from one
+    pool, and the active-channel registry is one array sized by the
+    nonempty channels; both start small and double when they run out,
+    so memory beyond the headers follows the messages in flight, not
+    the tree.
 
     [on_send] is invoked for every enqueued message — the hook virtual-
     time schedulers ({!Devent}) use to timestamp deliveries.
@@ -79,7 +81,8 @@ val create :
     [fault] installs a fault-injection hook.  With no hook the send path
     is identical to the fault-free build (a single [match] on the
     option).  With a hook, each {!send} consults it: a [drop]ped message
-    is counted (physical transmissions are the cost model) but never
+    is counted in the per-kind totals (they count physical
+    transmissions) but never
     queued and never scheduled ([on_send] is not invoked for it); a
     [duplicate] enqueues twice and schedules twice; [reorder_depth]
     permutes the message past up to that many older queued messages.
@@ -160,14 +163,11 @@ val nonempty_channels : 'm t -> (int * int) list
     ascending, then [dst]).  O(edges) — not for use on the delivery hot
     path; the schedulers above maintain this set incrementally. *)
 
-(** {1 Accounting} *)
+(** {1 Accounting}
 
-val sent : 'm t -> src:int -> dst:int -> Kind.t -> int
-(** Messages of one kind sent on one directed edge since creation (or
-    the last {!reset_counters}). *)
-
-val sent_on_edge : 'm t -> src:int -> dst:int -> int
-(** All kinds on one directed edge. *)
+    Per-kind totals of physical transmissions: fault drops and
+    duplicates count, as do a reliable transport's retransmissions and
+    acks.  There is no per-edge count here. *)
 
 val total_of_kind : 'm t -> Kind.t -> int
 
@@ -182,7 +182,7 @@ val check_invariants : 'm t -> unit
 (** Validate the internal bookkeeping: the active-channel registry holds
     exactly the nonempty channels (each exactly once, with consistent
     back-pointers), [in_flight] equals the total number of queued
-    messages, and the per-channel/per-kind counters sum to [total].
+    messages, and the per-kind totals sum to [total].
     It also audits the cell pool: each channel's list walks exactly
     its count of cells and ends at its last cell, no cell is on two
     lists, free cells hold no payload, and queued plus free cells equal

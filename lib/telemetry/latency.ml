@@ -1,12 +1,17 @@
 (* Request-lifecycle accounting: issue -> settle on a caller-supplied
    virtual-time axis (delivery ticks for the sequential engine, window
    numbers for the sharded one).  Outstanding requests sit in a circular
-   FIFO of issue times; settling pops them in issue order and feeds two
-   log-scale histograms — latency and messages-per-request — with the
-   same power-of-two bucket convention as Metrics, so fleet quantiles
-   (p50/p90/p99/max) come out without retaining per-request records.
-   Everything after creation is allocation-free except FIFO doubling,
-   and the disabled recorder ([null]) costs one cached-bool branch. *)
+   FIFO of runs, one (issue time, count) pair per distinct consecutive
+   issue time, so a sharded window's requests, all issued at one
+   instant, take one entry; settling pops them in issue order and feeds
+   two log-scale histograms — latency and messages-per-request — with
+   the same power-of-two bucket convention as Metrics, so fleet
+   quantiles (p50/p90/p99/max) come out without retaining per-request
+   records.  A run settles as its count of equal observations, which
+   leaves every bucket, count, sum and max as per-request settling
+   would.  Everything after creation is allocation-free except FIFO
+   doubling, and the disabled recorder ([null]) costs one cached-bool
+   branch. *)
 
 let n_buckets = 63
 
@@ -30,12 +35,17 @@ let bucket_of v =
     if !b >= n_buckets then n_buckets - 1 else !b
   end
 
-let hist_observe h v =
-  let b = bucket_of v in
-  h.buckets.(b) <- h.buckets.(b) + 1;
-  h.n <- h.n + 1;
-  h.sum <- h.sum + v;
-  if v > h.max then h.max <- v
+(* [c] observations of [v]. *)
+let hist_observe_n h v c =
+  if c > 0 then begin
+    let b = bucket_of v in
+    h.buckets.(b) <- h.buckets.(b) + c;
+    h.n <- h.n + c;
+    h.sum <- h.sum + (v * c);
+    if v > h.max then h.max <- v
+  end
+
+let hist_observe h v = hist_observe_n h v 1
 
 (* Same upper-bound estimate as Metrics.quantile: inclusive upper edge
    of the bucket where the cumulative count reaches ceil(q * n), clamped
@@ -69,9 +79,13 @@ let hist_reset h =
 
 type t = {
   enabled : bool;
-  mutable times : float array; (* circular FIFO of issue times, oldest at [head] *)
+  (* circular FIFO of runs, oldest at [head]: [count.(i)] requests
+     issued at [times.(i)] *)
+  mutable times : float array;
+  mutable count : int array;
   mutable head : int;
-  mutable len : int;
+  mutable runs : int;
+  mutable len : int; (* outstanding requests: the runs' counts summed *)
   lat : hist;
   msgs : hist;
   mutable issued : int;
@@ -83,7 +97,9 @@ let create ?(capacity = 1024) () =
   {
     enabled = true;
     times = Array.make capacity 0.;
+    count = Array.make capacity 0;
     head = 0;
+    runs = 0;
     len = 0;
     lat = hist_create ();
     msgs = hist_create ();
@@ -95,7 +111,9 @@ let null =
   {
     enabled = false;
     times = [||];
+    count = [||];
     head = 0;
+    runs = 0;
     len = 0;
     lat = hist_create ();
     msgs = hist_create ();
@@ -107,18 +125,30 @@ let enabled t = t.enabled
 
 let grow t =
   let cap = Array.length t.times in
-  let times = Array.make (2 * cap) 0. in
-  for i = 0 to t.len - 1 do
-    times.(i) <- t.times.((t.head + i) mod cap)
+  let times = Array.make (2 * cap) 0. and count = Array.make (2 * cap) 0 in
+  for i = 0 to t.runs - 1 do
+    times.(i) <- t.times.((t.head + i) mod cap);
+    count.(i) <- t.count.((t.head + i) mod cap)
   done;
   t.times <- times;
+  t.count <- count;
   t.head <- 0
 
+(* A request issued at the newest run's time joins that run. *)
 let issue t time =
   if t.enabled then begin
-    if t.len = Array.length t.times then grow t;
     let cap = Array.length t.times in
-    t.times.((t.head + t.len) mod cap) <- time;
+    let last = (t.head + t.runs - 1) mod cap in
+    if t.runs > 0 && Float.equal t.times.(last) time then
+      t.count.(last) <- t.count.(last) + 1
+    else begin
+      if t.runs = cap then grow t;
+      let cap = Array.length t.times in
+      let i = (t.head + t.runs) mod cap in
+      t.times.(i) <- time;
+      t.count.(i) <- 1;
+      t.runs <- t.runs + 1
+    end;
     t.len <- t.len + 1;
     t.issued <- t.issued + 1
   end
@@ -129,10 +159,13 @@ let issued t = t.issued
 
 let settled t = t.settled
 
-let record t ~issued:t0 ~settled:t1 ~msgs =
+let latency_of ~issued ~settled =
+  let d = settled -. issued in
+  int_of_float (if d < 0. then 0. else Float.round d)
+
+let record t ~issued ~settled ~msgs =
   if t.enabled then begin
-    let d = t1 -. t0 in
-    hist_observe t.lat (int_of_float (if d < 0. then 0. else Float.round d));
+    hist_observe t.lat (latency_of ~issued ~settled);
     hist_observe t.msgs (if msgs < 0 then 0 else msgs);
     t.issued <- t.issued + 1;
     t.settled <- t.settled + 1
@@ -140,13 +173,16 @@ let record t ~issued:t0 ~settled:t1 ~msgs =
 
 let settle_oldest t ~time ~msgs =
   if t.enabled && t.len > 0 then begin
-    let cap = Array.length t.times in
-    let t0 = t.times.(t.head) in
-    t.head <- (t.head + 1) mod cap;
+    let h = t.head in
+    let t0 = t.times.(h) in
+    if t.count.(h) = 1 then begin
+      t.head <- (h + 1) mod Array.length t.times;
+      t.runs <- t.runs - 1
+    end
+    else t.count.(h) <- t.count.(h) - 1;
     t.len <- t.len - 1;
     t.settled <- t.settled + 1;
-    let d = time -. t0 in
-    hist_observe t.lat (int_of_float (if d < 0. then 0. else Float.round d));
+    hist_observe t.lat (latency_of ~issued:t0 ~settled:time);
     hist_observe t.msgs (if msgs < 0 then 0 else msgs)
   end
 
@@ -161,13 +197,20 @@ let settle_all t ~time ~msgs =
     let n = t.len in
     let base = msgs / n and rem = msgs mod n in
     let cap = Array.length t.times in
-    for i = 0 to n - 1 do
-      let t0 = t.times.((t.head + i) mod cap) in
-      let d = time -. t0 in
-      hist_observe t.lat (int_of_float (if d < 0. then 0. else Float.round d));
-      hist_observe t.msgs (base + if i < rem then 1 else 0)
+    (* [first]: the batch position of the run's first request; the
+       positions below [rem] carry one message more *)
+    let first = ref 0 in
+    for r = 0 to t.runs - 1 do
+      let i = (t.head + r) mod cap in
+      let c = t.count.(i) in
+      hist_observe_n t.lat (latency_of ~issued:t.times.(i) ~settled:time) c;
+      let more = max 0 (min c (rem - !first)) in
+      hist_observe_n t.msgs (base + 1) more;
+      hist_observe_n t.msgs base (c - more);
+      first := !first + c
     done;
-    t.head <- (t.head + n) mod cap;
+    t.head <- 0;
+    t.runs <- 0;
     t.len <- 0;
     t.settled <- t.settled + n
   end
@@ -188,6 +231,7 @@ let mean_msgs t =
 
 let reset t =
   t.head <- 0;
+  t.runs <- 0;
   t.len <- 0;
   t.issued <- 0;
   t.settled <- 0;

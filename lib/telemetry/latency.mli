@@ -9,15 +9,21 @@
 
     Settling is FIFO: requests complete in issue order, which matches
     both engines' quiescence rule (when the system drains, everything
-    issued before the drain has settled).  All operations after creation
-    are allocation-free except occasional FIFO doubling; the disabled
-    recorder {!null} reduces every operation to one cached-bool branch. *)
+    issued before the drain has settled).  The FIFO stores runs — one
+    (issue time, count) entry per distinct consecutive issue time — so
+    its memory grows with the distinct outstanding issue times, not with
+    the requests: the sharded engine issues a whole window's requests at
+    one instant and keeps one entry per window.  The histograms read as
+    if each request had been settled on its own.  All operations after
+    creation are allocation-free except occasional FIFO doubling; the
+    disabled recorder {!null} reduces every operation to one cached-bool
+    branch. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** Fresh enabled recorder.  [capacity] (default 1024) is the initial
-    outstanding-request FIFO size; it doubles as needed. *)
+    FIFO size in runs; it doubles as needed. *)
 
 val null : t
 (** The disabled recorder: every operation is a no-op. *)
@@ -25,7 +31,8 @@ val null : t
 val enabled : t -> bool
 
 val issue : t -> float -> unit
-(** [issue t time] marks one request issued at [time]. *)
+(** [issue t time] marks one request issued at [time]; it joins the
+    newest run when that run was issued at the same [time]. *)
 
 val settle_oldest : t -> time:float -> msgs:int -> unit
 (** Settle the oldest outstanding request at [time], attributing [msgs]

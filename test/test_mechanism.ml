@@ -1011,7 +1011,7 @@ let test_hooks_receive_slots () =
 (* Set-up is linear in the tree: the words [create] allocates per node
    under lease-all (minor words plus words allocated straight into the
    major heap, after a warm-up create) stay under one bound on
-   binary-4095 and on binary-16383, about 99 and 101.  Node columns
+   binary-4095 and on binary-16383, about 96 on both.  Node columns
    that re-copy themselves at every 1024-node block read 138 and 276,
    so the bound sits between. *)
 let create_words_per_node n =

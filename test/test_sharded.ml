@@ -126,23 +126,25 @@ let seq_reference tree ~seed =
   (M.message_total sys, kind_counts_net (M.messages_of_kind sys), returned,
    final_state sys n)
 
+(* [(node, thunk)] per request, for [Sharded.run_sequential];
+   [on_combine i] receives the i-th request's aggregate. *)
+let request_thunks sys reqs ~on_combine =
+  Array.mapi
+    (fun i (q : float Oat.Request.t) ->
+      let node = q.Oat.Request.node in
+      match q.Oat.Request.op with
+      | Oat.Request.Write v -> (node, fun () -> M.write sys ~node v)
+      | Oat.Request.Combine -> (node, fun () -> M.combine sys ~node (on_combine i)))
+    reqs
+
 let seq_sharded ?strategy tree ~seed ~domains =
   let n = Tree.n_nodes tree in
   let sys, sh = mk_sharded ?strategy tree ~domains in
   let reqs = Array.of_list (golden_requests n ~seed ~n_requests:200) in
   let returned = Array.make (Array.length reqs) None in
   let requests =
-    Array.mapi
-      (fun i (q : float Oat.Request.t) ->
-        let node = q.Oat.Request.node in
-        match q.Oat.Request.op with
-        | Oat.Request.Write v -> (node, fun () -> M.write sys ~node v)
-        | Oat.Request.Combine ->
-          ( node,
-            fun () ->
-              M.combine sys ~node (fun v ->
-                  returned.(i) <- Some (Int64.bits_of_float v)) ))
-      reqs
+    request_thunks sys reqs ~on_combine:(fun i v ->
+        returned.(i) <- Some (Int64.bits_of_float v))
   in
   Simul.Sharded.run_sequential sh ~requests;
   let name = Printf.sprintf "domains=%d" domains in
@@ -186,6 +188,45 @@ let test_differential_sequential_weighted () =
     (Tree.Build.path 16) ~seed:101 ~expect_total:1557;
   diff_sequential ~strategy:"weighted" "binary-15/weighted"
     (Tree.Build.binary 15) ~seed:103 ~expect_total:974
+
+(* ------------------------------------------------------------------ *)
+(* Per-edge costs on the sharded engine.                               *)
+
+(* [cost_between] reads the mechanism's per-slot ledger, counted as each
+   frame leaves, so under [set_outbox] it sees the sharded traffic: at
+   every domain count each ordered pair's cost equals the one-domain
+   run's and the (1,2) machine's cost on the projected sequence
+   (Lemma 4.5). *)
+let test_sharded_per_edge_costs () =
+  let tree = Tree.Build.binary 63 in
+  let sigma = golden_requests (Tree.n_nodes tree) ~seed:2611 ~n_requests:200 in
+  let pairs = Tree.ordered_pairs tree in
+  let reference = M.create tree ~policy:Oat.Rww.policy in
+  ignore (M.run_sequential reference sigma);
+  List.iter
+    (fun (u, v) ->
+      Alcotest.(check int)
+        (Printf.sprintf "one domain: C(sigma,%d,%d)" u v)
+        (Lp.Transition_system.rww_cost_of_sequence
+           (Offline.Edge_seq.project tree ~u ~v sigma))
+        (M.cost_between reference u v))
+    pairs;
+  List.iter
+    (fun domains ->
+      let sys, sh = mk_sharded tree ~domains in
+      Simul.Sharded.run_sequential sh
+        ~requests:
+          (request_thunks sys (Array.of_list sigma) ~on_combine:(fun _ _ -> ()));
+      let tag = Printf.sprintf "%d domains" domains in
+      check_drained tag sh;
+      List.iter
+        (fun (u, v) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: C(sigma,%d,%d)" tag u v)
+            (M.cost_between reference u v)
+            (M.cost_between sys u v))
+        pairs)
+    domain_counts
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent goldens by record/replay.                                *)
@@ -832,6 +873,8 @@ let suite =
       test_differential_sequential;
     Alcotest.test_case "differential: sequential goldens, weighted partition"
       `Quick test_differential_sequential_weighted;
+    Alcotest.test_case "per-edge costs at every domain count (Lemma 4.5)"
+      `Quick test_sharded_per_edge_costs;
     Alcotest.test_case "differential: concurrent golden 438 by replay" `Quick
       test_differential_concurrent_438;
     Alcotest.test_case "differential: concurrent golden 1171 by replay" `Quick

@@ -44,15 +44,31 @@ let test_counters () =
   Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
   Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
   Simul.Network.send net ~src:1 ~dst:0 (Pong 0);
-  Alcotest.(check int) "per-edge per-kind" 2
-    (Simul.Network.sent net ~src:0 ~dst:1 Simul.Kind.Probe);
-  Alcotest.(check int) "per-edge total" 2 (Simul.Network.sent_on_edge net ~src:0 ~dst:1);
+  Alcotest.(check int) "kind total" 2 (Simul.Network.total_of_kind net Simul.Kind.Probe);
   Alcotest.(check int) "kind total" 1 (Simul.Network.total_of_kind net Simul.Kind.Response);
   Alcotest.(check int) "grand total" 3 (Simul.Network.total net);
   Simul.Network.reset_counters net;
   Alcotest.(check int) "reset" 0 (Simul.Network.total net);
   (* Counters reset but queued messages survive. *)
-  Alcotest.(check int) "in flight preserved" 3 (Simul.Network.in_flight net)
+  Alcotest.(check int) "in flight preserved" 3 (Simul.Network.in_flight net);
+  (* The per-edge split is the mechanism's ledger: two never-lease
+     combines at leaf 1 of the star send two probes 1->0 and two
+     responses 0->1, and nothing else on that edge. *)
+  let module M = Oat.Mechanism.Make (Agg.Ops.Sum) in
+  let sys = M.create t ~policy:Oat.Ab_policy.never_lease in
+  ignore (M.combine_sync sys ~node:1);
+  ignore (M.combine_sync sys ~node:1);
+  let on_edge ~src ~dst =
+    List.fold_left (fun acc k -> acc + M.sent sys ~src ~dst k) 0 Simul.Kind.all
+  in
+  Alcotest.(check int) "per-edge per-kind" 2
+    (M.sent sys ~src:1 ~dst:0 Simul.Kind.Probe);
+  Alcotest.(check int) "per-edge total" 2 (on_edge ~src:1 ~dst:0);
+  Alcotest.(check int) "per-edge total, reverse" 2 (on_edge ~src:0 ~dst:1);
+  Alcotest.(check int) "no acks in the ledger" 0
+    (M.sent sys ~src:0 ~dst:1 Simul.Kind.Ack);
+  M.reset_message_counters sys;
+  Alcotest.(check int) "ledger reset" 0 (on_edge ~src:1 ~dst:0)
 
 let test_run_to_quiescence_relay () =
   (* Relay a token down a path; each delivery forwards it. *)

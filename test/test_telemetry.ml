@@ -146,23 +146,88 @@ let prop_counter_conservation =
             QCheck.Test.fail_reportf "kind %s: total %d <> sent counter %d"
               name
               (Simul.Network.total_of_kind net k)
-              sent_ctr;
-          (* per-edge counters sum to the same per-kind total *)
-          let edge_sum = ref 0 in
-          for u = 0 to n - 1 do
-            Array.iter
-              (fun v -> edge_sum := !edge_sum + Simul.Network.sent net ~src:u ~dst:v k)
-              (Tree.neighbors_arr t u)
-          done;
-          if !edge_sum <> sent_ctr then
-            QCheck.Test.fail_reportf "kind %s: edge sum %d <> sent counter %d"
-              name !edge_sum sent_ctr)
+              sent_ctr)
         Simul.Kind.all;
       (* sent - delivered = in flight, and the gauge agrees *)
       Simul.Network.total net - !delivered_total = Simul.Network.in_flight net
       && Telemetry.Metrics.gauge_value
            (Telemetry.Metrics.gauge metrics "net.in_flight")
          = Simul.Network.in_flight net)
+
+(* ---- the mechanism's per-edge ledger vs the network's totals ---- *)
+
+(* Every frame is counted once in the mechanism's per-slot ledger as it
+   leaves, and, fault-free, is one transmission on some network, so the
+   ledger summed over the tree's ordered pairs equals the per-kind
+   totals of whichever networks carried the run. *)
+let ledger_mismatch sys total_of_kind =
+  List.find_map
+    (fun k ->
+      let sum =
+        List.fold_left
+          (fun acc (u, v) -> acc + M.sent sys ~src:u ~dst:v k)
+          0
+          (Tree.ordered_pairs (M.tree sys))
+      in
+      if sum <> total_of_kind k then
+        Some (Printf.sprintf "kind %s: ledger sums to %d, network counted %d"
+                (Simul.Kind.to_string k) sum (total_of_kind k))
+      else None)
+    Simul.Kind.all
+
+(* [(node, request at node)] pairs. *)
+let random_requests rng sys n ~n_requests =
+  Array.init n_requests (fun i ->
+      let node = Sm.int rng n in
+      ( node,
+        if Sm.bool rng then fun () -> M.write sys ~node (float_of_int i)
+        else fun () -> M.combine sys ~node (fun _ -> ()) ))
+
+let prop_ledger_conservation =
+  QCheck.Test.make ~count:50 ~name:"mechanism ledger = network kind totals"
+    QCheck.(triple (int_range 2 24) (int_range 0 10_000) bool)
+    (fun (n, seed, concurrent) ->
+      let rng = Sm.create seed in
+      let t = Tree.Build.random rng n in
+      let policy = if Sm.bool rng then Oat.Rww.policy else Oat.Ab_policy.never_lease in
+      let sys = M.create t ~policy in
+      let requests = Array.map snd (random_requests rng sys n ~n_requests:80) in
+      if concurrent then
+        Simul.Engine.run_concurrent ~rng:(Sm.split rng) (M.network sys)
+          ~handler:(M.handler sys) ~requests
+      else
+        Array.iter
+          (fun r ->
+            r ();
+            ignore (M.run_to_quiescence sys))
+          requests;
+      match
+        ledger_mismatch sys (Simul.Network.total_of_kind (M.network sys))
+      with
+      | Some e -> QCheck.Test.fail_report e
+      | None -> true)
+
+(* The same identity on two domains: the frames leave through the
+   mechanism's ledger and are counted by the shard networks. *)
+let test_ledger_two_domains () =
+  let tree = Tree.Build.binary 31 in
+  let n = Tree.n_nodes tree in
+  let sys = M.create tree ~policy:Oat.Rww.policy in
+  let sh =
+    Simul.Sharded.create tree
+      ~partition:(Tree.Partition.create tree ~shards:2)
+      ~handler:(M.handler sys)
+  in
+  M.set_outbox sys ~send:(Simul.Sharded.route sh)
+    ~pool_for:(Simul.Sharded.pool_for sh);
+  let rng = Sm.create 2026 in
+  let reqs = random_requests rng sys n ~n_requests:200 in
+  Simul.Sharded.run_open sh
+    ~requests:(Array.mapi (fun i (node, r) -> (i / 8, node, r)) reqs);
+  Alcotest.(check bool) "quiescent" true (Simul.Sharded.is_quiescent sh);
+  Alcotest.(check bool) "some traffic" true (Simul.Sharded.total sh > 0);
+  Alcotest.(check (option string)) "ledger = shard totals" None
+    (ledger_mismatch sys (Simul.Sharded.total_of_kind sh))
 
 (* ---- mechanism lease-lifecycle counters (deterministic pin) ---- *)
 
@@ -549,7 +614,7 @@ let test_latency_lifecycle () =
   Alcotest.(check bool) "enabled" true (Telemetry.Latency.enabled l);
   Alcotest.(check bool) "null disabled" false
     (Telemetry.Latency.enabled Telemetry.Latency.null);
-  (* three issues through a capacity-2 FIFO forces a growth *)
+  (* three issues at two instants: two runs in the capacity-2 FIFO *)
   Telemetry.Latency.issue l 0.0;
   Telemetry.Latency.issue l 1.0;
   Telemetry.Latency.issue l 1.0;
@@ -569,6 +634,129 @@ let test_latency_lifecycle () =
     (Telemetry.Latency.mean_msgs l);
   Telemetry.Latency.reset l;
   Alcotest.(check int) "reset" 0 (Telemetry.Latency.issued l)
+
+(* The recorder's FIFO holds runs of equal issue times; a reference kept
+   here holds one issue time per request and settles each one on its
+   own through [record] on a second recorder.  Every count, both
+   histograms' quantiles, max and mean, and the text report must agree
+   after each operation.  A capacity-1 FIFO makes the runs grow it. *)
+type lat_op =
+  | Issue of float * int (* [n] issues at one time *)
+  | Oldest of float * int
+  | All of float * int
+  | Record of float * float * int
+  | Reset
+
+let lat_op_print = function
+  | Issue (t, n) -> Printf.sprintf "issue %g x%d" t n
+  | Oldest (t, m) -> Printf.sprintf "settle_oldest %g %d" t m
+  | All (t, m) -> Printf.sprintf "settle_all %g %d" t m
+  | Record (a, b, m) -> Printf.sprintf "record %g %g %d" a b m
+  | Reset -> "reset"
+
+let lat_op_gen =
+  let open QCheck.Gen in
+  let time = map (fun k -> float_of_int k /. 2.) (int_range 0 12) in
+  frequency
+    [
+      (5, map2 (fun t n -> Issue (t, n)) time (int_range 1 4));
+      (3, map2 (fun t m -> Oldest (t, m)) time (int_range 0 20));
+      (2, map2 (fun t m -> All (t, m)) time (int_range 0 50));
+      (1, map3 (fun a b m -> Record (a, b, m)) time time (int_range 0 20));
+      (1, return Reset);
+    ]
+
+let prop_latency_runs =
+  let module L = Telemetry.Latency in
+  QCheck.Test.make ~count:300 ~name:"latency runs = per-request reference"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map lat_op_print ops))
+        Gen.(list_size (int_range 0 60) lat_op_gen))
+    (fun ops ->
+      let l = L.create ~capacity:1 () in
+      let reference = L.create () and fifo = Queue.create () in
+      let issued = ref 0 and settled = ref 0 in
+      let settle_ref t0 ~time ~msgs =
+        L.record reference ~issued:t0 ~settled:time ~msgs;
+        incr settled
+      in
+      let step = function
+        | Issue (t, n) ->
+          for _ = 1 to n do
+            L.issue l t;
+            Queue.push t fifo;
+            incr issued
+          done
+        | Oldest (time, msgs) ->
+          L.settle_oldest l ~time ~msgs;
+          if not (Queue.is_empty fifo) then
+            settle_ref (Queue.pop fifo) ~time ~msgs
+        | All (time, msgs) ->
+          L.settle_all l ~time ~msgs;
+          let n = Queue.length fifo in
+          if n > 0 then
+            List.iteri
+              (fun i t0 ->
+                settle_ref t0 ~time
+                  ~msgs:((msgs / n) + if i < msgs mod n then 1 else 0))
+              (List.of_seq (Queue.to_seq fifo));
+          Queue.clear fifo
+        | Record (a, b, msgs) ->
+          L.record l ~issued:a ~settled:b ~msgs;
+          settle_ref a ~time:b ~msgs;
+          incr issued
+        | Reset ->
+          L.reset l;
+          L.reset reference;
+          Queue.clear fifo;
+          issued := 0;
+          settled := 0
+      in
+      let agree op =
+        let fail what = QCheck.Test.fail_reportf "after %s: %s" op what in
+        if L.issued l <> !issued then fail "issued";
+        if L.settled l <> !settled then fail "settled";
+        if L.outstanding l <> Queue.length fifo then fail "outstanding";
+        if L.mean_latency l <> L.mean_latency reference then fail "mean latency";
+        if L.mean_msgs l <> L.mean_msgs reference then fail "mean msgs";
+        (* the report's first line is the three counts above; the other
+           two hold both histograms' p50/p90/p99 and max *)
+        let histograms r =
+          let s = L.to_text r in
+          let i = String.index s '\n' in
+          String.sub s i (String.length s - i)
+        in
+        if histograms l <> histograms reference then
+          fail
+            (Printf.sprintf "report %S, expected %S" (L.to_text l)
+               (L.to_text reference))
+      in
+      List.iter
+        (fun op ->
+          step op;
+          agree (lat_op_print op))
+        ops;
+      true)
+
+(* A window's requests issued at one instant are one run: the recorder
+   does not grow however many there are (a FIFO of issue times grows
+   to 131 072 floats here). *)
+let test_latency_one_instant () =
+  let l = Telemetry.Latency.create () in
+  let words () = Obj.reachable_words (Obj.repr l) in
+  let w0 = words () in
+  for _ = 1 to 100_000 do
+    Telemetry.Latency.issue l 7.0
+  done;
+  Alcotest.(check int) "outstanding" 100_000 (Telemetry.Latency.outstanding l);
+  Alcotest.(check int) "words as after create" w0 (words ());
+  Telemetry.Latency.settle_all l ~time:9.0 ~msgs:100_001;
+  Alcotest.(check int) "settled" 100_000 (Telemetry.Latency.settled l);
+  Alcotest.(check int) "max latency" 2 (Telemetry.Latency.max_latency l);
+  Alcotest.(check int) "max msgs" 2 (Telemetry.Latency.max_msgs l);
+  Alcotest.(check (float 1e-9)) "mean msgs" 1.00001
+    (Telemetry.Latency.mean_msgs l)
 
 (* Fixed-seed latency golden: the 438-message concurrent run (binary-31,
    seed 777, 150 requests, ghost logs on) with a recorder attached.  The
@@ -699,6 +887,9 @@ let suite =
     Alcotest.test_case "span disabled is free" `Quick
       test_span_disabled_is_free;
     QCheck_alcotest.to_alcotest prop_counter_conservation;
+    QCheck_alcotest.to_alcotest prop_ledger_conservation;
+    Alcotest.test_case "mechanism ledger = shard totals on 2 domains" `Quick
+      test_ledger_two_domains;
     Alcotest.test_case "mechanism lease counters" `Quick
       test_mechanism_counters;
     Alcotest.test_case "golden event count" `Quick test_golden_event_count;
@@ -710,6 +901,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_union_quantiles;
     Alcotest.test_case "merge type clash" `Quick test_merge_type_clash;
     Alcotest.test_case "latency lifecycle" `Quick test_latency_lifecycle;
+    QCheck_alcotest.to_alcotest prop_latency_runs;
+    Alcotest.test_case "latency: one instant is one run" `Quick
+      test_latency_one_instant;
     Alcotest.test_case "latency golden 438" `Quick test_latency_golden_438;
     Alcotest.test_case "series ring" `Quick test_series_ring;
     Alcotest.test_case "conservation audit" `Quick test_audit;
