@@ -145,10 +145,7 @@ let words x = Obj.reachable_words (Obj.repr x)
 
 let memory_pins () =
   let tree = Tree.Build.binary 1023 in
-  let net =
-    Simul.Network.create tree ~kind_of:(fun f ->
-        Simul.Kind.of_index (Simul.Frame.kind f))
-  in
+  let net = Simul.Network.create tree in
   let per_chan =
     float_of_int (words net - words tree)
     /. float_of_int (Tree.n_channels tree)

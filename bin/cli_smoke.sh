@@ -76,4 +76,12 @@ expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+2,leave=4@5 --
 # runner puts the leave off until it has
 expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+3,leave=4@5
 expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+3,leave=4@5 --domains 2
+# the instrumented runs: virtual time (one domain), the fleet exporter
+# (two domains), the fault runner's registry, and the metrics and
+# latency subcommands; their files go into the working directory
+expect_ok "$cli" simulate --nodes 15 --report --trace t.json --metrics m.json --series s.csv
+expect_ok "$cli" simulate --nodes 15 --report --trace t.json --metrics m.json --series s.csv --domains 2
+expect_ok "$cli" simulate --nodes 15 --faults drop=0.1,dup=0.05 --metrics f.json
+expect_ok "$cli" metrics --nodes 15
+expect_ok "$cli" latency --nodes 15
 exit $fail

@@ -146,18 +146,13 @@ let kind_name i = Simul.Kind.to_string (Simul.Kind.of_index i)
    is the request index). *)
 let run_instrumented ?(latency = Telemetry.Latency.null)
     ?(series = Telemetry.Series.null) tree sigma ~policy ~metrics ~sink =
-  let dclock = Simul.Devent.create tree ~latency:Simul.Devent.unit_latency in
-  let on_send ~src ~dst = Simul.Devent.notify dclock ~src ~dst in
+  let dclock = Simul.Devent.create ~latency:Simul.Devent.unit_latency in
   let sys =
-    M.create ~on_send ~metrics ~sink
+    M.create ~on_send:(Simul.Devent.notify dclock) ~metrics ~sink
       ~clock:(Simul.Devent.clock dclock)
       tree ~policy
   in
-  let deliver ~src ~dst =
-    match Simul.Network.pop (M.network sys) ~src ~dst with
-    | Some m -> M.handler sys ~src ~dst m
-    | None -> failwith "simulate: clock/network desynchronized"
-  in
+  let net = M.network sys and handler = M.handler sys in
   let latest = Array.make (Tree.n_nodes tree) 0.0 in
   let idx = ref 0 in
   let observe_start () =
@@ -183,12 +178,12 @@ let run_instrumented ?(latency = Telemetry.Latency.null)
         latest.(q.node) <- v;
         let g0 = observe_start () in
         M.write sys ~node:q.node v;
-        observe_end g0 (Simul.Devent.drain dclock ~deliver)
+        observe_end g0 (Simul.Devent.drain dclock net ~handler)
       | Oat.Request.Combine ->
         let result = ref None in
         let g0 = observe_start () in
         M.combine sys ~node:q.node (fun value -> result := Some value);
-        observe_end g0 (Simul.Devent.drain dclock ~deliver);
+        observe_end g0 (Simul.Devent.drain dclock net ~handler);
         (match !result with
         | None -> or_die (Error "combine did not complete")
         | Some value ->
@@ -441,7 +436,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
       if report_flag then Telemetry.Latency.create () else Telemetry.Latency.null
     in
     let sys, sh = run_sharded tree sigma ~policy ~part ~trace ~series ~latency in
-    report (M.policy_name sys) (Simul.Sharded.total sh);
+    report (M.policy_name sys) (M.message_total sys);
     Printf.printf "domains:           %d (edge cut %d)\n" domains
       (Tree.Partition.edge_cut part);
     Printf.printf "partition:         %s (planned balance %.2fx of mean)\n"
@@ -449,7 +444,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
       (Tree.Partition.balance_ratio part);
     Printf.printf "cross-shard:       %d of %d messages\n"
       (Simul.Sharded.crossings sh)
-      (Simul.Sharded.total sh);
+      (M.message_total sys);
     Printf.printf "windows:           %d (%d shard-window stalls)\n"
       (Simul.Sharded.windows sh)
       (Simul.Sharded.stalls sh);

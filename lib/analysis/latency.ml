@@ -8,17 +8,10 @@ type result = {
 }
 
 let run_timed ?(inter_arrival = 0.0) tree ~policy sigma =
-  let clock = Simul.Devent.create tree ~latency:Simul.Devent.unit_latency in
-  (* Tie the knot: the mechanism's sends notify the clock; the clock's
-     deliveries pop the mechanism's network. *)
-  let on_send ~src ~dst = Simul.Devent.notify clock ~src ~dst in
+  let clock = Simul.Devent.create ~latency:Simul.Devent.unit_latency in
   let policy = policy ~now:(fun () -> Simul.Devent.now clock) in
-  let sys = M.create ~on_send tree ~policy in
-  let deliver ~src ~dst =
-    match Simul.Network.pop (M.network sys) ~src ~dst with
-    | Some m -> M.handler sys ~src ~dst m
-    | None -> failwith "Latency.run: clock/network desynchronized"
-  in
+  let sys = M.create ~on_send:(Simul.Devent.notify clock) tree ~policy in
+  let net = M.network sys and handler = M.handler sys in
   let n = Tree.n_nodes tree in
   let latest = Array.make n 0.0 in
   let latencies = ref [] in
@@ -29,13 +22,13 @@ let run_timed ?(inter_arrival = 0.0) tree ~policy sigma =
       | Oat.Request.Write v ->
         latest.(q.node) <- v;
         M.write sys ~node:q.node v;
-        ignore (Simul.Devent.drain clock ~deliver)
+        ignore (Simul.Devent.drain clock net ~handler)
       | Oat.Request.Combine ->
         let t0 = Simul.Devent.now clock in
         let finished = ref None in
         M.combine sys ~node:q.node (fun value ->
             finished := Some (value, Simul.Devent.now clock));
-        ignore (Simul.Devent.drain clock ~deliver);
+        ignore (Simul.Devent.drain clock net ~handler);
         (match !finished with
         | None -> failwith "Latency.run: combine did not complete"
         | Some (value, t1) ->

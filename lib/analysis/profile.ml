@@ -11,20 +11,24 @@ let run tree ~policy sigma =
   let n = Tree.n_nodes tree in
   let latest = Array.make n 0.0 in
   let combine_costs = ref [] and write_costs = ref [] in
+  (* One domain and no transport, so the mechanism's own network counts
+     every message, in O(1); [M.message_total] sums the per-edge ledger,
+     O(channels) per call. *)
+  let messages () = Simul.Network.total (M.network sys) in
   List.iter
     (fun (q : float Oat.Request.t) ->
-      let before = M.message_total sys in
+      let before = messages () in
       (match q.op with
       | Oat.Request.Write v ->
         latest.(q.node) <- v;
         M.write_sync sys ~node:q.node v;
-        write_costs := (M.message_total sys - before) :: !write_costs
+        write_costs := (messages () - before) :: !write_costs
       | Oat.Request.Combine ->
         let got = M.combine_sync sys ~node:q.node in
         let want = Array.fold_left ( +. ) 0.0 latest in
         if Float.abs (got -. want) > 1e-6 *. Float.max 1.0 (Float.abs want) then
           failwith "Profile.run: strict consistency violated";
-        combine_costs := (M.message_total sys - before) :: !combine_costs))
+        combine_costs := (messages () - before) :: !combine_costs))
     sigma;
   {
     policy = M.policy_name sys;

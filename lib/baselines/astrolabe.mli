@@ -6,7 +6,9 @@
     simulator: a write floods fresh subtree aggregates along every edge
     (n-1 update messages per write), and every combine is answered from
     the local caches for free.  This is the read-optimized extreme of
-    the static-strategy spectrum. *)
+    the static-strategy spectrum.  Each update travels as a pooled
+    Update frame ({!Simul.Frame}) carrying the subtree aggregate's
+    [Op.encode] bytes after the header. *)
 
 module Make (Op : Agg.Operator.S) : sig
   type t

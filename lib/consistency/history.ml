@@ -45,13 +45,3 @@ let write_args all_logs =
         log)
     all_logs;
   tbl
-
-let recent_of_prefix ~n_nodes entries =
-  let last = Array.make n_nodes (-1) in
-  List.iter
-    (fun e ->
-      match e with
-      | Oat.Ghost.Write w -> last.(w.wnode) <- w.windex
-      | Oat.Ghost.Combine _ -> ())
-    entries;
-  List.init n_nodes (fun u -> (u, last.(u)))

@@ -33,7 +33,3 @@ val own_requests : 'v Oat.Ghost.entry list -> self:int -> 'v Oat.Ghost.entry lis
 
 val write_args : 'v Oat.Ghost.entry list array -> (id, 'v) Hashtbl.t
 (** Map every write identity occurring in any log to its argument. *)
-
-val recent_of_prefix : n_nodes:int -> 'v Oat.Ghost.entry list -> (int * int) list
-(** [recentwrites] at the end of a sequence: for each tree node, the
-    index of its most recent write in the sequence (or -1). *)

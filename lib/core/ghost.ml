@@ -9,17 +9,7 @@ type 'v entry =
       crecent : (int * int) list;
     }
 
-let write_id w = (w.wnode, w.windex)
-
 let is_write = function Write _ -> true | Combine _ -> false
-
-let entry_node = function Write w -> w.wnode | Combine c -> c.cnode
-
-let entry_index = function Write w -> w.windex | Combine c -> c.cindex
 
 let wlog entries =
   List.filter_map (function Write w -> Some w | Combine _ -> None) entries
-
-let pp_entry pv fmt = function
-  | Write w -> Format.fprintf fmt "w(%d#%d=%a)" w.wnode w.windex pv w.warg
-  | Combine c -> Format.fprintf fmt "c(%d#%d->%a)" c.cnode c.cindex pv c.cvalue

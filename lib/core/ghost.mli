@@ -28,16 +28,7 @@ type 'v entry =
               index [-1] if none — the retval of the matching gather. *)
     }
 
-val write_id : 'v write -> int * int
-
 val is_write : 'v entry -> bool
-
-val entry_node : 'v entry -> int
-
-val entry_index : 'v entry -> int
 
 val wlog : 'v entry list -> 'v write list
 (** The write subsequence of a log. *)
-
-val pp_entry :
-  (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v entry -> unit

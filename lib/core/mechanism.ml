@@ -115,7 +115,7 @@ module Make (Op : Agg.Operator.S) = struct
 
   type t = {
     tree : Tree.t;
-    net : Frame.t Simul.Network.t;
+    net : Simul.Network.t;
     pool : Frame.pool;  (* every frame this system sends *)
     (* The per-edge ledger (Lemma 3.9's C_A(sigma,u,v) by kind): frames
        sent on slot [s] of kind [k] at [s * ledger_kinds + k], counted in
@@ -133,10 +133,11 @@ module Make (Op : Agg.Operator.S) = struct
     obs : bool; (* metrics or sink active: one hot-path branch *)
     clock : unit -> float; (* shared with the network *)
     spans : Telemetry.Span.allocator;
-    (* Egress indirection for the sharded engine: by default every send
-       enqueues on [net] and every frame comes from [pool]; a sharded
-       router overrides both so each node allocates from its owning
-       shard's pool and cross-shard sends go through mailboxes.  Plain
+    (* Egress indirection for every other transport: by default every
+       send enqueues on [net] and every frame comes from [pool];
+       [set_outbox] overrides both — the sharded router so each node
+       allocates from its owning shard's pool and cross-shard sends go
+       through mailboxes, Fault.Runner with the reliable transport.  Plain
        closures, installed before any domain is spawned and never
        mutated afterwards — the sequential hot path pays one indirect
        call and zero allocation.  [out_send] takes the channel id
@@ -1355,11 +1356,7 @@ module Make (Op : Agg.Operator.S) = struct
       done
     end;
     let pool = Frame.create_pool ~name:"mech.frames" () in
-    let net =
-      Simul.Network.create ?on_send ?metrics ?sink ?clock tree
-        ~kind_of:(fun f -> Simul.Kind.of_index (Frame.kind f))
-        ~frames:(fun f -> f)
-    in
+    let net = Simul.Network.create ?on_send ?metrics ?sink ?clock tree in
     let tel =
       match metrics with
       | None -> None
@@ -1594,8 +1591,18 @@ module Make (Op : Agg.Operator.S) = struct
   let lease_graph_edges t =
     List.filter (fun (u, v) -> granted t u v) (Tree.ordered_pairs t.tree)
 
-  let message_total t = Simul.Network.total t.net
-  let messages_of_kind t k = Simul.Network.total_of_kind t.net k
+  (* Summed from the ledger on each call, O(channels): a running total
+     would be one counter written by every shard's domain. *)
+  let message_total t = Array.fold_left ( + ) 0 t.ledger
+
+  let messages_of_kind t kind =
+    let k = Simul.Kind.index kind in
+    let acc = ref 0 in
+    if k < ledger_kinds then
+      for s = 0 to (Array.length t.ledger / ledger_kinds) - 1 do
+        acc := !acc + t.ledger.((s * ledger_kinds) + k)
+      done;
+    !acc
 
   let sent t ~src ~dst kind =
     let i = slot t src dst in

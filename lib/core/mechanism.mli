@@ -85,8 +85,10 @@ module Make (Op : Agg.Operator.S) : sig
       local values are the operator identity, no leases in either
       direction, empty logs.  [ghost] (default [false]) enables the
       Figure 6 ghost actions (write logs piggybacked on messages).
-      [on_send] is forwarded to the network — hook for virtual-time
-      scheduling ({!Simul.Devent}).
+      [on_send] is forwarded to the system's own network: pass
+      [Simul.Devent.notify dev] to run it on virtual time with
+      [Simul.Devent.drain dev (network t) ~handler:(handler t)].  It
+      sees nothing after {!set_outbox}, which bypasses that network.
 
       Telemetry (all optional, zero-cost when absent):
       - [metrics] registers mechanism-level instruments alongside the
@@ -116,11 +118,11 @@ module Make (Op : Agg.Operator.S) : sig
 
   val tree : t -> Tree.t
 
-  val network : t -> Simul.Frame.t Simul.Network.t
-  (** The underlying network; its queues hold encoded frames.  Drivers
-      that pop from it directly own each popped frame and must either
-      hand it to {!handler} (which releases it) or release it
-      themselves. *)
+  val network : t -> Simul.Network.t
+  (** The system's own network, where every send goes until
+      {!set_outbox}.  Code that pops from it directly owns each popped
+      frame and must either hand it to {!handler} (which releases it)
+      or release it itself. *)
 
   val frame_pool : t -> Simul.Frame.pool
   (** The pool every outgoing frame is drawn from.  At quiescence its
@@ -137,15 +139,16 @@ module Make (Op : Agg.Operator.S) : sig
       [pool_for sender] and handed to [send] instead of the internal
       network (which takes it by channel id, {!Simul.Network.send_chan});
       the mechanism's channel ids are adapted to [send]'s [~src ~dst]
-      once, here.  This is the {!Simul.Sharded} hook — each node draws
-      from its owning shard's pool and cross-shard sends go through
-      mailboxes.  The per-edge ledger ({!sent}, {!cost_between}) is
-      counted before the frame leaves, so it keeps seeing this system's
-      traffic; {!network}, {!message_total} and {!messages_of_kind} no
-      longer do (the router's networks count the totals).  Install
-      before any domain is spawned and leave it alone afterwards;
-      transitions for a node must then only run on the domain owning
-      that node. *)
+      once, here.  This is how every other transport attaches: the
+      sharded router ({!Simul.Sharded.route}, each node drawing from
+      its owning shard's pool, cross-shard sends through mailboxes) and
+      the reliable transport ({!Simul.Reliable.send}, as
+      [Fault.Runner] wires it).  The per-edge ledger is counted before
+      the frame leaves, so {!sent}, {!cost_between}, {!message_total}
+      and {!messages_of_kind} read this system's traffic on every
+      transport; {!network} stays idle.  Install before any domain is
+      spawned and leave it alone afterwards; transitions for a node
+      must then only run on the domain owning that node. *)
 
   val policy_name : t -> string
 
@@ -330,8 +333,16 @@ module Make (Op : Agg.Operator.S) : sig
       graph G(Q). *)
 
   val message_total : t -> int
+  (** Frames this system sent since creation (or the last
+      {!reset_message_counters}): the paper's cost [C_A(sigma)], summed
+      from {!sent}'s ledger on each call, O(channels), so the same on
+      every engine and transport.  A per-request reader on one domain
+      with no transport attached reads [Simul.Network.total (network t)]
+      instead, in O(1). *)
+
   val messages_of_kind : t -> Simul.Kind.t -> int
-  (** Totals of the system's own network: blind under {!set_outbox}. *)
+  (** {!message_total} restricted to one kind, from the same ledger;
+      [Ack] reads 0. *)
 
   val sent : t -> src:int -> dst:int -> Simul.Kind.t -> int
   (** Frames of one kind this system sent on the directed edge
@@ -350,7 +361,7 @@ module Make (Op : Agg.Operator.S) : sig
       {!sent}'s ledger, so per slot and on both engines. *)
 
   val reset_message_counters : t -> unit
-  (** Zero the ledger and the network's totals. *)
+  (** Zero the ledger and the totals of {!network}. *)
 
   val check_invariants : t -> unit
   (** Audit the internal representation: the dense per-slot lease arrays

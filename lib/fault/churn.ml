@@ -183,9 +183,6 @@ module Make (Op : Agg.Operator.S) = struct
       sh
     in
     let sh = ref (make_sh ()) in
-    (* message totals live in the shard networks, which are rebuilt at
-       every reconfiguration barrier — fold them up across swaps *)
-    let msgs = ref 0 in
     let drained name =
       Simul.Sharded.check_invariants !sh;
       if not (Simul.Sharded.is_quiescent !sh) then
@@ -204,7 +201,6 @@ module Make (Op : Agg.Operator.S) = struct
           drained "reconfiguration";
           (* re-split on the new active set; the old runtime holds no
              frames, so the swap is pure control plane *)
-          msgs := !msgs + Simul.Sharded.total !sh;
           sh := make_sh ()
         end;
         let requests =
@@ -236,16 +232,15 @@ module Make (Op : Agg.Operator.S) = struct
       if violations (Simul.Sharded.audit !sh) <> 0 then
         failwith "Fault.Churn: conservation audit violated");
     M.check_invariants sys;
-    finish ?repair sys ~n ~logical_msgs:(!msgs + Simul.Sharded.total !sh) c
+    finish ?repair sys ~n ~logical_msgs:(M.message_total sys) c
 
   (* ---------------------------------------------------------------- *)
   (* Compile a timed plan into barrier phases: churn and crash events
-     sort by time, and each request (injected at (i+1) * spacing)
-     lands in the phase after the last event before it.                *)
+     sort by time, and each request (on the runner's timeline,
+     (i+1) * Plan.request_spacing) lands in the phase after the last
+     event before it.                                                  *)
 
-  let phases_of_plan ?(spacing = 2.0) ~(spec : Plan.spec) ~requests () =
-    if spacing <= 0.0 then
-      invalid_arg "Fault.Churn.phases_of_plan: spacing must be > 0";
+  let phases_of_plan ~(spec : Plan.spec) ~requests () =
     let timed_events =
       List.concat_map
         (fun (cr : Plan.crash) ->
@@ -261,7 +256,9 @@ module Make (Op : Agg.Operator.S) = struct
       |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
     in
     let reqs =
-      List.mapi (fun i q -> (float_of_int (i + 1) *. spacing, q)) requests
+      List.mapi
+        (fun i q -> (float_of_int (i + 1) *. Plan.request_spacing, q))
+        requests
     in
     (* Split the request timeline at each event time; a request at
        exactly an event's time runs after it, matching the runner's

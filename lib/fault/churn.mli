@@ -85,7 +85,6 @@ module Make (Op : Agg.Operator.S) : sig
       partition and requests. *)
 
   val phases_of_plan :
-    ?spacing:float ->
     spec:Plan.spec ->
     requests:Op.t Oat.Request.t list ->
     unit ->
@@ -93,10 +92,10 @@ module Make (Op : Agg.Operator.S) : sig
   (** Compile a timed {!Plan.spec} into barrier phases: crash windows
       (explicit plus flap expansion) become [Crash]/[Restart] pairs,
       churn events become [Leave]/[Join], all sorted by time; request
-      [i] (injected at [(i+1) *. spacing], default 2.0) lands in the
-      phase after the last event at or before its time.  Co-timed
-      events share one barrier.  The spec's probabilistic fields are
-      ignored (barrier scheduling has no wire to corrupt); its
-      [detached] list is {e not} applied here — pass it to
-      [run_engine]/[run_sharded] directly. *)
+      [i] (issued at [(i+1) *. Plan.request_spacing], as {!Runner}
+      injects it) lands in the phase after the last event at or before
+      its time.  Co-timed events share one barrier.  The spec's
+      probabilistic fields are ignored (barrier scheduling has no wire
+      to corrupt); its [detached] list is {e not} applied here — pass
+      it to [run_engine]/[run_sharded] directly. *)
 end

@@ -61,6 +61,8 @@ let flap_windows f =
    pattern an explicit list could not express. *)
 let crash_windows s = s.crashes @ List.concat_map flap_windows s.flaps
 
+let request_spacing = 2.0
+
 let validate s =
   let prob what p lim =
     if Float.is_nan p || p < 0.0 || p >= lim then
@@ -356,8 +358,6 @@ let spec_to_string s =
   List.iter (fun u -> field "detached=%d" u) s.detached;
   if Buffer.length b = 0 then "none" else Buffer.contents b
 
-let pp_spec ppf s = Format.pp_print_string ppf (spec_to_string s)
-
 (* ---- plans -------------------------------------------------------- *)
 
 type tel = {
@@ -379,7 +379,6 @@ type t = {
   mutable reorders : int;
   mutable delays : int;
   mutable crash_count : int;
-  mutable restart_count : int;
   mutable leave_count : int;
   mutable join_count : int;
   tel : tel option;
@@ -416,7 +415,6 @@ let create ?metrics ~seed spec =
     reorders = 0;
     delays = 0;
     crash_count = 0;
-    restart_count = 0;
     leave_count = 0;
     join_count = 0;
     tel;
@@ -458,7 +456,6 @@ let count_crash t =
   match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_crash
 
 let count_restart t =
-  t.restart_count <- t.restart_count + 1;
   match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_restart
 
 let count_leave t =
@@ -518,8 +515,6 @@ let reorders t = t.reorders
 let delays t = t.delays
 
 let crashes_executed t = t.crash_count
-
-let restarts_executed t = t.restart_count
 
 let leaves_executed t = t.leave_count
 

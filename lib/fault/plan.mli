@@ -76,6 +76,15 @@ val crash_windows : spec -> crash list
 (** Every crash window the plan schedules: the explicit [crashes] plus
     the expansion of each flap.  This is the list drivers execute. *)
 
+val request_spacing : float
+(** The request timeline {!Runner} and {!Churn} share: request [i]
+    (0-based) of a run is issued at virtual time
+    [(i + 1) *. request_spacing], with [request_spacing = 2.0].
+    {!Runner} injects requests at these times, and
+    {!Churn.Make.phases_of_plan} splits the same timeline at the plan's
+    event times, so the two engines put every request on the same side
+    of every event. *)
+
 val spec_of_string : string -> (spec, string) result
 (** Parse a comma-separated spec, e.g.
     ["drop=0.1,crash=3@40+25,flap=2@10+4*3:20,leave=5@30,join=5@60"].
@@ -88,8 +97,6 @@ val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string
 (** Canonical round-trippable form ([{!spec_of_string}] inverse);
     ["none"] for the identity adversary. *)
-
-val pp_spec : Format.formatter -> spec -> unit
 
 type t
 (** A plan: a validated spec bound to a seed, with injection
@@ -129,7 +136,6 @@ val duplicates : t -> int
 val reorders : t -> int
 val delays : t -> int
 val crashes_executed : t -> int
-val restarts_executed : t -> int
 val leaves_executed : t -> int
 val joins_executed : t -> int
 

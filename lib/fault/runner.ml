@@ -1,9 +1,8 @@
 (* Mechanism over Reliable over a faulty Network, all on one Devent
-   virtual-time axis.  The mechanism's internal network never carries a
-   message for longer than one call: its on_send hook pops the message
-   it just enqueued and hands it to the transport (the "outbox" trick),
-   which keeps the mechanism completely unaware of the transport while
-   its counters keep measuring logical protocol cost. *)
+   virtual-time axis.  The mechanism attaches to the transport through
+   [set_outbox], as it attaches to the sharded router: its own network
+   stays idle, and its ledger keeps counting the logical protocol cost
+   while the physical network counts frames on the wire. *)
 
 module Make (Op : Agg.Operator.S) = struct
   module M = Oat.Mechanism.Make (Op)
@@ -81,57 +80,39 @@ module Make (Op : Agg.Operator.S) = struct
     line "repair" (fun ppf -> Repair.pp_stats ppf o.repair_stats);
     Format.pp_close_box ppf ()
 
-  let run ?metrics ?plan ?(rto = 4.0) ?rto_max ?(jitter = 0.0)
-      ?(repair = false) ?(spacing = 2.0) ~tree ~policy ~requests () =
-    if spacing <= 0.0 then invalid_arg "Fault.Runner.run: spacing must be > 0";
+  let run ?metrics ?plan ?rto_max ?(jitter = 0.0) ?(repair = false) ~tree
+      ~policy ~requests () =
     let n = Tree.n_nodes tree in
     let base = Dev.unit_latency in
     let latency =
       match plan with None -> base | Some p -> Plan.latency p ~base
     in
-    let dev = Dev.create tree ~latency in
-    (* The physical network is deliberately created without [metrics]:
-       the registry's net.sent.* counters belong to the mechanism's
-       logical outbox; the wire level reports through [physical_msgs]
-       and the transport counters. *)
+    let dev = Dev.create ~latency in
+    (* The registry's net.* counters are the physical network's: they
+       count the wire — data frames, acks and retransmissions.  The
+       mechanism's idle network registers the same names and never
+       writes them. *)
     let phys =
-      Net.create
+      Net.create ?metrics
         ?fault:(Option.map Plan.hook plan)
-        ~on_send:(fun ~src ~dst -> Dev.notify dev ~src ~dst)
-        ~clock:(Dev.clock dev) tree
-        ~kind_of:(fun f -> Simul.Kind.of_index (Simul.Frame.kind f))
-        ~frames:(fun f -> f)
-    in
-    let sys_ref = ref None in
-    let sys () =
-      match !sys_ref with Some s -> s | None -> assert false
-    in
-    let rel_ref = ref None in
-    let rel () =
-      match !rel_ref with Some r -> r | None -> assert false
+        ~on_send:(Dev.notify dev) ~clock:(Dev.clock dev) tree
     in
     let detached =
       match plan with None -> [] | Some p -> (Plan.spec p).detached
     in
     let s =
-      M.create ~ghost:true ?metrics ~detached
-        ~on_send:(fun ~src ~dst ->
-          match Net.pop (M.network (sys ())) ~src ~dst with
-          | Some f -> Rel.send (rel ()) ~src ~dst f
-          | None -> assert false)
-        ~clock:(Dev.clock dev) tree ~policy
+      M.create ~ghost:true ?metrics ~detached ~clock:(Dev.clock dev) tree
+        ~policy
     in
-    sys_ref := Some s;
     (* acks share the mechanism's frame pool: one leak audit covers the
        whole data plane *)
+    let pool = M.frame_pool s in
     let rel =
-      Rel.create ?metrics ~pool:(M.frame_pool s) ~rto ?max_rto:rto_max ~jitter
+      Rel.create ?metrics ~pool ?max_rto:rto_max ~jitter
         ~seed:(match plan with Some p -> Plan.seed p | None -> 0)
-        ~timer:dev ~net:phys
-        ~deliver:(fun ~src ~dst f -> M.handler s ~src ~dst f)
-        ()
+        ~timer:dev ~net:phys ~deliver:(M.handler s) ()
     in
-    rel_ref := Some rel;
+    M.set_outbox s ~send:(Rel.send rel) ~pool_for:(fun _ -> pool);
     (* Crash/restart schedule.  Transport first on both edges: the
        crash voids in-flight frames before the mechanism's failure
        notifications send recovery traffic, and the restart gives the
@@ -192,7 +173,7 @@ module Make (Op : Agg.Operator.S) = struct
     List.iteri
       (fun i (q : Op.t Oat.Request.t) ->
         Dev.at dev
-          (float_of_int (i + 1) *. spacing)
+          (float_of_int (i + 1) *. Plan.request_spacing)
           (fun () ->
             if not (M.alive s q.node && M.attached s q.node) then incr skipped
             else begin
@@ -209,19 +190,12 @@ module Make (Op : Agg.Operator.S) = struct
                     if cut = [] then incr exact else incr partial)
             end))
       requests;
-    let events =
-      Dev.drain dev ~deliver:(fun ~src ~dst ->
-          match Net.pop phys ~src ~dst with
-          | Some f -> Rel.handle rel ~src ~dst f
-          | None -> failwith "Fault.Runner: scheduler out of sync with network")
-    in
+    let events = Dev.drain dev phys ~handler:(Rel.handle rel) in
     if not (Net.is_quiescent phys) then
       failwith "Fault.Runner: physical network not quiescent after drain";
     if not (Rel.is_quiescent rel) then
       failwith "Fault.Runner: transport not quiescent after drain";
-    if Net.in_flight (M.network s) <> 0 then
-      failwith "Fault.Runner: mechanism outbox not empty after drain";
-    if Simul.Frame.live (M.frame_pool s) <> 0 then
+    if Simul.Frame.live pool <> 0 then
       failwith "Fault.Runner: frames leaked in flight after drain";
     M.check_invariants s;
     Rel.check_invariants rel;

@@ -2,22 +2,22 @@
 
     [Make (Op)] wires, bottom to top:
 
-    - a {!Simul.Network} of {!Simul.Reliable.frame}s with the plan's
-      fault hook installed and the plan's latency adversary driving a
-      {!Simul.Devent} axis (the {e physical} network — drops,
-      duplicates, reorders, delays);
+    - a {!Simul.Network} with the plan's fault hook installed and the
+      plan's latency adversary driving a {!Simul.Devent} axis (the
+      {e physical} network — drops, duplicates, reorders, delays),
+      drained by [Devent.drain];
     - a {!Simul.Reliable} transport restoring exactly-once FIFO
       delivery over it, retransmission timers on the same clock;
-    - the {!Oat.Mechanism} on top.  The mechanism's own network is used
-      as a logical {e outbox}: its [on_send] hook immediately pops each
-      enqueued message and hands it to the transport, so the
-      mechanism's counters keep measuring {e logical} protocol cost
-      while the physical network counts frames on the wire.
+    - the {!Oat.Mechanism} on top, attached to the transport through
+      {!Oat.Mechanism.Make.set_outbox} like any other transport: its
+      own network stays idle, its ledger measures the {e logical}
+      protocol cost, and the physical network counts frames on the
+      wire.
 
     Crashes and restarts from the plan's schedule fire as timers and
-    hit transport and mechanism together; requests are injected at
-    fixed virtual-time spacing.  The run then drains to quiescence and
-    the execution history is checked causally
+    hit transport and mechanism together; requests are injected on the
+    plan's request timeline ({!Plan.request_spacing}).  The run then
+    drains to quiescence and the execution history is checked causally
     ({!Consistency.Causal.check}).  Everything is deterministic in
     (plan seed, spec, workload). *)
 
@@ -31,7 +31,9 @@ module Make (Op : Agg.Operator.S) : sig
     exact : int;  (** combines completed with an empty cut *)
     partial : int;  (** combines completed with a nonempty cut *)
     lost : int;  (** combines whose initiator crashed before completion *)
-    logical_msgs : int;  (** messages the mechanism sent (protocol cost) *)
+    logical_msgs : int;
+        (** messages the mechanism sent (protocol cost): its ledger,
+            {!Oat.Mechanism.Make.message_total} *)
     physical_msgs : int;  (** frames on the wire: data + acks + retransmits *)
     retransmits : int;
     dedup_drops : int;
@@ -70,25 +72,25 @@ module Make (Op : Agg.Operator.S) : sig
   val run :
     ?metrics:Telemetry.Metrics.t ->
     ?plan:Plan.t ->
-    ?rto:float ->
     ?rto_max:float ->
     ?jitter:float ->
     ?repair:bool ->
-    ?spacing:float ->
     tree:Tree.t ->
     policy:Oat.Policy.factory ->
     requests:Op.t Oat.Request.t list ->
     unit ->
     outcome
   (** Request [i] (0-based) is injected at virtual time
-      [(i + 1) *. spacing] (default spacing 2.0); [rto] (default 4.0)
-      is the transport's initial retransmission timeout, growing up to
-      [rto_max] (transport default 64.0) with deterministic [jitter]
-      (default 0.0 — see {!Simul.Reliable.create}; the jitter hash is
-      seeded from the plan's seed).  [metrics] is shared by mechanism
-      (logical [net.sent.*], [mech.*]), transport ([net.retransmits],
-      ...) and plan ([fault.injected.*]); pass the same registry given
-      to [Plan.create].  With no [plan] the stack still runs over the
+      [(i + 1) *. Plan.request_spacing].  The transport's
+      retransmission timeout starts at 4.0 and grows up to [rto_max]
+      (transport default 64.0) with deterministic [jitter] (default
+      0.0 — see {!Simul.Reliable.create}; the jitter hash is seeded
+      from the plan's seed).  [metrics] is shared by the physical
+      network ([net.sent.*], [net.delivered.*], [net.in_flight], ...:
+      the wire, so data frames, acks and retransmissions), mechanism
+      ([mech.*]), transport ([net.retransmits], ...) and plan
+      ([fault.injected.*]); pass the same registry given to
+      [Plan.create].  With no [plan] the stack still runs over the
       transport, fault-free.
 
       The plan's crash windows (explicit plus flap expansion) hit
@@ -112,7 +114,6 @@ module Make (Op : Agg.Operator.S) : sig
       layers' invariants after the drain, and fails if any layer is
       not quiescent.
       @raise Invalid_argument if a scheduled crash or churn event
-      names a node outside the tree, a churn event is illegal at
-      execution time (departing non-leaf, leaver down), or
-      [spacing <= 0]. *)
+      names a node outside the tree, or a churn event is illegal at
+      execution time (departing non-leaf, leaver down). *)
 end

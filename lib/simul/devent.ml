@@ -72,8 +72,7 @@ type t = {
   mutable seq : int;
 }
 
-let create tree ~latency =
-  ignore tree;
+let create ~latency =
   { latency; heap = Heap.create (); last_on_edge = Hashtbl.create 64; now = 0.0; seq = 0 }
 
 let unit_latency ~src:_ ~dst:_ = 1.0
@@ -110,14 +109,28 @@ let after t delay f =
 
 let pending t = t.heap.Heap.size
 
-let step t ~deliver =
+(* A scheduled delivery pops its channel's oldest frame: [notify] ran
+   once per enqueued frame, in send order, so the channel holds one. *)
+let step t net handler =
   match Heap.pop t.heap with
   | None -> false
   | Some { Heap.time; src; dst; run; _ } ->
     if time > t.now then t.now <- time;
-    (match run with None -> deliver ~src ~dst | Some f -> f ());
+    (match run with
+    | Some f -> f ()
+    | None -> (
+      match Network.pop net ~src ~dst with
+      | Some f -> handler ~src ~dst f
+      | None ->
+        failwith
+          (Printf.sprintf
+             "Devent.drain: no frame queued on %d->%d (is the network's on_send \
+              this clock's notify?)"
+             src dst)));
     true
 
-let drain t ~deliver =
-  let rec go n = if step t ~deliver then go (n + 1) else n in
-  go 0
+(* Top-level, so a drain conses no closure. *)
+let rec drain_from t net handler n =
+  if step t net handler then drain_from t net handler (n + 1) else n
+
+let drain t net ~handler = drain_from t net handler 0

@@ -13,12 +13,13 @@
     FIFO is preserved even under varying latencies: a message is never
     scheduled before an earlier message on the same directed edge.
 
-    Usage: register {!notify} as the network's [on_send] hook, then
-    {!drain} with a callback that pops from the network and delivers. *)
+    Usage: create the network with [~on_send:(Devent.notify dev)], then
+    [Devent.drain dev net ~handler] — the virtual-time counterpart of
+    [Engine.run_to_quiescence net ~handler]. *)
 
 type t
 
-val create : Tree.t -> latency:(src:int -> dst:int -> float) -> t
+val create : latency:(src:int -> dst:int -> float) -> t
 (** Fresh clock at time 0.  [latency] must be positive. *)
 
 val unit_latency : src:int -> dst:int -> float
@@ -54,10 +55,13 @@ val after : t -> float -> (unit -> unit) -> unit
 
 val pending : t -> int
 
-val drain : t -> deliver:(src:int -> dst:int -> unit) -> int
-(** Process everything in timestamp order, advancing the clock; the
-    callbacks may trigger further {!notify}/{!at}.  Returns the number
-    of events processed (deliveries and timer firings). *)
-
-val step : t -> deliver:(src:int -> dst:int -> unit) -> bool
-(** Deliver the single earliest message; [false] when idle. *)
+val drain :
+  t -> Network.t -> handler:(src:int -> dst:int -> Frame.t -> unit) -> int
+(** Process everything in timestamp order, advancing the clock: a
+    scheduled delivery pops the oldest frame of its channel in [net]
+    and hands it to [handler]; a timer runs its callback.  Handlers and
+    timers may send (scheduling further deliveries through {!notify})
+    and call {!at}.  Returns the number of events processed (deliveries
+    and timer firings).
+    @raise Failure if a scheduled channel is empty: [net]'s [on_send]
+    is not this clock's {!notify}. *)

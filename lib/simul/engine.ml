@@ -12,15 +12,14 @@ let () =
 
 let default_max_deliveries = 100_000_000
 
-let step net ~handler = Network.deliver_any net ~handler
-
 (* Top-level so the call allocates nothing (the sharded engine runs
    this once per shard-window and gates steady-state words): a local
    [let rec] would cons a closure over [net]/[handler] per call. *)
 let rec drive net handler max_deliveries count =
   if count > max_deliveries then
     raise (Divergence { deliveries = count; budget = max_deliveries });
-  if step net ~handler then drive net handler max_deliveries (count + 1)
+  if Network.deliver_any net ~handler then
+    drive net handler max_deliveries (count + 1)
   else count
 
 let run_to_quiescence ?(max_deliveries = default_max_deliveries) net ~handler =

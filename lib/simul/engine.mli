@@ -1,7 +1,9 @@
 (** Execution drivers.
 
     A protocol is, to the engine, just a handler invoked on every
-    delivered message (the handler may [send] further messages).
+    delivered frame (the handler may [send] further frames).  Usage:
+    [Engine.run_to_quiescence net ~handler] drains a {!Network} into
+    [handler]; {!Devent.drain} is the same on virtual time.
 
     - {!run_to_quiescence} implements the paper's {e sequential
       executions}: a request is initiated in a quiescent state and runs
@@ -24,23 +26,19 @@ val default_max_deliveries : int
 
 val run_to_quiescence :
   ?max_deliveries:int ->
-  'm Network.t ->
-  handler:(src:int -> dst:int -> 'm -> unit) ->
+  Network.t ->
+  handler:(src:int -> dst:int -> Frame.t -> unit) ->
   int
 (** Deliver messages until the network is quiescent.  Returns the number
     of deliveries performed.
     @raise Divergence if more than [max_deliveries] (default
     {!default_max_deliveries}) deliveries occur. *)
 
-val step : 'm Network.t -> handler:(src:int -> dst:int -> 'm -> unit) -> bool
-(** Deliver exactly one message (deterministic choice).  [false] if the
-    network was already quiescent. *)
-
 val run_stream :
   ?max_deliveries:int ->
   ?latency:Telemetry.Latency.t ->
-  'm Network.t ->
-  handler:(src:int -> dst:int -> 'm -> unit) ->
+  Network.t ->
+  handler:(src:int -> dst:int -> Frame.t -> unit) ->
   next:(unit -> bool) ->
   int
 (** Generator-driven sequential executions: repeatedly call [next ()] —
@@ -64,8 +62,8 @@ val run_concurrent :
   ?latency:Telemetry.Latency.t ->
   ?clock:(unit -> float) ->
   rng:Prng.Splitmix.t ->
-  'm Network.t ->
-  handler:(src:int -> dst:int -> 'm -> unit) ->
+  Network.t ->
+  handler:(src:int -> dst:int -> Frame.t -> unit) ->
   requests:(unit -> unit) array ->
   unit
 (** [run_concurrent ~rng net ~handler ~requests] initiates the request

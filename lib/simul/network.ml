@@ -1,6 +1,6 @@
 (* Channels are the tree's directed-channel ids ({!Tree.channel}).
-   Every queued message sits in one shared pool of cells: [cmsg] holds
-   the payload, [cnext] the index of the next cell in the same channel,
+   Every queued frame sits in one shared pool of cells: [cmsg] holds
+   the frame, [cnext] the index of the next cell in the same channel,
    and free cells chain from [free] through [cnext].  A channel is a
    four-int header in [q] (first cell, last cell, queued count,
    registry position), so a network costs four words per channel plus
@@ -10,13 +10,11 @@
    sits the active-channel registry: a dense array of the ids of all
    nonempty channels, each channel's position in it kept in its
    header; it starts small and doubles when a channel joins a full
-   one, so it follows the traffic too.  [send] and the pop/deliver
-   family maintain it incrementally, so the scheduler never scans the
+   one, so it follows the traffic too.  [send], [pop] and the deliver
+   pair maintain it incrementally, so the scheduler never scans the
    tree: [deliver_any] reads the registry head and [deliver_random]
    picks a uniform index and swap-removes — both O(1) per delivery and
-   allocation-free ([pop_any]/[pop_random] still exist but box an
-   option + tuple per delivery; hot paths use the deliver variants,
-   which hand src/dst/payload straight to a handler). *)
+   allocation-free: src, dst and frame go straight to a handler. *)
 
 (* Pre-registered telemetry handles: resolved once at creation so the
    hot path pays one [match] on the option plus O(1) metric updates. *)
@@ -25,8 +23,8 @@ type net_tel = {
   delivered_k : Telemetry.Metrics.counter array; (* per kind *)
   inflight : Telemetry.Metrics.gauge;            (* hwm = in-flight high-water *)
   occupancy : Telemetry.Metrics.gauge;           (* hwm = channel occupancy high-water *)
-  pool_live : Telemetry.Metrics.gauge option;    (* frame-pool live gauge *)
-  pool_hwm : Telemetry.Metrics.gauge option;     (* frame-pool live high-water *)
+  pool_live : Telemetry.Metrics.gauge;           (* frame-pool live gauge *)
+  pool_hwm : Telemetry.Metrics.gauge;            (* frame-pool live high-water *)
 }
 
 type fault_decision = { drop : bool; duplicate : bool; reorder_depth : int }
@@ -39,20 +37,14 @@ let h_last = 1 (* last cell, -1 when empty *)
 let h_count = 2 (* queued messages *)
 let h_reg = 3 (* index in [registry], -1 when empty *)
 
-type 'm t = {
+type t = {
   tree : Tree.t;
   q : int array;              (* 4 ints per channel id, see [h_*] *)
-  mutable cmsg : 'm array;    (* cell payloads; free cells hold [dummy] *)
+  mutable cmsg : Frame.t array; (* cell frames; free cells hold [filler] *)
   mutable cnext : int array;  (* next cell of the same list, -1 = end *)
   mutable free : int;         (* free-list head, -1 = pool exhausted *)
-  dummy : 'm;                 (* unreachable slot filler *)
   mutable registry : int array; (* ids of nonempty channels: dense prefix *)
   mutable reg_len : int;
-  kind_of : 'm -> Kind.t;
-  frames : ('m -> Frame.t) option;
-      (* payload-to-frame view: lets the fault path keep pool reference
-         counts honest (retain on duplicate, release on wire drop) and
-         check_invariants audit the pool *)
   on_send : src:int -> dst:int -> unit;
   mutable in_flight : int;
   mutable total : int;
@@ -64,9 +56,13 @@ type 'm t = {
   obs : bool;                 (* metrics or sink active: one hot-path branch *)
   mutable clock : unit -> float;
   mutable tick : int;         (* send+delivery count: the default clock *)
-  mutable fault : fault_hook option;
-  mutable attempts : int array; (* per channel: transmission attempts, keys fault decisions *)
+  fault : fault_hook option;
+  attempts : int array; (* per channel: transmission attempts, keys fault decisions *)
 }
+
+(* What a free cell holds: a frame of a pool of its own, never sent, so
+   a popped frame does not stay reachable from the cell it left. *)
+let filler = Frame.alloc (Frame.create_pool ~name:"network.filler" ())
 
 let initial_pool_capacity = 64
 let initial_registry_capacity = 16
@@ -79,8 +75,7 @@ let free_cells t lo hi =
   done
 
 let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
-    ?(sink = Telemetry.Sink.null) ?(shard = 0) ?clock ?fault ?frames tree
-    ~kind_of =
+    ?(sink = Telemetry.Sink.null) ?(shard = 0) ?clock ?fault tree =
   let n_chans = Tree.n_channels tree in
   let tel =
     match metrics with
@@ -97,20 +92,10 @@ let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
           delivered_k = per_kind "net.delivered.";
           inflight = Telemetry.Metrics.gauge m "net.in_flight";
           occupancy = Telemetry.Metrics.gauge m "net.channel_occupancy";
-          pool_live =
-            (match frames with
-            | None -> None
-            | Some _ -> Some (Telemetry.Metrics.gauge m "pool.frames.live"));
-          pool_hwm =
-            (match frames with
-            | None -> None
-            | Some _ -> Some (Telemetry.Metrics.gauge m "pool.frames.hwm"));
+          pool_live = Telemetry.Metrics.gauge m "pool.frames.live";
+          pool_hwm = Telemetry.Metrics.gauge m "pool.frames.hwm";
         }
   in
-  (* [()]: a safely polymorphic dummy.  (An [int] dummy would make
-     ['m = float] cell arrays flat float arrays and crash on the first
-     store of a boxed value.) *)
-  let dummy : 'm = Obj.magic () in
   let q = Array.make (4 * n_chans) (-1) in
   for c = 0 to n_chans - 1 do
     q.((4 * c) + h_count) <- 0
@@ -118,14 +103,11 @@ let create ?(on_send = fun ~src:_ ~dst:_ -> ()) ?metrics
   let t = {
     tree;
     q;
-    cmsg = Array.make initial_pool_capacity dummy;
+    cmsg = Array.make initial_pool_capacity filler;
     cnext = Array.make initial_pool_capacity (-1);
     free = -1;
-    dummy;
     registry = Array.make initial_registry_capacity (-1);
     reg_len = 0;
-    kind_of;
-    frames;
     on_send;
     in_flight = 0;
     total = 0;
@@ -170,7 +152,7 @@ let count t cid = t.q.((4 * cid) + h_count)
 
 let grow_pool t =
   let cap = Array.length t.cmsg in
-  let cmsg = Array.make (2 * cap) t.dummy in
+  let cmsg = Array.make (2 * cap) filler in
   let cnext = Array.make (2 * cap) (-1) in
   Array.blit t.cmsg 0 cmsg 0 cap;
   Array.blit t.cnext 0 cnext 0 cap;
@@ -178,18 +160,18 @@ let grow_pool t =
   t.cnext <- cnext;
   free_cells t cap (2 * cap)
 
-(* Take a free cell holding [m], linked to nothing. *)
-let take_cell t m =
+(* Take a free cell holding [f], linked to nothing. *)
+let take_cell t f =
   if t.free < 0 then grow_pool t;
   let c = t.free in
   t.free <- t.cnext.(c);
-  t.cmsg.(c) <- m;
+  t.cmsg.(c) <- f;
   t.cnext.(c) <- -1;
   c
 
-(* Link [m] at the tail of channel [cid]; returns the new count. *)
-let push t cid m =
-  let c = take_cell t m in
+(* Link [f] at the tail of channel [cid]; returns the new count. *)
+let push t cid f =
+  let c = take_cell t f in
   let h = 4 * cid in
   let len = t.q.(h + h_count) in
   if len = 0 then t.q.(h + h_first) <- c
@@ -199,20 +181,20 @@ let push t cid m =
   len + 1
 
 (* Unlink the head cell of nonempty channel [cid] and return its
-   payload; the cell goes back to the free list holding [dummy], so
-   popped payloads don't linger reachable. *)
+   frame; the cell goes back to the free list holding [filler], so
+   popped frames don't linger reachable. *)
 let pop_cell t cid =
   let h = 4 * cid in
   let c = t.q.(h + h_first) in
-  let m = t.cmsg.(c) in
+  let f = t.cmsg.(c) in
   let len = t.q.(h + h_count) - 1 in
   t.q.(h + h_first) <- t.cnext.(c);
   if len = 0 then t.q.(h + h_last) <- -1;
   t.q.(h + h_count) <- len;
-  t.cmsg.(c) <- t.dummy;
+  t.cmsg.(c) <- filler;
   t.cnext.(c) <- t.free;
   t.free <- c;
-  m
+  f
 
 (* Doubling, like the cell pool: a warmed-up registry never grows
    again, and it holds at most 16 slots or twice the run's peak count
@@ -254,25 +236,25 @@ let observe_send t ~src ~dst k qlen =
 (* Count a transmission attempt (totals, tick, telemetry).  Shared by
    the fault-free path, faulty enqueues and wire drops: the per-kind
    totals measure physical transmissions — the cost actually paid —
-   whether or not the message reaches the queue. *)
-let account t ~src ~dst m qlen =
-  let k = Kind.index (t.kind_of m) in
+   whether or not the frame reaches the queue. *)
+let account t ~src ~dst f qlen =
+  let k = Frame.kind f in
   t.kind_totals.(k) <- t.kind_totals.(k) + 1;
   t.total <- t.total + 1;
   t.tick <- t.tick + 1;
   if t.obs then observe_send t ~src ~dst k qlen
 
-(* Insert [m] ahead of up to [depth] messages already queued (the fault
-   model's payload-level reordering): it lands ahead of exactly
-   min(depth, queued) of them, after a walk to the insertion point.
-   Only ever reached on the fault path.  Returns the new count. *)
-let insert_reordered t cid depth m =
+(* Insert [f] ahead of up to [depth] frames already queued (the fault
+   model's reordering): it lands ahead of exactly min(depth, queued) of
+   them, after a walk to the insertion point.  Only ever reached on the
+   fault path.  Returns the new count. *)
+let insert_reordered t cid depth f =
   let h = 4 * cid in
   let len = t.q.(h + h_count) in
   let ahead = min depth len in
-  if ahead = 0 then push t cid m
+  if ahead = 0 then push t cid f
   else begin
-    let c = take_cell t m in
+    let c = take_cell t f in
     if ahead = len then begin
       t.cnext.(c) <- t.q.(h + h_first);
       t.q.(h + h_first) <- c
@@ -290,24 +272,24 @@ let insert_reordered t cid depth m =
     len + 1
   end
 
-let enqueue_faulty t cid ~src ~dst m depth =
+let enqueue_faulty t cid ~src ~dst f depth =
   if count t cid = 0 then registry_add t cid;
   let len =
-    if depth <= 0 then push t cid m else insert_reordered t cid depth m
+    if depth <= 0 then push t cid f else insert_reordered t cid depth f
   in
   t.in_flight <- t.in_flight + 1;
-  account t ~src ~dst m len;
+  account t ~src ~dst f len;
   t.on_send ~src ~dst
 
 (* The one send implementation, on a channel id; [send] is the channel
    lookup in front of it. *)
-let send_chan t cid m =
+let send_chan t cid f =
   let src = Tree.channel_src t.tree cid and dst = Tree.channel_dst t.tree cid in
   match t.fault with
   | None ->
     if count t cid = 0 then registry_add t cid;
-    let len = push t cid m in
-    let k = Kind.index (t.kind_of m) in
+    let len = push t cid f in
+    let k = Frame.kind f in
     t.kind_totals.(k) <- t.kind_totals.(k) + 1;
     t.total <- t.total + 1;
     t.in_flight <- t.in_flight + 1;
@@ -323,50 +305,35 @@ let send_chan t cid m =
          nothing is queued and no delivery is scheduled ([on_send] is
          not invoked, so virtual-time schedulers stay in sync).  The
          sender's frame reference dies with the message. *)
-      account t ~src ~dst m (count t cid);
-      match t.frames with None -> () | Some g -> Frame.release (g m)
+      account t ~src ~dst f (count t cid);
+      Frame.release f
     end
     else begin
-      enqueue_faulty t cid ~src ~dst m d.reorder_depth;
+      enqueue_faulty t cid ~src ~dst f d.reorder_depth;
       if d.duplicate then begin
         (* the queue now holds the frame twice: one reference each *)
-        (match t.frames with None -> () | Some g -> Frame.retain (g m));
-        enqueue_faulty t cid ~src ~dst m 0
+        Frame.retain f;
+        enqueue_faulty t cid ~src ~dst f 0
       end
     end
 
-let send t ~src ~dst m = send_chan t (chan t ~src ~dst) m
-
-let set_fault t fault =
-  t.fault <- fault;
-  let n_chans = Tree.n_channels t.tree in
-  if fault <> None && Array.length t.attempts < n_chans then
-    t.attempts <- Array.make (max 1 n_chans) 0
-
-let send_attempts t ~src ~dst =
-  let cid = chan t ~src ~dst in
-  if Array.length t.attempts = 0 then 0 else t.attempts.(cid)
+let send t ~src ~dst f = send_chan t (chan t ~src ~dst) f
 
 let in_flight t = t.in_flight
 
 let is_quiescent t = t.in_flight = 0
 
-let observe_pop t cid m qlen =
-  let k = Kind.index (t.kind_of m) in
+let observe_pop t cid f qlen =
+  let k = Frame.kind f in
   (match t.tel with
   | None -> ()
   | Some tel ->
     Telemetry.Metrics.incr tel.delivered_k.(k);
     Telemetry.Metrics.gauge_set tel.inflight t.in_flight;
     Telemetry.Metrics.gauge_set tel.occupancy qlen;
-    (match tel.pool_live, t.frames with
-    | Some g, Some view ->
-      let pool = Frame.pool_of (view m) in
-      Telemetry.Metrics.gauge_set g (Frame.live pool);
-      (match tel.pool_hwm with
-      | Some h -> Telemetry.Metrics.gauge_set h (Frame.hwm pool)
-      | None -> ())
-    | _ -> ()));
+    let pool = Frame.pool_of f in
+    Telemetry.Metrics.gauge_set tel.pool_live (Frame.live pool);
+    Telemetry.Metrics.gauge_set tel.pool_hwm (Frame.hwm pool));
   if t.recording then
     Telemetry.Sink.record t.sink
       (Telemetry.Sink.Delivered
@@ -379,48 +346,31 @@ let observe_pop t cid m qlen =
          })
 
 let pop_chan t cid =
-  let m = pop_cell t cid in
+  let f = pop_cell t cid in
   let len = count t cid in
   if len = 0 then registry_remove t cid;
   t.in_flight <- t.in_flight - 1;
   t.tick <- t.tick + 1;
-  if t.obs then observe_pop t cid m len;
-  m
+  if t.obs then observe_pop t cid f len;
+  f
 
 let pop t ~src ~dst =
   let cid = chan t ~src ~dst in
   if count t cid = 0 then None else Some (pop_chan t cid)
 
-let pop_any t =
-  if t.reg_len = 0 then None
-  else begin
-    let cid = t.registry.(0) in
-    Some
-      (Tree.channel_src t.tree cid, Tree.channel_dst t.tree cid, pop_chan t cid)
-  end
-
-let pop_random t rng =
-  if t.reg_len = 0 then None
-  else begin
-    (* Exactly one PRNG draw per delivery. *)
-    let cid = t.registry.(Prng.Splitmix.int rng t.reg_len) in
-    Some
-      (Tree.channel_src t.tree cid, Tree.channel_dst t.tree cid, pop_chan t cid)
-  end
-
-(* Handler-style delivery: same scheduling decisions as the pop family
-   (registry head / one uniform draw), but src, dst and payload go
-   straight to the handler — no option, no tuple, no allocation. *)
+(* Handler-style delivery from the registry head or, with one PRNG draw,
+   from a uniform index: src, dst and frame go straight to the handler
+   — no option, no tuple, no allocation. *)
 
 let deliver_any t ~handler =
   if t.reg_len = 0 then false
   else begin
     let cid = t.registry.(0) in
-    let m = pop_chan t cid in
+    let f = pop_chan t cid in
     handler
       ~src:(Tree.channel_src t.tree cid)
       ~dst:(Tree.channel_dst t.tree cid)
-      m;
+      f;
     true
   end
 
@@ -428,16 +378,16 @@ let deliver_random t rng ~handler =
   if t.reg_len = 0 then false
   else begin
     let cid = t.registry.(Prng.Splitmix.int rng t.reg_len) in
-    let m = pop_chan t cid in
+    let f = pop_chan t cid in
     handler
       ~src:(Tree.channel_src t.tree cid)
       ~dst:(Tree.channel_dst t.tree cid)
-      m;
+      f;
     true
   end
 
 (* Debug view only: O(edges) scan in (src, dst) order.  The scheduler
-   never calls this; use [pop_any]/[pop_random]. *)
+   never calls this; it reads the registry. *)
 let nonempty_channels t =
   let acc = ref [] in
   for cid = Tree.n_channels t.tree - 1 downto 0 do
@@ -508,7 +458,7 @@ let check_invariants t =
   let free = ref 0 and c = ref t.free in
   while !c <> -1 do
     claim !c (-2);
-    if t.cmsg.(!c) != t.dummy then fail "free cell %d still holds a payload" !c;
+    if t.cmsg.(!c) != filler then fail "free cell %d still holds a frame" !c;
     incr free;
     c := t.cnext.(!c)
   done;
@@ -518,22 +468,19 @@ let check_invariants t =
     fail "in_flight %d but %d messages queued" t.in_flight !queued;
   if Array.fold_left ( + ) 0 t.kind_totals <> t.total then
     fail "kind totals do not sum to total %d" t.total;
-  (* Frame-pool bookkeeping: every queued payload must hold a live
+  (* Frame-pool bookkeeping: every queued frame must hold a live
      reference (a freed frame in a queue is a use-after-free; rc must
      cover every queue occurrence), and the pool's free list must be
      internally consistent (catches double releases that slipped
      through as well as leaked frames: at quiescence live = 0). *)
-  match t.frames with
-  | None -> ()
-  | Some view ->
-    for c = 0 to cap - 1 do
-      let cid = owner.(c) in
-      if cid >= 0 then begin
-        let f = view t.cmsg.(c) in
-        if Frame.rc f < 1 then
-          fail "queued frame on channel %d->%d has count %d (freed in flight)"
-            (src cid) (dst cid) (Frame.rc f);
-        (try Frame.check_pool (Frame.pool_of f)
-         with Frame.Frame_error e -> fail "frame pool: %s" e)
-      end
-    done
+  for c = 0 to cap - 1 do
+    let cid = owner.(c) in
+    if cid >= 0 then begin
+      let f = t.cmsg.(c) in
+      if Frame.rc f < 1 then
+        fail "queued frame on channel %d->%d has count %d (freed in flight)"
+          (src cid) (dst cid) (Frame.rc f);
+      (try Frame.check_pool (Frame.pool_of f)
+       with Frame.Frame_error e -> fail "frame pool: %s" e)
+    end
+  done

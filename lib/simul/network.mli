@@ -1,33 +1,34 @@
-(** Reliable FIFO message transport over a tree topology, with message
-    accounting.
+(** Reliable FIFO transport of {!Frame.t}s over a tree topology, with
+    message accounting.
 
     Each directed edge [(u,v)] of the tree carries an unbounded FIFO
-    channel.  [send] enqueues; delivery happens when a scheduler (see
-    {!Engine}) pops a message and hands it to the receiving node's
-    handler.  The network counts every transmission by {!Kind.t}; the
-    total message count is the cost measure of the aggregation problem.
-    The per-edge split of that cost (the paper's C_A(sigma,u,v)) belongs
-    to the protocol, so the mechanism keeps it, once per system on both
-    engines ([Oat.Mechanism.Make.sent]); a network has no per-edge
-    counters.
+    channel of frames.  [send] enqueues; delivery happens when a
+    scheduler ({!Engine}, or {!Devent} on virtual time) pops a frame and
+    hands it to the receiving node's handler.  The network counts every
+    transmission by the frame's kind byte ({!Frame.kind}, a
+    {!Kind.index}); the total message count is the cost measure of the
+    aggregation problem.  The per-edge split of that cost (the paper's
+    C_A(sigma,u,v)) belongs to the protocol, so the mechanism keeps it,
+    once per system on both engines ([Oat.Mechanism.Make.sent]); a
+    network has no per-edge counters.
 
-    The payload type ['m] is chosen by the protocol; a [kind_of]
-    classifier supplied at creation drives the accounting.
+    A queued frame holds one reference ({!Frame.retain}/{!Frame.release})
+    per queue occurrence; whoever pops a frame owns that reference.
 
     Channels are the tree's directed-channel ids ({!Tree.channel}).
-    Every queued message occupies one cell of a shared pool, linked by
-    index to the next message of its channel, so a channel costs a
-    four-int header plus one cell per message in flight.
+    Every queued frame occupies one cell of a shared pool, linked by
+    index to the next frame of its channel, so a channel costs a
+    four-int header plus one cell per frame in flight.
 
     Delivery is O(1) per message independently of tree size: the network
     maintains an active-channel registry (the set of nonempty directed
-    channels) incrementally under [send] and the [pop] family, so the
-    schedulers never rescan the topology.  All scheduling decisions are
-    deterministic functions of the operation history (and, for
-    {!pop_random}, of the supplied PRNG), so same-seed runs are
+    channels) incrementally under [send], [pop] and the deliver pair,
+    so the schedulers never rescan the topology.  All scheduling
+    decisions are deterministic functions of the operation history (and,
+    for {!deliver_random}, of the supplied PRNG), so same-seed runs are
     reproducible byte for byte. *)
 
-type 'm t
+type t
 
 type fault_decision = {
   drop : bool;        (** lose the message on the wire *)
@@ -51,10 +52,8 @@ val create :
   ?shard:int ->
   ?clock:(unit -> float) ->
   ?fault:fault_hook ->
-  ?frames:('m -> Frame.t) ->
   Tree.t ->
-  kind_of:('m -> Kind.t) ->
-  'm t
+  t
 (** Allocates per channel only the four-int queue header (first cell,
     last cell, count, registry position): four words per channel, the
     tree's channel index excluded.  The message cells come from one
@@ -63,13 +62,15 @@ val create :
     so memory beyond the headers follows the messages in flight, not
     the tree.
 
-    [on_send] is invoked for every enqueued message — the hook virtual-
-    time schedulers ({!Devent}) use to timestamp deliveries.
+    [on_send] is invoked for every enqueued frame — the hook virtual-
+    time schedulers use to timestamp deliveries (pass
+    [Devent.notify dev]).
 
     [metrics] registers per-kind send/delivery counters
     ([net.sent.<kind>], [net.delivered.<kind>]), an in-flight gauge with
-    high-water mark ([net.in_flight]) and a per-channel occupancy
-    high-water gauge ([net.channel_occupancy]).  [sink] (default
+    high-water mark ([net.in_flight]), a per-channel occupancy
+    high-water gauge ([net.channel_occupancy]) and the delivered frames'
+    pool gauges ([pool.frames.live], [pool.frames.hwm]).  [sink] (default
     {!Telemetry.Sink.null}) receives a [Sent]/[Delivered] event per
     message, stamped by [clock] and tagged with [shard] (default 0 —
     the sharded engine passes each shard's index so merged fleet traces
@@ -80,85 +81,62 @@ val create :
 
     [fault] installs a fault-injection hook.  With no hook the send path
     is identical to the fault-free build (a single [match] on the
-    option).  With a hook, each {!send} consults it: a [drop]ped message
+    option).  With a hook, each {!send} consults it: a [drop]ped frame
     is counted in the per-kind totals (they count physical
-    transmissions) but never
-    queued and never scheduled ([on_send] is not invoked for it); a
-    [duplicate] enqueues twice and schedules twice; [reorder_depth]
-    permutes the message past up to that many older queued messages.
-    The per-queue invariants ({!check_invariants}) hold under all of
-    these.
+    transmissions) but never queued and never scheduled ([on_send] is
+    not invoked for it), and the sender's reference is released; a
+    [duplicate] retains the frame once more, then enqueues and schedules
+    it twice; [reorder_depth] permutes the frame past up to that many
+    older queued frames.  The per-queue invariants and the frame pool's
+    reference counts ({!check_invariants}) hold under all of these. *)
 
-    [frames] tells the network how to see a payload as its backing
-    {!Frame.t} (usually the identity, or a projection).  When supplied,
-    the fault path keeps the frame pool's reference counts honest — a
-    wire [drop] releases the sender's reference, a [duplicate] retains
-    one per extra queue occurrence — and {!check_invariants}
-    additionally audits the pool (every queued frame live, free list
-    consistent). *)
+val tree : t -> Tree.t
 
-val tree : 'm t -> Tree.t
-
-val clock : 'm t -> unit -> float
+val clock : t -> unit -> float
 (** The effective event clock (the [clock] argument, or the internal
     operation-tick counter) — share it with other instrumented layers so
     all events of one run are stamped on the same axis. *)
 
-val send : 'm t -> src:int -> dst:int -> 'm -> unit
-(** Enqueue a message on the directed edge [(src,dst)] (subject to the
+val send : t -> src:int -> dst:int -> Frame.t -> unit
+(** Enqueue a frame on the directed edge [(src,dst)] (subject to the
     fault hook, if any — see {!create}): {!send_chan} on the edge's
     channel id, found by {!Tree.channel}'s search.
     @raise Invalid_argument if [src] and [dst] are not neighbours. *)
 
-val send_chan : 'm t -> int -> 'm -> unit
-(** [send_chan t c m] enqueues [m] on the directed channel with id [c]
+val send_chan : t -> int -> Frame.t -> unit
+(** [send_chan t c f] enqueues [f] on the directed channel with id [c]
     ({!Tree.channel}); the one send implementation, which {!send} calls.
     A sender that already knows the channel (the mechanism addresses
     neighbours by slot, and the channel to slot [i] of node [u] is
     [Tree.channel_base tree u + i]) skips the search.
     @raise Invalid_argument if [c] is not a channel id of the tree. *)
 
-val set_fault : 'm t -> fault_hook option -> unit
-(** Install or remove the fault hook after creation.  Per-channel
-    attempt counters persist across hook changes. *)
+val in_flight : t -> int
+(** Number of queued (sent but undelivered) frames. *)
 
-val send_attempts : 'm t -> src:int -> dst:int -> int
-(** Transmission attempts on one directed channel (the [attempt] values
-    fed to the fault hook); 0 when no hook was ever installed. *)
-
-val in_flight : 'm t -> int
-(** Number of queued (sent but undelivered) messages. *)
-
-val is_quiescent : 'm t -> bool
+val is_quiescent : t -> bool
 (** No message in transit across any edge (condition (2) of the paper's
     quiescent state). *)
 
-val pop : 'm t -> src:int -> dst:int -> 'm option
-(** Dequeue the oldest message on [(src,dst)], if any. *)
+val pop : t -> src:int -> dst:int -> Frame.t option
+(** Dequeue the oldest frame on [(src,dst)], if any. *)
 
-val pop_any : 'm t -> (int * int * 'm) option
-(** Dequeue from the head of the active-channel registry (the channel
-    that has been continuously nonempty the longest, up to swap-removal
-    order).  Deterministic — a pure function of the operation history —
-    and O(1). *)
-
-val pop_random : 'm t -> Prng.Splitmix.t -> (int * int * 'm) option
-(** Dequeue from a uniformly chosen non-empty directed channel — the
-    adversarial interleaving used for concurrent executions.  O(1);
-    draws exactly one PRNG value per delivered message. *)
-
-val deliver_any : 'm t -> handler:(src:int -> dst:int -> 'm -> unit) -> bool
-(** Pop from the registry head — the same deterministic scheduling
-    decision as {!pop_any} — and hand the message to [handler].
-    Returns [false] (without calling [handler]) when the network is
-    quiescent.  Allocation-free: no option, no tuple. *)
+val deliver_any : t -> handler:(src:int -> dst:int -> Frame.t -> unit) -> bool
+(** Pop from the head of the active-channel registry (the channel that
+    has been continuously nonempty the longest, up to swap-removal
+    order) and hand the frame to [handler].  Deterministic — a pure
+    function of the operation history — and O(1).  Returns [false]
+    (without calling [handler]) when the network is quiescent.
+    Allocation-free: no option, no tuple. *)
 
 val deliver_random :
-  'm t -> Prng.Splitmix.t -> handler:(src:int -> dst:int -> 'm -> unit) -> bool
-(** {!pop_random} in handler style: one PRNG draw per delivered
-    message, no allocation. *)
+  t -> Prng.Splitmix.t -> handler:(src:int -> dst:int -> Frame.t -> unit) -> bool
+(** Pop from a uniformly chosen nonempty directed channel — the
+    adversarial interleaving used for concurrent executions — and hand
+    the frame to [handler].  O(1); draws exactly one PRNG value per
+    delivered frame, none when quiescent; no allocation. *)
 
-val nonempty_channels : 'm t -> (int * int) list
+val nonempty_channels : t -> (int * int) list
 (** Debug view: all nonempty directed channels in scan order ([src]
     ascending, then [dst]).  O(edges) — not for use on the delivery hot
     path; the schedulers above maintain this set incrementally. *)
@@ -169,26 +147,25 @@ val nonempty_channels : 'm t -> (int * int) list
     duplicates count, as do a reliable transport's retransmissions and
     acks.  There is no per-edge count here. *)
 
-val total_of_kind : 'm t -> Kind.t -> int
+val total_of_kind : t -> Kind.t -> int
 
-val total : 'm t -> int
+val total : t -> int
 (** Grand total: the paper's cost [C_A (sigma)]. *)
 
-val reset_counters : 'm t -> unit
-(** Zero the counters without touching queued messages (or the
+val reset_counters : t -> unit
+(** Zero the counters without touching queued frames (or the
     active-channel registry, which reflects queue contents only). *)
 
-val check_invariants : 'm t -> unit
+val check_invariants : t -> unit
 (** Validate the internal bookkeeping: the active-channel registry holds
     exactly the nonempty channels (each exactly once, with consistent
     back-pointers), [in_flight] equals the total number of queued
-    messages, and the per-kind totals sum to [total].
+    frames, and the per-kind totals sum to [total].
     It also audits the cell pool: each channel's list walks exactly
     its count of cells and ends at its last cell, no cell is on two
-    lists, free cells hold no payload, and queued plus free cells equal
-    the pool's capacity.
-    With a [frames] view installed, additionally audits the frame
-    pool: every queued frame holds a live reference (no freed frame in
-    flight) and the pool's free list is consistent (no double-free).
+    lists, free cells hold no frame, and queued plus free cells equal
+    the pool's capacity.  And it audits the frame pools: every queued
+    frame holds a live reference (no freed frame in flight) and its
+    pool's free list is consistent (no double-free).
     @raise Failure describing the first violated invariant.  Intended
     for tests; O(edges + pool capacity). *)

@@ -43,7 +43,7 @@ type rel_tel = {
 
 type t = {
   tree : Tree.t;
-  net : Frame.t Network.t;
+  net : Network.t;
   timer : Devent.t;
   pool : Frame.pool;      (* ack frames *)
   deliver : src:int -> dst:int -> Frame.t -> unit;
@@ -51,7 +51,6 @@ type t = {
   inc : int array;        (* per-node incarnation, bumped on crash *)
   up : bool array;
   rto0 : float;
-  backoff : float;
   max_rto : float;
   jitter : float;         (* timer spread factor; 0 = exact backoff *)
   jseed : int;
@@ -63,10 +62,13 @@ type t = {
   tel : rel_tel option;
 }
 
-let create ?metrics ?pool ?(rto = 4.0) ?(backoff = 2.0) ?(max_rto = 64.0)
+(* Each expiry doubles the channel's timeout, up to [max_rto]. *)
+let backoff = 2.0
+
+let create ?metrics ?pool ?(rto = 4.0) ?(max_rto = 64.0)
     ?(jitter = 0.0) ?(seed = 0) ~timer ~net ~deliver () =
-  if rto <= 0.0 || backoff < 1.0 || max_rto < rto then
-    invalid_arg "Reliable.create: need rto > 0, backoff >= 1, max_rto >= rto";
+  if rto <= 0.0 || max_rto < rto then
+    invalid_arg "Reliable.create: need rto > 0, max_rto >= rto";
   if Float.is_nan jitter || jitter < 0.0 then
     invalid_arg "Reliable.create: need jitter >= 0";
   let tree = Network.tree net in
@@ -108,7 +110,6 @@ let create ?metrics ?pool ?(rto = 4.0) ?(backoff = 2.0) ?(max_rto = 64.0)
     inc = Array.make n 0;
     up = Array.make n true;
     rto0 = rto;
-    backoff;
     max_rto;
     jitter;
     jseed = seed;
@@ -188,7 +189,7 @@ and on_timer t ci g =
     (match t.tel with
     | None -> ()
     | Some x -> Telemetry.Metrics.add x.m_retransmits k);
-    c.rto_cur <- Float.min t.max_rto (c.rto_cur *. t.backoff);
+    c.rto_cur <- Float.min t.max_rto (c.rto_cur *. backoff);
     arm t ci
   end
 

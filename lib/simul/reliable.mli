@@ -37,12 +37,11 @@ val create :
   ?metrics:Telemetry.Metrics.t ->
   ?pool:Frame.pool ->
   ?rto:float ->
-  ?backoff:float ->
   ?max_rto:float ->
   ?jitter:float ->
   ?seed:int ->
   timer:Devent.t ->
-  net:Frame.t Network.t ->
+  net:Network.t ->
   deliver:(src:int -> dst:int -> Frame.t -> unit) ->
   unit ->
   t
@@ -52,8 +51,8 @@ val create :
     where ack frames are drawn from (default: a private ["rel.acks"]
     pool); pass the mechanism's pool to keep one leak-audited pool per
     system.  [rto] (default 4.0) is the initial retransmission timeout
-    in virtual-time units, grown by [backoff] (default 2.0) per expiry
-    up to [max_rto] (default 64.0).  [jitter] (default 0.0 — exact
+    in virtual-time units, doubled per expiry up to [max_rto] (default
+    64.0).  [jitter] (default 0.0 — exact
     backoff, bit-compatible with earlier runs) spreads each timer
     firing by a deterministic factor in [\[1, 1 + jitter)], drawn from
     a stateless hash of ([seed], channel, lifetime arm index): long
@@ -62,8 +61,8 @@ val create :
     for byte.  [metrics] registers [net.retransmits],
     [net.dedup_drops], [net.stale_drops] and [net.teardown_drops]
     counters.
-    @raise Invalid_argument unless [rto > 0], [backoff >= 1],
-    [max_rto >= rto] and [jitter >= 0]. *)
+    @raise Invalid_argument unless [rto > 0], [max_rto >= rto] and
+    [jitter >= 0]. *)
 
 val send : t -> src:int -> dst:int -> Frame.t -> unit
 (** Stamp (sequence number, incarnations), buffer and transmit a

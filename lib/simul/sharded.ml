@@ -19,7 +19,7 @@ type t = {
   part : Tree.Partition.partition;
   k : int;
   pools : Frame.pool array;
-  nets : Frame.t Network.t array;
+  nets : Network.t array;
   boxes : Mailbox.t array array; (* boxes.(i).(j): shard i -> shard j *)
   handler : src:int -> dst:int -> Frame.t -> unit;
   mets : Telemetry.Metrics.t array;
@@ -83,7 +83,7 @@ type t = {
 exception Horizon of { windows : int; budget : int }
 exception Desync of string
 
-let default_max_windows = 1_000_000
+let max_windows = 1_000_000
 
 let create ?wall ?(trace = 0)
     ?(series = Telemetry.Series.null) ?(latency = Telemetry.Latency.null)
@@ -96,7 +96,6 @@ let create ?wall ?(trace = 0)
     Array.init k (fun s ->
         Frame.create_pool ~name:(Printf.sprintf "shard%d.frames" s) ())
   in
-  let kind_of f = Kind.of_index (Frame.kind f) in
   let tracing = trace > 0 in
   let cur_w = Array.make k 0 in
   let rings =
@@ -112,9 +111,8 @@ let create ?wall ?(trace = 0)
              on the fleet's shared virtual-time axis. *)
           Network.create ~sink:ring_sinks.(s) ~shard:s
             ~clock:(fun () -> float_of_int cur_w.(s))
-            tree ~kind_of
-            ~frames:(fun f -> f)
-        else Network.create ~shard:s tree ~kind_of ~frames:(fun f -> f))
+            tree
+        else Network.create ~shard:s tree)
   in
   let boxes = Array.init k (fun _ -> Array.init k (fun _ -> Mailbox.create ())) in
   let mets = Array.init k (fun _ -> Telemetry.Metrics.create ()) in
@@ -162,8 +160,6 @@ let create ?wall ?(trace = 0)
 
 let shards t = t.k
 let pool_for t u = t.pools.(Tree.Partition.shard_of t.part u)
-let net t s = t.nets.(s)
-let shard_metrics t s = t.mets.(s)
 let gc_stats t = Array.init t.k (fun s -> (t.gc_words.(s), t.gc_worst.(s)))
 let parallel_work t = (t.total_work, t.crit_work)
 
@@ -376,8 +372,9 @@ let touch_minor_heap () =
    skipped windows provably execute nothing, whatever their parity,
    and the barrier rounds for them can be elided without changing any
    delivery.  [max_windows] bounds the number of windows actually
-   executed (skipped windows are free). *)
-let run_windowed t ~max_windows ~worker_inits ~serial_step =
+   executed (skipped windows are free); past it the run raises
+   [Horizon]. *)
+let run_windowed t ~worker_inits ~serial_step =
   let ctl =
     {
       bm = Mutex.create ();
@@ -538,7 +535,7 @@ let run_windowed t ~max_windows ~worker_inits ~serial_step =
   done;
   match ctl.err with Some e -> raise e | None -> ()
 
-let run_sequential ?(max_windows = default_max_windows) t ~requests =
+let run_sequential t ~requests =
   (* [init_idx]/[init_window] name the single request scheduled to fire
      (sequential executions initiate only in quiescent states); written
      in the serial section only. *)
@@ -572,7 +569,7 @@ let run_sequential ?(max_windows = default_max_windows) t ~requests =
       else -1
     else w + 1
   in
-  run_windowed t ~max_windows ~worker_inits ~serial_step
+  run_windowed t ~worker_inits ~serial_step
 
 (* Generator-driven open-loop driver: requests are pulled from
    caller-supplied per-shard cursors instead of materialised arrays.
@@ -581,7 +578,7 @@ let run_sequential ?(max_windows = default_max_windows) t ~requests =
    [next_window ~shard] reports the window of the shard's next pending
    request, [max_int] when exhausted (serial section — the barrier
    makes the cursor reads safe). *)
-let run_feed ?(max_windows = default_max_windows) t ~pull ~next_window =
+let run_feed t ~pull ~next_window =
   let worker_inits s w = pull ~shard:s ~window:w in
   let serial_step w =
     if pending_crossings t > 0 then w + 1
@@ -596,12 +593,12 @@ let run_feed ?(max_windows = default_max_windows) t ~pull ~next_window =
       if !nw = max_int then -1 else max (w + 1) !nw
     end
   in
-  run_windowed t ~max_windows ~worker_inits ~serial_step
+  run_windowed t ~worker_inits ~serial_step
 
 (* A materialised request array is one more feed: bucket it by owning
    shard (stable, so each shard keeps request order) and hand
    [run_feed] one array cursor per shard. *)
-let run_open ?max_windows t ~requests =
+let run_open t ~requests =
   let feeds =
     let buckets = Array.make t.k [] in
     Array.iter
@@ -625,7 +622,7 @@ let run_open ?max_windows t ~requests =
     done;
     !n
   in
-  run_feed ?max_windows t ~pull ~next_window
+  run_feed t ~pull ~next_window
 
 (* ------------------------------------------------------------------ *)
 (* Replay: a coordinator (the calling domain) hands one recorded step
@@ -795,7 +792,7 @@ let trace_dropped t =
   Array.fold_left (fun acc r -> acc + Telemetry.Sink.ring_dropped r) 0 t.rings
 
 let fleet_trace t =
-  Telemetry.Export.chrome_trace_fleet
+  Telemetry.Export.chrome_trace
     ~kind_name:(fun i -> Kind.to_string (Kind.of_index i))
     ~shards:t.k (fleet_events t)
 

@@ -56,7 +56,8 @@
 type t
 
 exception Horizon of { windows : int; budget : int }
-(** A windowed run exceeded its window budget without terminating. *)
+(** A windowed run executed its budget of 1 000 000 windows without
+    terminating (skipped windows do not count). *)
 
 exception Desync of string
 (** A replay diverged: the scheduled message was not at the head of its
@@ -127,10 +128,6 @@ val pool_for : t -> int -> Frame.pool
 (** The pool the given {e node}'s frames must be drawn from: its owning
     shard's. *)
 
-val net : t -> int -> Frame.t Network.t
-(** Shard [s]'s network (holds exactly the undelivered messages whose
-    destination [s] owns). *)
-
 (** {1 Drivers}
 
     Each driver spawns one domain per shard, runs to completion, and
@@ -139,7 +136,6 @@ val net : t -> int -> Frame.t Network.t
     re-raised in the caller after all domains are joined. *)
 
 val run_sequential :
-  ?max_windows:int ->
   t ->
   requests:(int * (unit -> unit)) array ->
   unit
@@ -158,7 +154,6 @@ val run_sequential :
     [run_feed]'s cursors are only read, in the serial section. *)
 
 val run_open :
-  ?max_windows:int ->
   t ->
   requests:(int * int * (unit -> unit)) array ->
   unit
@@ -173,7 +168,6 @@ val run_open :
     skip, termination and work accounting are exactly [run_feed]'s. *)
 
 val run_feed :
-  ?max_windows:int ->
   t ->
   pull:(shard:int -> window:int -> int) ->
   next_window:(shard:int -> int) ->
@@ -254,11 +248,6 @@ val mailbox_hwm : t -> int -> int
 val live_frames : t -> int
 (** Live frames summed over the shard pools; 0 at quiescence. *)
 
-val shard_metrics : t -> int -> Telemetry.Metrics.t
-(** Shard [s]'s metrics registry: counters [shard.deliveries],
-    [shard.windows], [shard.stalls], [shard.cross.in],
-    [shard.cross.out]; gauge [shard.mailbox.hwm]. *)
-
 val parallel_work : t -> int * int
 (** [(total, critical)] work units over the windowed runs so far.  A
     work unit is one ingress copy, initiation, or delivery; [total]
@@ -288,7 +277,10 @@ val is_quiescent : t -> bool
 val fleet_metrics : t -> Telemetry.Metrics.t
 (** One registry for the whole fleet: {!Telemetry.Metrics.merge} of the
     per-shard registries (exact — counters sum, gauges max, histograms
-    merge bucket-wise).  A fresh snapshot each call. *)
+    merge bucket-wise), which hold counters [shard.deliveries],
+    [shard.windows], [shard.stalls], [shard.cross.in] and
+    [shard.cross.out] and gauge [shard.mailbox.hwm].  A fresh snapshot
+    each call. *)
 
 val latency : t -> Telemetry.Latency.t
 (** The recorder passed to {!create} ({!Telemetry.Latency.null} if
@@ -314,8 +306,8 @@ val trace_dropped : t -> int
     capacity held the whole run). *)
 
 val fleet_trace : t -> string
-(** {!Telemetry.Export.chrome_trace_fleet} over {!fleet_events}: one
-    Chrome process per shard, one thread per node, plus a
+(** {!Telemetry.Export.chrome_trace} [~shards] over {!fleet_events}:
+    one Chrome process per shard, one thread per node, plus a
     ["supersteps"] lane per shard carrying the window-phase spans. *)
 
 val check_invariants : t -> unit

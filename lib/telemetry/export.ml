@@ -1,29 +1,19 @@
 (* Chrome trace-event JSON export (the "JSON Object Format" understood
-   by chrome://tracing and Perfetto).  One process, one thread track per
-   tree node: completed request spans become "X" (complete) events with
-   a duration, everything else becomes "i" (instant) events on the track
-   of the node where it happened.  Timestamps are virtual times scaled
-   by [time_scale] (default 1000, so one virtual time unit displays as
-   one millisecond — the "ts" field is in microseconds). *)
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+   by chrome://tracing and Perfetto).  One Chrome process per shard (pid
+   = the event's shard tag, 0 on a single domain), one thread track per
+   tree node within it: completed request spans become "X" (complete)
+   events with a duration, everything else becomes "i" (instant) events
+   on the track of the node where it happened.  Events on the control
+   lane ([node = -1]: the sharded engine's window-superstep spans
+   ingress/drain/decision) land on a "supersteps" thread per shard.
+   Timestamps are virtual times scaled by [time_scale] (default 1000,
+   so one virtual time unit displays as one millisecond — the "ts"
+   field is in microseconds). *)
 
 let default_kind_name i = "kind" ^ string_of_int i
 
 let chrome_trace ?(kind_name = default_kind_name) ?(time_scale = 1000.0)
-    ?n_nodes events =
+    ?n_nodes ?(shards = 0) events =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   let first = ref true in
@@ -37,126 +27,28 @@ let chrome_trace ?(kind_name = default_kind_name) ?(time_scale = 1000.0)
       fields;
     Buffer.add_char b '}'
   in
-  let str s = Printf.sprintf "\"%s\"" (escape s) in
+  let str s = Printf.sprintf "\"%s\"" (Metrics.escape_json s) in
   let ts time = Printf.sprintf "%.3f" (time *. time_scale) in
-  (* Name the per-node tracks. *)
+  let name_track ~meta ~pid ~tid name =
+    emit
+      [
+        ("name", str meta);
+        ("ph", str "M");
+        ("pid", string_of_int pid);
+        ("tid", string_of_int tid);
+        ("args", Printf.sprintf "{\"name\":%s}" (str name));
+      ]
+  in
+  for s = 0 to shards - 1 do
+    name_track ~meta:"process_name" ~pid:s ~tid:0 ("shard " ^ string_of_int s);
+    name_track ~meta:"thread_name" ~pid:s ~tid:(-1) "supersteps"
+  done;
   (match n_nodes with
   | None -> ()
   | Some n ->
     for u = 0 to n - 1 do
-      emit
-        [
-          ("name", str "thread_name");
-          ("ph", str "M");
-          ("pid", "0");
-          ("tid", string_of_int u);
-          ("args", Printf.sprintf "{\"name\":%s}" (str ("node " ^ string_of_int u)));
-        ]
+      name_track ~meta:"thread_name" ~pid:0 ~tid:u ("node " ^ string_of_int u)
     done);
-  let completed, _unmatched = Span.pair events in
-  let paired = Hashtbl.create 64 in
-  List.iter (fun (s : Span.completed) -> Hashtbl.replace paired s.id ()) completed;
-  List.iter
-    (fun (s : Span.completed) ->
-      emit
-        [
-          ("name", str s.name);
-          ("cat", str "request");
-          ("ph", str "X");
-          ("ts", ts s.t0);
-          ("dur", Printf.sprintf "%.3f" ((s.t1 -. s.t0) *. time_scale));
-          ("pid", "0");
-          ("tid", string_of_int s.node);
-          ("args", Printf.sprintf "{\"span\":%d}" s.id);
-        ])
-    completed;
-  let instant ~name ~cat ~time ~tid ~args =
-    emit
-      [
-        ("name", str name);
-        ("cat", str cat);
-        ("ph", str "i");
-        ("ts", ts time);
-        ("pid", "0");
-        ("tid", string_of_int tid);
-        ("s", str "t");
-        ("args", args);
-      ]
-  in
-  List.iter
-    (fun e ->
-      match e with
-      | Sink.Sent { time; src; dst; kind; _ } ->
-        instant ~name:("send " ^ kind_name kind) ~cat:"net" ~time ~tid:src
-          ~args:(Printf.sprintf "{\"src\":%d,\"dst\":%d}" src dst)
-      | Sink.Delivered { time; src; dst; kind; _ } ->
-        instant ~name:("recv " ^ kind_name kind) ~cat:"net" ~time ~tid:dst
-          ~args:(Printf.sprintf "{\"src\":%d,\"dst\":%d}" src dst)
-      | Sink.Lease_set { time; granter; grantee; _ } ->
-        instant ~name:"lease set" ~cat:"lease" ~time ~tid:granter
-          ~args:(Printf.sprintf "{\"grantee\":%d}" grantee)
-      | Sink.Lease_broken { time; granter; grantee; _ } ->
-        instant ~name:"lease break" ~cat:"lease" ~time ~tid:granter
-          ~args:(Printf.sprintf "{\"grantee\":%d}" grantee)
-      | Sink.Lease_denied { time; granter; grantee; _ } ->
-        instant ~name:"lease deny" ~cat:"lease" ~time ~tid:granter
-          ~args:(Printf.sprintf "{\"grantee\":%d}" grantee)
-      | Sink.Mark { time; node; name; _ } ->
-        instant ~name ~cat:"mark" ~time ~tid:(max node 0) ~args:"{}"
-      | Sink.Span_begin { time; node; name; id; _ } ->
-        if not (Hashtbl.mem paired id) then
-          instant ~name:(name ^ " (open)") ~cat:"request" ~time ~tid:node
-            ~args:(Printf.sprintf "{\"span\":%d}" id)
-      | Sink.Span_end { time; node; name; id; _ } ->
-        if not (Hashtbl.mem paired id) then
-          instant ~name:(name ^ " (end)") ~cat:"request" ~time ~tid:node
-            ~args:(Printf.sprintf "{\"span\":%d}" id))
-    events;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
-
-(* Fleet variant: one Chrome {e process} per shard (pid = the event's
-   shard tag), one thread track per tree node within it, so a sharded
-   run renders as k side-by-side tracks in one trace.  Events recorded
-   on the control lane ([node = -1] — the sharded engine's
-   window-superstep spans: ingress/drain/decision) land on a dedicated
-   "supersteps" thread per shard.  The single-process [chrome_trace]
-   above is untouched (its output is golden-pinned). *)
-let chrome_trace_fleet ?(kind_name = default_kind_name) ?(time_scale = 1000.0)
-    ?(shards = 0) events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let emit fields =
-    if !first then first := false else Buffer.add_string b ",";
-    Buffer.add_string b "\n{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%s" k v))
-      fields;
-    Buffer.add_char b '}'
-  in
-  let str s = Printf.sprintf "\"%s\"" (escape s) in
-  let ts time = Printf.sprintf "%.3f" (time *. time_scale) in
-  for s = 0 to shards - 1 do
-    emit
-      [
-        ("name", str "process_name");
-        ("ph", str "M");
-        ("pid", string_of_int s);
-        ("tid", "0");
-        ("args", Printf.sprintf "{\"name\":%s}" (str ("shard " ^ string_of_int s)));
-      ];
-    emit
-      [
-        ("name", str "thread_name");
-        ("ph", str "M");
-        ("pid", string_of_int s);
-        ("tid", "-1");
-        ("args", Printf.sprintf "{\"name\":%s}" (str "supersteps"));
-      ]
-  done;
   let completed, _unmatched = Span.pair events in
   let paired = Hashtbl.create 64 in
   List.iter (fun (s : Span.completed) -> Hashtbl.replace paired s.id ()) completed;

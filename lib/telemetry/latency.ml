@@ -4,78 +4,13 @@
    FIFO of runs, one (issue time, count) pair per distinct consecutive
    issue time, so a sharded window's requests, all issued at one
    instant, take one entry; settling pops them in issue order and feeds
-   two log-scale histograms — latency and messages-per-request — with
-   the same power-of-two bucket convention as Metrics, so fleet
-   quantiles (p50/p90/p99/max) come out without retaining per-request
-   records.  A run settles as its count of equal observations, which
-   leaves every bucket, count, sum and max as per-request settling
-   would.  Everything after creation is allocation-free except FIFO
-   doubling, and the disabled recorder ([null]) costs one cached-bool
-   branch. *)
-
-let n_buckets = 63
-
-type hist = {
-  buckets : int array; (* bucket b counts values in [2^(b-1), 2^b); b=0: v <= 0 *)
-  mutable n : int;
-  mutable sum : int;
-  mutable max : int;
-}
-
-let hist_create () = { buckets = Array.make n_buckets 0; n = 0; sum = 0; max = 0 }
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and x = ref v in
-    while !x > 0 do
-      b := !b + 1;
-      x := !x lsr 1
-    done;
-    if !b >= n_buckets then n_buckets - 1 else !b
-  end
-
-(* [c] observations of [v]. *)
-let hist_observe_n h v c =
-  if c > 0 then begin
-    let b = bucket_of v in
-    h.buckets.(b) <- h.buckets.(b) + c;
-    h.n <- h.n + c;
-    h.sum <- h.sum + (v * c);
-    if v > h.max then h.max <- v
-  end
-
-let hist_observe h v = hist_observe_n h v 1
-
-(* Same upper-bound estimate as Metrics.quantile: inclusive upper edge
-   of the bucket where the cumulative count reaches ceil(q * n), clamped
-   to the observed maximum. *)
-let hist_quantile h q =
-  if h.n = 0 then 0
-  else begin
-    let rank =
-      let r = int_of_float (ceil (q *. float_of_int h.n)) in
-      if r < 1 then 1 else if r > h.n then h.n else r
-    in
-    let cum = ref 0 and b = ref 0 in
-    (try
-       for i = 0 to n_buckets - 1 do
-         cum := !cum + h.buckets.(i);
-         if !cum >= rank then begin
-           b := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let upper = if !b = 0 then 0 else (1 lsl !b) - 1 in
-    if upper > h.max then h.max else upper
-  end
-
-let hist_reset h =
-  Array.fill h.buckets 0 n_buckets 0;
-  h.n <- 0;
-  h.sum <- 0;
-  h.max <- 0
+   two histograms of a private Metrics registry — latency and
+   messages-per-request — so fleet quantiles (p50/p90/p99/max) come out
+   without retaining per-request records.  A run settles as its count
+   of equal observations ([Metrics.observe_n]), which leaves every
+   bucket, count, sum and max as per-request settling would.
+   Everything after creation is allocation-free except FIFO doubling,
+   and the disabled recorder ([null]) costs one cached-bool branch. *)
 
 type t = {
   enabled : bool;
@@ -86,40 +21,32 @@ type t = {
   mutable head : int;
   mutable runs : int;
   mutable len : int; (* outstanding requests: the runs' counts summed *)
-  lat : hist;
-  msgs : hist;
+  reg : Metrics.t; (* holds [lat] and [msgs] only *)
+  lat : Metrics.histogram;
+  msgs : Metrics.histogram;
   mutable issued : int;
   mutable settled : int;
 }
 
-let create ?(capacity = 1024) () =
-  let capacity = max 1 capacity in
+let make ~enabled capacity =
+  let reg = Metrics.create () in
   {
-    enabled = true;
+    enabled;
     times = Array.make capacity 0.;
     count = Array.make capacity 0;
     head = 0;
     runs = 0;
     len = 0;
-    lat = hist_create ();
-    msgs = hist_create ();
+    reg;
+    lat = Metrics.histogram reg "latency";
+    msgs = Metrics.histogram reg "msgs";
     issued = 0;
     settled = 0;
   }
 
-let null =
-  {
-    enabled = false;
-    times = [||];
-    count = [||];
-    head = 0;
-    runs = 0;
-    len = 0;
-    lat = hist_create ();
-    msgs = hist_create ();
-    issued = 0;
-    settled = 0;
-  }
+let create ?(capacity = 1024) () = make ~enabled:true (max 1 capacity)
+
+let null = make ~enabled:false 0
 
 let enabled t = t.enabled
 
@@ -165,8 +92,8 @@ let latency_of ~issued ~settled =
 
 let record t ~issued ~settled ~msgs =
   if t.enabled then begin
-    hist_observe t.lat (latency_of ~issued ~settled);
-    hist_observe t.msgs (if msgs < 0 then 0 else msgs);
+    Metrics.observe t.lat (latency_of ~issued ~settled);
+    Metrics.observe t.msgs (if msgs < 0 then 0 else msgs);
     t.issued <- t.issued + 1;
     t.settled <- t.settled + 1
   end
@@ -182,8 +109,8 @@ let settle_oldest t ~time ~msgs =
     else t.count.(h) <- t.count.(h) - 1;
     t.len <- t.len - 1;
     t.settled <- t.settled + 1;
-    hist_observe t.lat (latency_of ~issued:t0 ~settled:time);
-    hist_observe t.msgs (if msgs < 0 then 0 else msgs)
+    Metrics.observe t.lat (latency_of ~issued:t0 ~settled:time);
+    Metrics.observe t.msgs (if msgs < 0 then 0 else msgs)
   end
 
 (* Settle every outstanding request at [time] — the quiescence rule:
@@ -203,10 +130,10 @@ let settle_all t ~time ~msgs =
     for r = 0 to t.runs - 1 do
       let i = (t.head + r) mod cap in
       let c = t.count.(i) in
-      hist_observe_n t.lat (latency_of ~issued:t.times.(i) ~settled:time) c;
+      Metrics.observe_n t.lat (latency_of ~issued:t.times.(i) ~settled:time) c;
       let more = max 0 (min c (rem - !first)) in
-      hist_observe_n t.msgs (base + 1) more;
-      hist_observe_n t.msgs base (c - more);
+      Metrics.observe_n t.msgs (base + 1) more;
+      Metrics.observe_n t.msgs base (c - more);
       first := !first + c
     done;
     t.head <- 0;
@@ -215,19 +142,21 @@ let settle_all t ~time ~msgs =
     t.settled <- t.settled + n
   end
 
-let quantile t q = hist_quantile t.lat q
+let mean h =
+  let n = Metrics.histogram_count h in
+  if n = 0 then 0. else float_of_int (Metrics.histogram_sum h) /. float_of_int n
 
-let max_latency t = t.lat.max
+let quantile t q = Metrics.quantile t.lat q
 
-let mean_latency t =
-  if t.lat.n = 0 then 0. else float_of_int t.lat.sum /. float_of_int t.lat.n
+let max_latency t = Metrics.histogram_max t.lat
 
-let msgs_quantile t q = hist_quantile t.msgs q
+let mean_latency t = mean t.lat
 
-let max_msgs t = t.msgs.max
+let msgs_quantile t q = Metrics.quantile t.msgs q
 
-let mean_msgs t =
-  if t.msgs.n = 0 then 0. else float_of_int t.msgs.sum /. float_of_int t.msgs.n
+let max_msgs t = Metrics.histogram_max t.msgs
+
+let mean_msgs t = mean t.msgs
 
 let reset t =
   t.head <- 0;
@@ -235,8 +164,7 @@ let reset t =
   t.len <- 0;
   t.issued <- 0;
   t.settled <- 0;
-  hist_reset t.lat;
-  hist_reset t.msgs
+  Metrics.reset t.reg
 
 let to_text t =
   Printf.sprintf

@@ -3,8 +3,8 @@
     A recorder tracks requests from {!issue} to settle.  The time axis
     is whatever the caller feeds in — delivery ticks for the sequential
     engine, window numbers for the sharded one — and latencies land in a
-    power-of-two-bucket histogram (same convention as {!Metrics}), next
-    to a second histogram of messages-per-request, so tail quantiles
+    power-of-two-bucket {!Metrics.histogram}, next to a second histogram
+    of messages-per-request, so tail quantiles
     (p50/p90/p99/max) come out without retaining per-request records.
 
     Settling is FIFO: requests complete in issue order, which matches

@@ -91,10 +91,7 @@ let bucket_of v =
 
 (* GC health, sampled on demand (the registry never polls by itself):
    allocation totals and collection counts as gauges, so a phase reset
-   re-baselines them along with everything else.  OCaml exposes no
-   per-collection pause clock, so gc.max_pause is fed by the caller —
-   whoever drives the event loop times its own steps and reports them
-   through [observe_pause]; the gauge's high-water mark is the answer. *)
+   re-baselines them along with everything else. *)
 let gc_sample t =
   let s = Gc.quick_stat () in
   gauge_set (gauge t "gc.minor_words") (int_of_float s.Gc.minor_words);
@@ -103,16 +100,17 @@ let gc_sample t =
   gauge_set (gauge t "gc.major_collections") s.Gc.major_collections;
   gauge_set (gauge t "gc.heap_words") s.Gc.heap_words
 
-let observe_pause t seconds =
-  gauge_set (gauge t "gc.max_pause") (int_of_float (seconds *. 1e9))
+let observe_n h v c =
+  if c > 0 then begin
+    let b = bucket_of v in
+    let b = if b >= n_buckets then n_buckets - 1 else b in
+    h.buckets.(b) <- h.buckets.(b) + c;
+    h.n <- h.n + c;
+    h.sum <- h.sum + (v * c);
+    if v > h.max then h.max <- v
+  end
 
-let observe h v =
-  let b = bucket_of v in
-  let b = if b >= n_buckets then n_buckets - 1 else b in
-  h.buckets.(b) <- h.buckets.(b) + 1;
-  h.n <- h.n + 1;
-  h.sum <- h.sum + v;
-  if v > h.max then h.max <- v
+let observe h v = observe_n h v 1
 
 let histogram_count h = h.n
 

@@ -59,14 +59,13 @@ val gc_sample : t -> unit
     it wherever a health snapshot is taken; a registry {!reset}
     re-baselines these along with everything else. *)
 
-val observe_pause : t -> float -> unit
-(** [observe_pause t seconds] records one measured event-loop step (or
-    any other latency the caller treats as a pause) into the
-    [gc.max_pause] gauge, in nanoseconds; the gauge's high-water mark
-    is the worst pause observed.  OCaml exposes no per-collection pause
-    clock, so this is caller-timed by design. *)
-
 val observe : histogram -> int -> unit
+(** [observe h v] is [observe_n h v 1]. *)
+
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v c] records [c] observations of [v] at once: every
+    bucket, count, sum and max reads as after [c] calls of {!observe}.
+    No-op when [c <= 0]. *)
 
 val histogram_count : histogram -> int
 
@@ -99,6 +98,10 @@ val to_text : t -> string
 (** Aligned, human-readable table, one metric per line. *)
 
 val to_json : t -> string
+
+val escape_json : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped.  Shared with {!Export}. *)
 
 val merge_into : t -> t -> unit
 (** [merge_into dst src] folds every metric of [src] into [dst],

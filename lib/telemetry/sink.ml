@@ -58,8 +58,6 @@ let ring_total r = r.total
 
 let ring_dropped r = r.total - r.stored
 
-let ring_capacity r = r.capacity
-
 let ring_clear r =
   Array.fill r.data 0 r.capacity dummy;
   r.next <- 0;

@@ -48,8 +48,6 @@ val ring_total : ring -> int
 val ring_dropped : ring -> int
 (** [ring_total - ring_length]: events overwritten by newer ones. *)
 
-val ring_capacity : ring -> int
-
 val ring_clear : ring -> unit
 
 (** {1 Sinks} *)

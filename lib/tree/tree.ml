@@ -587,20 +587,6 @@ module Dyn = struct
   let bset b i v = Bytes.unsafe_set b i (if v then '\001' else '\000')
 
   let tree d = d.base
-  let is_active d u =
-    if u < 0 || u >= d.base.n then invalid "node %d out of range" u;
-    bget d.active u
-  let active_count d = d.active_count
-  let active_degree d u =
-    if u < 0 || u >= d.base.n then invalid "node %d out of range" u;
-    d.active_deg.(u)
-
-  let active_nodes d =
-    let acc = ref [] in
-    for u = d.base.n - 1 downto 0 do
-      if bget d.active u then acc := u :: !acc
-    done;
-    !acc
 
   let create ?(detached = []) base =
     let n = base.n in

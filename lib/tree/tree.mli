@@ -238,9 +238,9 @@ end
     detach — its unique active neighbour is the {e handoff point} for
     state transfer — and only an inactive node with at least one active
     capacity-neighbour may attach (several attach points cannot close a
-    cycle, the capacity graph has none).  [active_degree] is maintained
-    incrementally, so eligibility queries are O(degree) worst case and
-    O(1) amortized under churn. *)
+    cycle, the capacity graph has none).  Each node's count of active
+    neighbours is maintained incrementally, so eligibility queries are
+    O(degree) worst case and O(1) amortized under churn. *)
 module Dyn : sig
   type dyn
 
@@ -250,13 +250,6 @@ module Dyn : sig
       nodes, or leaves the active set empty or disconnected. *)
 
   val tree : dyn -> t
-  val is_active : dyn -> int -> bool
-  val active_count : dyn -> int
-  val active_nodes : dyn -> int list
-  (** Active nodes, ascending. *)
-
-  val active_degree : dyn -> int -> int
-  (** Number of active neighbours (maintained incrementally). *)
 
   val can_detach : dyn -> int -> (int, string) result
   (** [Ok h] iff the node is an active leaf of the active subtree (and

@@ -37,7 +37,6 @@ type t = {
   batch : int;          (* requests per window *)
   read_threshold : int; (* draw62 < threshold => combine; 0 = writes only *)
   value_bound : int;
-  skew : float;         (* for [describe] only *)
   cdf : int array;      (* int-scaled Zipf CDF; [||] = uniform draw *)
   mutable state : int;
   mutable idx : int;    (* index of the current request; -1 before the first *)
@@ -72,7 +71,6 @@ let create ?(read_fraction = 0.0) ?(skew = 0.0) ?(batch = 1)
     read_threshold =
       int_of_float (read_fraction *. float_of_int scale61);
     value_bound;
-    skew;
     cdf;
     state = seed;
     idx = -1;
@@ -131,13 +129,6 @@ let exhausted t = t.idx + 1 >= t.length
 let is_write t = t.op = 0
 let node t = t.node
 let value t = t.value
-
-let describe t =
-  Printf.sprintf
-    "feed seed=%d length=%d nodes=%d batch=%d reads=%.2f skew=%.2f"
-    t.seed t.length t.n_nodes t.batch
-    (float_of_int t.read_threshold /. float_of_int scale61)
-    t.skew
 
 let shard_cursors t ~shards ~shard_of ~apply =
   if shards < 1 then invalid_arg "Feed.shard_cursors: shards must be >= 1";

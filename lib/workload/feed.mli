@@ -75,9 +75,6 @@ val value : t -> int
 
 val length : t -> int
 
-val describe : t -> string
-(** One-line parameter summary for reports. *)
-
 val shard_cursors :
   t ->
   shards:int ->

@@ -119,6 +119,16 @@ let test_multi_dht_load_spreading () =
   let load = Mu.messages_per_node t ~n:32 in
   let total = Array.fold_left ( + ) 0 load in
   Alcotest.(check int) "load accounting consistent" (Mu.message_total t) total;
+  (* the per-node loads read the mechanisms' ledgers; the networks count
+     the same traffic on their own *)
+  let module M = Oat.Mechanism.Make (Agg.Ops.Sum) in
+  let wire =
+    List.fold_left
+      (fun acc attr ->
+        acc + Simul.Network.total (M.network (Mu.instance t ~attr)))
+      0 attrs
+  in
+  Alcotest.(check int) "load matches the wire" wire total;
   let max_load = Array.fold_left max 0 load in
   Alcotest.(check bool) "no machine carries most of the load" true
     (max_load * 3 < total)

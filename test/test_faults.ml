@@ -18,17 +18,13 @@ let run_dropping ~tree ~requests ~drop =
   let sys = M.create ~ghost:true tree ~policy:Oat.Rww.policy in
   let delivered = ref 0 in
   let results = ref [] in
+  let handler ~src ~dst f =
+    incr delivered;
+    if !delivered <> drop then M.handler sys ~src ~dst f
+    else Simul.Frame.release f
+  in
   let drain () =
-    let rec go () =
-      match Simul.Network.pop_any (M.network sys) with
-      | None -> ()
-      | Some (src, dst, m) ->
-        incr delivered;
-        if !delivered <> drop then M.handler sys ~src ~dst m
-        else Simul.Frame.release m;
-        go ()
-    in
-    go ()
+    while Simul.Network.deliver_any (M.network sys) ~handler do () done
   in
   List.iter
     (fun (q : float Oat.Request.t) ->

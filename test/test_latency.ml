@@ -4,6 +4,12 @@ module Sm = Prng.Splitmix
 module M = Oat.Mechanism.Make (Agg.Ops.Sum)
 module D = Simul.Devent
 
+(* The clock tests send empty frames through a network whose sends
+   notify the clock, as [Fault.Runner] and [oat-cli simulate] do. *)
+let pool = Simul.Frame.create_pool ~name:"test_latency" ()
+let timed_net clock tree = Simul.Network.create ~on_send:(D.notify clock) tree
+let send net ~src ~dst = Simul.Network.send net ~src ~dst (Simul.Frame.alloc pool)
+
 let test_clock_orders_by_time () =
   let tree = Tree.Build.path 4 in
   let lat ~src ~dst =
@@ -11,15 +17,20 @@ let test_clock_orders_by_time () =
     (* edge leaving node 0 is slow *)
     if src = 0 then 5.0 else 1.0
   in
-  let clock = D.create tree ~latency:lat in
+  let clock = D.create ~latency:lat in
+  let net = timed_net clock tree in
   let order = ref [] in
-  D.notify clock ~src:0 ~dst:1;
+  send net ~src:0 ~dst:1;
   (* t=5 *)
-  D.notify clock ~src:2 ~dst:3;
+  send net ~src:2 ~dst:3;
   (* t=1 *)
-  D.notify clock ~src:1 ~dst:2;
+  send net ~src:1 ~dst:2;
   (* t=1, seq later than the 2->3 one *)
-  let n = D.drain clock ~deliver:(fun ~src ~dst -> order := (src, dst) :: !order) in
+  let n =
+    D.drain clock net ~handler:(fun ~src ~dst f ->
+        Simul.Frame.release f;
+        order := (src, dst) :: !order)
+  in
   Alcotest.(check int) "3 deliveries" 3 n;
   Alcotest.(check (list (pair int int)))
     "timestamp order, ties by send order"
@@ -36,38 +47,44 @@ let test_clock_fifo_under_varying_latency () =
     incr calls;
     if !calls = 1 then 10.0 else 1.0
   in
-  let clock = D.create tree ~latency:lat in
+  let clock = D.create ~latency:lat in
+  let net = timed_net clock tree in
   let order = ref [] in
-  D.notify clock ~src:0 ~dst:1;
+  send net ~src:0 ~dst:1;
   (* scheduled t=10 *)
-  D.notify clock ~src:0 ~dst:1;
+  send net ~src:0 ~dst:1;
   (* would be t=1, clamped to t=10 *)
-  ignore (D.drain clock ~deliver:(fun ~src:_ ~dst:_ -> order := List.length !order :: !order));
+  ignore
+    (D.drain clock net ~handler:(fun ~src:_ ~dst:_ f ->
+         Simul.Frame.release f;
+         order := List.length !order :: !order));
   Alcotest.(check int) "both delivered" 2 (List.length !order)
 
 let test_clock_cascade_advances_time () =
   (* Deliveries that trigger further sends accumulate time. *)
   let tree = Tree.Build.path 5 in
-  let clock = D.create tree ~latency:D.unit_latency in
+  let clock = D.create ~latency:D.unit_latency in
+  let net = timed_net clock tree in
   let deliver_hops = ref 0 in
-  let deliver ~src:_ ~dst =
+  let handler ~src:_ ~dst f =
     incr deliver_hops;
-    if dst < 4 then D.notify clock ~src:dst ~dst:(dst + 1)
+    if dst < 4 then Simul.Network.send net ~src:dst ~dst:(dst + 1) f
+    else Simul.Frame.release f
   in
-  D.notify clock ~src:0 ~dst:1;
-  ignore (D.drain clock ~deliver);
+  send net ~src:0 ~dst:1;
+  ignore (D.drain clock net ~handler);
   Alcotest.(check int) "4 hops" 4 !deliver_hops;
   Alcotest.(check (float 1e-9)) "time = path length" 4.0 (D.now clock)
 
 let test_clock_advance_to () =
-  let clock = D.create (Tree.Build.two_nodes ()) ~latency:D.unit_latency in
+  let clock = D.create ~latency:D.unit_latency in
   D.advance_to clock 3.0;
   Alcotest.(check (float 1e-9)) "moved" 3.0 (D.now clock);
   D.advance_to clock 1.0;
   Alcotest.(check (float 1e-9)) "never backwards" 3.0 (D.now clock)
 
 let test_clock_rejects_nonpositive_latency () =
-  let clock = D.create (Tree.Build.two_nodes ()) ~latency:(fun ~src:_ ~dst:_ -> 0.0) in
+  let clock = D.create ~latency:(fun ~src:_ ~dst:_ -> 0.0) in
   match D.notify clock ~src:0 ~dst:1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument"

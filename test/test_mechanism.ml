@@ -385,13 +385,14 @@ let test_cost_decomposition () =
       | { Oat.Request.op = Oat.Request.Combine; node } ->
         ignore (M.combine_sync sys ~node)
     done;
-    let total = M.message_total sys in
+    let wire = Simul.Network.total (M.network sys) in
     let decomposed =
       List.fold_left
         (fun acc (u, v) -> acc + M.cost_between sys u v)
         0 (Tree.ordered_pairs tree)
     in
-    Alcotest.(check int) "Lemma 3.9 decomposition" total decomposed
+    Alcotest.(check int) "Lemma 3.9 decomposition" wire decomposed;
+    Alcotest.(check int) "ledger total" (M.message_total sys) decomposed
   done
 
 (* --------------------------------------------------------------- *)
@@ -504,14 +505,8 @@ let test_sequential_confluence () =
       (match q.op with
       | Oat.Request.Write v -> M.write rnd ~node:q.node v
       | Oat.Request.Combine -> M.combine rnd ~node:q.node (fun _ -> ()));
-      let rec drain () =
-        match Simul.Network.pop_random (M.network rnd) shuffle_rng with
-        | None -> ()
-        | Some (src, dst, m) ->
-          M.handler rnd ~src ~dst m;
-          drain ()
-      in
-      drain ()
+      let net = M.network rnd and handler = M.handler rnd in
+      while Simul.Network.deliver_random net shuffle_rng ~handler do () done
     in
     List.iter
       (fun (q : float Oat.Request.t) ->
@@ -578,14 +573,8 @@ let prop_confluence_small =
           ignore (M.combine_sync det ~node);
           M.combine rnd ~node (fun _ -> ())
         end;
-        let rec drain () =
-          match Simul.Network.pop_random (M.network rnd) shuffle_rng with
-          | None -> ()
-          | Some (src, dst, m) ->
-            M.handler rnd ~src ~dst m;
-            drain ()
-        in
-        drain ()
+        let net = M.network rnd and handler = M.handler rnd in
+        while Simul.Network.deliver_random net shuffle_rng ~handler do () done
       done;
       M.message_total det = M.message_total rnd
       && List.for_all
@@ -780,7 +769,8 @@ let test_fuzz_invariants_concurrent () =
        if Sm.bool rng then M.write sys ~node (float_of_int op)
        else M.combine sys ~node (fun _ -> ())
      end
-     else ignore (Simul.Engine.step (M.network sys) ~handler:(M.handler sys)));
+     else
+       ignore (Simul.Network.deliver_any (M.network sys) ~handler:(M.handler sys)));
     M.check_invariants sys
   done;
   ignore (M.run_to_quiescence sys);

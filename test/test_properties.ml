@@ -108,7 +108,10 @@ let prop_cost_decomposition_any_policy =
           (fun acc (u, v) -> acc + M.cost_between sys u v)
           0 (Tree.ordered_pairs tree)
       in
-      decomposed = M.message_total sys)
+      (* The ledger's split against the network's own count of what
+         crossed the wire, and against the ledger's total. *)
+      decomposed = Simul.Network.total (M.network sys)
+      && decomposed = M.message_total sys)
 
 (* --------------------------------------------------------------- *)
 (* Virtual clock delivers in nondecreasing time order.               *)
@@ -121,32 +124,37 @@ let prop_clock_monotone =
       let n = 2 + Sm.int rng 8 in
       let tree = Tree.Build.random rng n in
       let clock =
-        Simul.Devent.create tree ~latency:(fun ~src ~dst ->
+        Simul.Devent.create ~latency:(fun ~src ~dst ->
             ignore (src, dst);
             0.5 +. Sm.float rng)
       in
-      (* Schedule a batch, then deliver while occasionally scheduling
-         more from inside the handler. *)
+      let net =
+        Simul.Network.create ~on_send:(Simul.Devent.notify clock) tree
+      in
+      let pool = Simul.Frame.create_pool () in
+      (* Send a batch, then deliver while occasionally sending more from
+         inside the handler. *)
       let pairs = Array.of_list (Tree.ordered_pairs tree) in
       for _ = 1 to 10 do
         let src, dst = Sm.pick rng pairs in
-        Simul.Devent.notify clock ~src ~dst
+        Simul.Network.send net ~src ~dst (Simul.Frame.alloc pool)
       done;
       let monotone = ref true in
       let last = ref 0.0 in
       let budget = ref 40 in
-      let deliver ~src ~dst =
+      let handler ~src ~dst f =
         ignore (src, dst);
+        Simul.Frame.release f;
         let t = Simul.Devent.now clock in
         if t < !last -. 1e-9 then monotone := false;
         last := t;
         if !budget > 0 && Sm.bernoulli rng 0.4 then begin
           decr budget;
           let src, dst = Sm.pick rng pairs in
-          Simul.Devent.notify clock ~src ~dst
+          Simul.Network.send net ~src ~dst (Simul.Frame.alloc pool)
         end
       in
-      ignore (Simul.Devent.drain clock ~deliver);
+      ignore (Simul.Devent.drain clock net ~handler);
       !monotone && Simul.Devent.pending clock = 0)
 
 (* --------------------------------------------------------------- *)

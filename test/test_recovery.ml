@@ -183,6 +183,37 @@ let test_fault_free_runner_matches_contract () =
   Alcotest.(check int) "acks only overhead" o.R.physical_msgs
     (o.R.logical_msgs * 2)
 
+(* [metrics]' net.* counters are the physical network's: they count the
+   wire — data frames, acks and retransmissions — so per kind they sum
+   to [physical_msgs], drops included. *)
+let test_runner_metrics_count_the_wire () =
+  let run spec =
+    let metrics = Telemetry.Metrics.create () in
+    let spec =
+      match Fault.Plan.spec_of_string spec with
+      | Ok s -> s
+      | Error m -> Alcotest.fail m
+    in
+    let plan = Fault.Plan.create ~metrics ~seed:7 spec in
+    let o =
+      R.run ~metrics ~plan ~tree:(Tree.Build.binary 9) ~policy:Oat.Rww.policy
+        ~requests:(workload 9 30) ()
+    in
+    let sent k =
+      Telemetry.Metrics.counter_value
+        (Telemetry.Metrics.counter metrics ("net.sent." ^ Simul.Kind.to_string k))
+    in
+    (o, sent, List.fold_left (fun acc k -> acc + sent k) 0 Simul.Kind.all)
+  in
+  let o, sent, wire = run "drop=0" in
+  Alcotest.(check int) "fault-free: net.sent.* = physical" o.R.physical_msgs wire;
+  Alcotest.(check int) "fault-free: physical = 2 x logical"
+    (2 * o.R.logical_msgs) o.R.physical_msgs;
+  Alcotest.(check bool) "acks on the wire" true (sent Simul.Kind.Ack > 0);
+  let o, _, wire = run "drop=0.1" in
+  Alcotest.(check bool) "losses injected" true (o.R.faults_dropped > 0);
+  Alcotest.(check int) "lossy: net.sent.* = physical" o.R.physical_msgs wire
+
 let suite =
   [
     Alcotest.test_case "partial combine during downtime" `Quick
@@ -202,4 +233,6 @@ let suite =
       test_demo_reproducible_from_seed;
     Alcotest.test_case "fault-free runner contract" `Quick
       test_fault_free_runner_matches_contract;
+    Alcotest.test_case "runner metrics count the wire" `Quick
+      test_runner_metrics_count_the_wire;
   ]

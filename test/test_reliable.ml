@@ -24,16 +24,10 @@ let send rel pool ~src ~dst k =
 (* A transport stack carrying raw int payloads; [received] accumulates
    deliveries in order. *)
 let make ?fault ?(rto = 4.0) tree =
-  let dev = Dev.create tree ~latency:Dev.unit_latency in
+  let dev = Dev.create ~latency:Dev.unit_latency in
   let received = ref [] in
   let pool = Frame.create_pool ~name:"test.rel" () in
-  let net =
-    Net.create ?fault
-      ~on_send:(fun ~src ~dst -> Dev.notify dev ~src ~dst)
-      tree
-      ~kind_of:(fun f -> Simul.Kind.of_index (Frame.kind f))
-      ~frames:(fun f -> f)
-  in
+  let net = Net.create ?fault ~on_send:(Dev.notify dev) tree in
   let rel =
     Rel.create ~rto ~pool ~timer:dev ~net
       ~deliver:(fun ~src ~dst f ->
@@ -44,11 +38,7 @@ let make ?fault ?(rto = 4.0) tree =
   in
   (dev, net, rel, pool, fun () -> List.rev !received)
 
-let drain dev net rel =
-  Dev.drain dev ~deliver:(fun ~src ~dst ->
-      match Net.pop net ~src ~dst with
-      | Some f -> Rel.handle rel ~src ~dst f
-      | None -> Alcotest.fail "scheduler out of sync with network")
+let drain dev net rel = Dev.drain dev net ~handler:(Rel.handle rel)
 
 let quiet net rel pool =
   Rel.check_invariants rel;
@@ -187,18 +177,12 @@ let prop_exactly_once_fifo =
       in
       let plan = Fault.Plan.create ~seed spec in
       let dev =
-        Dev.create tree
-          ~latency:(Fault.Plan.latency plan ~base:Dev.unit_latency)
+        Dev.create ~latency:(Fault.Plan.latency plan ~base:Dev.unit_latency)
       in
       let received = ref [] in
       let pool = Frame.create_pool ~name:"test.rel.prop" () in
       let net =
-        Net.create
-          ~fault:(Fault.Plan.hook plan)
-          ~on_send:(fun ~src ~dst -> Dev.notify dev ~src ~dst)
-          tree
-          ~kind_of:(fun f -> Simul.Kind.of_index (Frame.kind f))
-          ~frames:(fun f -> f)
+        Net.create ~fault:(Fault.Plan.hook plan) ~on_send:(Dev.notify dev) tree
       in
       let rel =
         Rel.create ~pool ~timer:dev ~net
@@ -219,11 +203,7 @@ let prop_exactly_once_fifo =
             sent := (u, v, k) :: !sent;
             send rel pool ~src:u ~dst:v k)
       done;
-      ignore
-        (Dev.drain dev ~deliver:(fun ~src ~dst ->
-             match Net.pop net ~src ~dst with
-             | Some f -> Rel.handle rel ~src ~dst f
-             | None -> failwith "scheduler out of sync"));
+      ignore (Dev.drain dev net ~handler:(Rel.handle rel));
       Rel.check_invariants rel;
       Frame.check_pool pool;
       let sent = List.rev !sent and received = List.rev !received in

@@ -150,8 +150,13 @@ let seq_sharded ?strategy tree ~seed ~domains =
   let name = Printf.sprintf "domains=%d" domains in
   check_drained name sh;
   M.check_invariants sys;
-  (Simul.Sharded.total sh, kind_counts_net (Simul.Sharded.total_of_kind sh),
-   Array.to_list returned, final_state sys n)
+  ( (Simul.Sharded.total sh, kind_counts_net (Simul.Sharded.total_of_kind sh)),
+    (M.message_total sys, kind_counts_net (M.messages_of_kind sys)),
+    Array.to_list returned,
+    final_state sys n )
+
+let quad (a, b, c, d) = ((a, b), (c, d))
+let quad_t = Alcotest.(pair (pair int int) (pair int int))
 
 let diff_sequential ?strategy name tree ~seed ~expect_total =
   let ((ref_total, ref_kinds, ref_ret, ref_state) as reference) =
@@ -162,12 +167,17 @@ let diff_sequential ?strategy name tree ~seed ~expect_total =
     (fun domains ->
       let tag = Printf.sprintf "%s @ %d domains" name domains in
       let sharded = seq_sharded ?strategy tree ~seed ~domains in
-      let sh_total, sh_kinds, sh_ret, sh_state = sharded in
+      let (sh_total, sh_kinds), (m_total, m_kinds), sh_ret, sh_state =
+        sharded
+      in
       Alcotest.(check int) (tag ^ ": total") ref_total sh_total;
-      Alcotest.(check (pair (pair int int) (pair int int)))
-        (tag ^ ": kind counts")
-        (let a, b, c, d = ref_kinds in ((a, b), (c, d)))
-        (let a, b, c, d = sh_kinds in ((a, b), (c, d)));
+      Alcotest.check quad_t (tag ^ ": kind counts") (quad ref_kinds)
+        (quad sh_kinds);
+      (* the mechanism's own totals read its ledger, so they see the
+         sharded traffic as well *)
+      Alcotest.(check int) (tag ^ ": mechanism total") ref_total m_total;
+      Alcotest.check quad_t (tag ^ ": mechanism kind counts") (quad ref_kinds)
+        (quad m_kinds);
       Alcotest.(check (list (option int64)))
         (tag ^ ": combine results") ref_ret sh_ret;
       Alcotest.(check bool) (tag ^ ": final state") true (ref_state = sh_state);
@@ -321,11 +331,12 @@ let diff_concurrent name ?(ghost = false) tree ~seed ~n_requests ~expect_total =
       check_drained tag sh;
       M.check_invariants sys;
       Alcotest.(check int) (tag ^ ": total") expect_total (Simul.Sharded.total sh);
-      Alcotest.(check (pair (pair int int) (pair int int)))
-        (tag ^ ": kind counts")
-        (let a, b, c, d = ref_kinds in ((a, b), (c, d)))
-        (kind_counts_net (Simul.Sharded.total_of_kind sh) |> fun (a, b, c, d) ->
-         ((a, b), (c, d)));
+      Alcotest.check quad_t (tag ^ ": kind counts") (quad ref_kinds)
+        (quad (kind_counts_net (Simul.Sharded.total_of_kind sh)));
+      Alcotest.(check int)
+        (tag ^ ": mechanism total") expect_total (M.message_total sys);
+      Alcotest.check quad_t (tag ^ ": mechanism kind counts") (quad ref_kinds)
+        (quad (kind_counts_net (M.messages_of_kind sys)));
       Alcotest.(check bool)
         (tag ^ ": final state") true
         (ref_state = final_state sys n);

@@ -1,23 +1,41 @@
 (* Tests for the FIFO network and the execution engines. *)
 
 module Sm = Prng.Splitmix
+module Frame = Simul.Frame
 
+(* Test traffic: a Ping is a Probe frame and a Pong a Response frame,
+   each carrying one int after the header.  [decode] reads a popped
+   frame back and releases it. *)
 type msg = Ping of int | Pong of int
 
-let kind_of = function
-  | Ping _ -> Simul.Kind.Probe
-  | Pong _ -> Simul.Kind.Response
+let pool = Frame.create_pool ~name:"test_simul" ()
+
+let frame kind i =
+  let f = Frame.alloc pool in
+  Frame.set_kind f (Simul.Kind.index kind);
+  Frame.set_length f (Frame.header_size + 8);
+  Frame.set_int (Frame.buf f) Frame.header_size i;
+  f
+
+let ping i = frame Simul.Kind.Probe i
+let pong i = frame Simul.Kind.Response i
+
+let decode f =
+  let i = Frame.get_int (Frame.buf f) Frame.header_size in
+  let probe = Frame.kind f = Simul.Kind.index Simul.Kind.Probe in
+  Frame.release f;
+  if probe then Ping i else Pong i
 
 let test_send_pop_fifo () =
   let t = Tree.Build.path 3 in
-  let net = Simul.Network.create t ~kind_of in
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 1);
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 2);
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 3);
+  let net = Simul.Network.create t in
+  Simul.Network.send net ~src:0 ~dst:1 (ping 1);
+  Simul.Network.send net ~src:0 ~dst:1 (ping 2);
+  Simul.Network.send net ~src:0 ~dst:1 (ping 3);
   Alcotest.(check int) "in flight" 3 (Simul.Network.in_flight net);
   let order = ref [] in
   let rec drain () =
-    match Simul.Network.pop net ~src:0 ~dst:1 with
+    match Option.map decode (Simul.Network.pop net ~src:0 ~dst:1) with
     | Some (Ping i) ->
       order := i :: !order;
       drain ()
@@ -30,8 +48,8 @@ let test_send_pop_fifo () =
 
 let test_non_edge_rejected () =
   let t = Tree.Build.path 3 in
-  let net = Simul.Network.create t ~kind_of in
-  (match Simul.Network.send net ~src:0 ~dst:2 (Ping 0) with
+  let net = Simul.Network.create t in
+  (match Simul.Network.send net ~src:0 ~dst:2 (ping 0) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument");
   match Simul.Network.pop net ~src:2 ~dst:0 with
@@ -40,10 +58,10 @@ let test_non_edge_rejected () =
 
 let test_counters () =
   let t = Tree.Build.star 4 in
-  let net = Simul.Network.create t ~kind_of in
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
-  Simul.Network.send net ~src:1 ~dst:0 (Pong 0);
+  let net = Simul.Network.create t in
+  Simul.Network.send net ~src:0 ~dst:1 (ping 0);
+  Simul.Network.send net ~src:0 ~dst:1 (ping 0);
+  Simul.Network.send net ~src:1 ~dst:0 (pong 0);
   Alcotest.(check int) "kind total" 2 (Simul.Network.total_of_kind net Simul.Kind.Probe);
   Alcotest.(check int) "kind total" 1 (Simul.Network.total_of_kind net Simul.Kind.Response);
   Alcotest.(check int) "grand total" 3 (Simul.Network.total net);
@@ -74,58 +92,57 @@ let test_run_to_quiescence_relay () =
   (* Relay a token down a path; each delivery forwards it. *)
   let n = 6 in
   let t = Tree.Build.path n in
-  let net = Simul.Network.create t ~kind_of in
+  let net = Simul.Network.create t in
   let reached = ref (-1) in
-  let handler ~src:_ ~dst m =
-    match m with
+  let handler ~src:_ ~dst f =
+    match decode f with
     | Ping i ->
       reached := dst;
-      if dst < n - 1 then Simul.Network.send net ~src:dst ~dst:(dst + 1) (Ping (i + 1))
+      if dst < n - 1 then Simul.Network.send net ~src:dst ~dst:(dst + 1) (ping (i + 1))
     | Pong _ -> ()
   in
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
+  Simul.Network.send net ~src:0 ~dst:1 (ping 0);
   let deliveries = Simul.Engine.run_to_quiescence net ~handler in
   Alcotest.(check int) "deliveries" (n - 1) deliveries;
   Alcotest.(check int) "token reached end" (n - 1) !reached
 
 let test_step () =
   let t = Tree.Build.path 2 in
-  let net = Simul.Network.create t ~kind_of in
-  let handler ~src:_ ~dst:_ _ = () in
-  Alcotest.(check bool) "no work" false (Simul.Engine.step net ~handler);
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
-  Alcotest.(check bool) "one step" true (Simul.Engine.step net ~handler);
-  Alcotest.(check bool) "then quiescent" false (Simul.Engine.step net ~handler)
+  let net = Simul.Network.create t in
+  let handler ~src:_ ~dst:_ f = Frame.release f in
+  let step () = Simul.Network.deliver_any net ~handler in
+  Alcotest.(check bool) "no work" false (step ());
+  Simul.Network.send net ~src:0 ~dst:1 (ping 0);
+  Alcotest.(check bool) "one step" true (step ());
+  Alcotest.(check bool) "then quiescent" false (step ())
 
 let test_pop_random_exhausts () =
   let rng = Sm.create 77 in
   let t = Tree.Build.star 5 in
-  let net = Simul.Network.create t ~kind_of in
+  let net = Simul.Network.create t in
   for i = 1 to 4 do
-    Simul.Network.send net ~src:0 ~dst:i (Ping i)
+    Simul.Network.send net ~src:0 ~dst:i (ping i)
   done;
   let seen = ref [] in
-  let rec drain () =
-    match Simul.Network.pop_random net rng with
-    | Some (_, dst, Ping i) ->
+  let handler ~src:_ ~dst f =
+    match decode f with
+    | Ping i ->
       Alcotest.(check int) "payload matches dst" dst i;
-      seen := i :: !seen;
-      drain ()
-    | Some _ -> Alcotest.fail "unexpected"
-    | None -> ()
+      seen := i :: !seen
+    | Pong _ -> Alcotest.fail "unexpected"
   in
-  drain ();
+  while Simul.Network.deliver_random net rng ~handler do () done;
   Alcotest.(check (list int)) "all delivered" [ 1; 2; 3; 4 ]
     (List.sort compare !seen)
 
 let test_run_concurrent_initiates_all () =
   let rng = Sm.create 99 in
   let t = Tree.Build.path 4 in
-  let net = Simul.Network.create t ~kind_of in
+  let net = Simul.Network.create t in
   let initiated = ref 0 in
   let delivered = ref 0 in
-  let handler ~src ~dst m =
-    ignore (src, dst, m);
+  let handler ~src ~dst f =
+    ignore (src, dst, decode f);
     incr delivered
   in
   let requests =
@@ -133,7 +150,7 @@ let test_run_concurrent_initiates_all () =
         fun () ->
           incr initiated;
           let u = i mod 3 in
-          Simul.Network.send net ~src:u ~dst:(u + 1) (Ping i))
+          Simul.Network.send net ~src:u ~dst:(u + 1) (ping i))
   in
   Simul.Engine.run_concurrent ~rng net ~handler ~requests;
   Alcotest.(check int) "all initiated" 10 !initiated;
@@ -142,15 +159,15 @@ let test_run_concurrent_initiates_all () =
 
 (* ---- active-channel registry: scheduler/bookkeeping invariants ---- *)
 
-(* pop_random must only ever surface channels that the O(edges) debug
-   view [nonempty_channels] also reports. *)
+(* Random delivery must only ever surface channels that the O(edges)
+   debug view [nonempty_channels] also reports. *)
 let prop_pop_random_subset_of_nonempty =
   QCheck.Test.make ~count:100 ~name:"pop_random returns a nonempty channel"
     QCheck.(pair (int_range 2 24) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Sm.create seed in
       let t = Tree.Build.random rng n in
-      let net = Simul.Network.create t ~kind_of in
+      let net = Simul.Network.create t in
       (* Random fill: up to 3 messages on up to n random directed edges. *)
       for _ = 1 to 1 + Sm.int rng n do
         let u = Sm.int rng n in
@@ -159,17 +176,18 @@ let prop_pop_random_subset_of_nonempty =
         | nbrs ->
           let v = Sm.pick rng nbrs in
           for _ = 1 to 1 + Sm.int rng 3 do
-            Simul.Network.send net ~src:u ~dst:v (Ping u)
+            Simul.Network.send net ~src:u ~dst:v (ping u)
           done
       done;
       let ok = ref true in
       let rec drain () =
         let visible = Simul.Network.nonempty_channels net in
-        match Simul.Network.pop_random net rng with
-        | None -> if visible <> [] then ok := false
-        | Some (src, dst, _) ->
-          if not (List.mem (src, dst) visible) then ok := false;
-          drain ()
+        let handler ~src ~dst f =
+          Frame.release f;
+          if not (List.mem (src, dst) visible) then ok := false
+        in
+        if Simul.Network.deliver_random net rng ~handler then drain ()
+        else if visible <> [] then ok := false
       in
       drain ();
       !ok && Simul.Network.is_quiescent net)
@@ -182,25 +200,26 @@ let test_fuzz_invariants () =
   for round = 1 to 4 do
     let n = 2 + Sm.int rng 28 in
     let t = Tree.Build.random rng n in
-    let net = Simul.Network.create t ~kind_of in
+    let net = Simul.Network.create t in
     let random_edge () =
       let u = Sm.int rng n in
       let nbrs = Tree.neighbors_arr t u in
       (u, Sm.pick rng nbrs)
     in
+    let drop ~src:_ ~dst:_ f = Frame.release f in
     for op = 1 to 2500 do
       (match Sm.int rng 10 with
       | 0 | 1 ->
         let src, dst = random_edge () in
-        Simul.Network.send net ~src ~dst (Ping op)
+        Simul.Network.send net ~src ~dst (ping op)
       | 2 | 3 ->
         let src, dst = random_edge () in
-        Simul.Network.send_chan net (Tree.channel t ~src ~dst) (Ping op)
+        Simul.Network.send_chan net (Tree.channel t ~src ~dst) (ping op)
       | 4 | 5 ->
         let src, dst = random_edge () in
-        ignore (Simul.Network.pop net ~src ~dst)
-      | 6 -> ignore (Simul.Network.pop_any net)
-      | 7 | 8 -> ignore (Simul.Network.pop_random net rng)
+        Option.iter Frame.release (Simul.Network.pop net ~src ~dst)
+      | 6 -> ignore (Simul.Network.deliver_any net ~handler:drop)
+      | 7 | 8 -> ignore (Simul.Network.deliver_random net rng ~handler:drop)
       | _ -> Simul.Network.reset_counters net);
       Simul.Network.check_invariants net
     done;
@@ -208,11 +227,10 @@ let test_fuzz_invariants () =
     Simul.Network.reset_counters net;
     Simul.Network.check_invariants net;
     let rec drain () =
-      match Simul.Network.pop_any net with
-      | Some _ ->
+      if Simul.Network.deliver_any net ~handler:drop then begin
         Simul.Network.check_invariants net;
         drain ()
-      | None -> ()
+      end
     in
     drain ();
     Alcotest.(check bool)
@@ -221,8 +239,9 @@ let test_fuzz_invariants () =
       (Simul.Network.is_quiescent net);
     List.iter
       (fun c ->
-        match Simul.Network.send_chan net c (Ping 0) with
-        | exception Invalid_argument _ -> ()
+        let f = ping 0 in
+        match Simul.Network.send_chan net c f with
+        | exception Invalid_argument _ -> Frame.release f
         | () -> Alcotest.failf "round %d: send_chan on channel id %d" round c)
       [ -1; Tree.n_channels t ];
     Simul.Network.check_invariants net
@@ -272,20 +291,13 @@ let test_fuzz_frame_pool () =
         reorder_depth = (if Sm.bernoulli rng 0.3 then Sm.int rng 4 else 0);
       }
     in
-    let net =
-      Simul.Network.create ~fault t
-        ~kind_of:(fun f -> Simul.Kind.of_index (Frame.kind f))
-        ~frames:(fun f -> f)
-    in
+    let net = Simul.Network.create ~fault t in
     let random_edge () =
       let u = Sm.int rng n in
       let nbrs = Tree.neighbors_arr t u in
       (u, Sm.pick rng nbrs)
     in
-    let release = function
-      | None -> ()
-      | Some (_, _, f) -> Frame.release f
-    in
+    let release ~src:_ ~dst:_ f = Frame.release f in
     for op = 1 to 1500 do
       (match Sm.int rng 8 with
       | 0 | 1 | 2 | 3 ->
@@ -296,19 +308,17 @@ let test_fuzz_frame_pool () =
         Simul.Network.send net ~src ~dst f
       | 4 | 5 ->
         let src, dst = random_edge () in
-        release (Option.map (fun f -> (src, dst, f)) (Simul.Network.pop net ~src ~dst))
-      | 6 -> release (Simul.Network.pop_any net)
-      | _ -> release (Simul.Network.pop_random net rng));
+        Option.iter Frame.release (Simul.Network.pop net ~src ~dst)
+      | 6 -> ignore (Simul.Network.deliver_any net ~handler:release)
+      | _ -> ignore (Simul.Network.deliver_random net rng ~handler:release));
       ignore op;
       Simul.Network.check_invariants net
     done;
     let rec drain () =
-      match Simul.Network.pop_any net with
-      | Some (_, _, f) ->
-        Frame.release f;
+      if Simul.Network.deliver_any net ~handler:release then begin
         Simul.Network.check_invariants net;
         drain ()
-      | None -> ()
+      end
     in
     drain ();
     Frame.check_pool pool;
@@ -320,7 +330,7 @@ let test_fuzz_frame_pool () =
 (* A reference model of the channel queues under faults: one OCaml list
    per channel, updated from the fault hook's own decisions.  Random
    trees and random mixes of send (by node pair and by channel id) /
-   pop / pop_any / pop_random / deliver_any, with drop, duplicate and
+   pop / deliver_any / deliver_random, with drop, duplicate and
    reorder depths 0-4 — deep
    enough queues that a reordered message lands at the head, in the
    middle and at the tail.  After every step the popped payload must be
@@ -348,7 +358,7 @@ let test_queue_model_under_faults () =
       last := d;
       d
     in
-    let net = Simul.Network.create ~fault t ~kind_of in
+    let net = Simul.Network.create ~fault t in
     let model = Array.make (Tree.n_channels t) [] in
     let size () = Array.fold_left (fun acc l -> acc + List.length l) 0 model in
     let rec insert_at i x = function
@@ -359,8 +369,8 @@ let test_queue_model_under_faults () =
     (* every other send goes straight onto the channel id *)
     let send src dst payload =
       let c = Tree.channel t ~src ~dst in
-      if payload land 1 = 0 then Simul.Network.send net ~src ~dst (Ping payload)
-      else Simul.Network.send_chan net c (Ping payload);
+      if payload land 1 = 0 then Simul.Network.send net ~src ~dst (ping payload)
+      else Simul.Network.send_chan net c (ping payload);
       let d = !last in
       if not d.drop then begin
         let len = List.length model.(c) in
@@ -373,7 +383,8 @@ let test_queue_model_under_faults () =
         if d.duplicate then model.(c) <- model.(c) @ [ payload ]
       end
     in
-    let popped src dst = function
+    let popped src dst f =
+      match decode f with
       | Ping p ->
         let c = Tree.channel t ~src ~dst in
         (match model.(c) with
@@ -402,15 +413,14 @@ let test_queue_model_under_faults () =
         | None ->
           Alcotest.(check int) "pop from an empty channel" 0
             (List.length model.(Tree.channel t ~src ~dst)))
-      | 6 ->
-        Option.iter (fun (s, d, m) -> popped s d m) (Simul.Network.pop_any net)
-      | 7 | 8 ->
-        Option.iter (fun (s, d, m) -> popped s d m)
-          (Simul.Network.pop_random net rng)
+      | 6 | 9 ->
+        ignore
+          (Simul.Network.deliver_any net ~handler:(fun ~src ~dst f ->
+               popped src dst f))
       | _ ->
         ignore
-          (Simul.Network.deliver_any net ~handler:(fun ~src ~dst m ->
-               popped src dst m)));
+          (Simul.Network.deliver_random net rng ~handler:(fun ~src ~dst f ->
+               popped src dst f)));
       let expected = ref [] in
       for c = Tree.n_channels t - 1 downto 0 do
         if model.(c) <> [] then
@@ -457,16 +467,15 @@ let suite =
    manual loop observes unbounded traffic.) *)
 let test_divergent_protocol_detected () =
   let t = Tree.Build.path 2 in
-  let net = Simul.Network.create t ~kind_of in
-  let handler ~src ~dst m =
-    ignore m;
+  let net = Simul.Network.create t in
+  let handler ~src ~dst f =
     (* echo forever *)
-    Simul.Network.send net ~src:dst ~dst:src (Ping 0)
+    Simul.Network.send net ~src:dst ~dst:src f
   in
-  Simul.Network.send net ~src:0 ~dst:1 (Ping 0);
+  Simul.Network.send net ~src:0 ~dst:1 (ping 0);
   (* Deliver a bounded number of steps: traffic never drains. *)
   for _ = 1 to 1000 do
-    ignore (Simul.Engine.step net ~handler)
+    ignore (Simul.Network.deliver_any net ~handler)
   done;
   Alcotest.(check bool) "still not quiescent" false (Simul.Network.is_quiescent net)
 

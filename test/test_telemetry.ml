@@ -116,18 +116,22 @@ let prop_counter_conservation =
       let rng = Sm.create seed in
       let t = Tree.Build.random rng n in
       let metrics = Telemetry.Metrics.create () in
-      let net = Simul.Network.create ~metrics t ~kind_of:(fun k -> k) in
+      let net = Simul.Network.create ~metrics t in
+      let pool = Simul.Frame.create_pool () in
       let kinds = Array.of_list Simul.Kind.all in
+      let release ~src:_ ~dst:_ f = Simul.Frame.release f in
       for _ = 1 to 1000 do
         if Sm.bool rng then begin
           let u = Sm.int rng n in
           match Tree.neighbors_arr t u with
           | [||] -> ()
           | nbrs ->
-            Simul.Network.send net ~src:u ~dst:(Sm.pick rng nbrs)
-              (Sm.pick rng kinds)
+            let dst = Sm.pick rng nbrs in
+            let f = Simul.Frame.alloc pool in
+            Simul.Frame.set_kind f (Simul.Kind.index (Sm.pick rng kinds));
+            Simul.Network.send net ~src:u ~dst f
         end
-        else ignore (Simul.Network.pop_random net rng)
+        else ignore (Simul.Network.deliver_random net rng ~handler:release)
       done;
       let delivered_total = ref 0 in
       List.iter
