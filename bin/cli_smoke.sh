@@ -66,6 +66,8 @@ expect_error "$cli" simulate --tree path --nodes 5 --churn flap=3@1+10*1:5,leave
 expect_error "$cli" simulate --tree path --nodes 5 --churn flap=3@1+10*1:5,leave=4@5 --domains 2
 expect_error "$cli" simulate --read-fraction 2
 expect_error "$cli" simulate --domains 0
+expect_error "$cli" simulate --policy bogus
+expect_error "$cli" simulate --policy bogus --report
 expect_error "$bench" --gcgate
 expect_error "$bench" --gc-gate extra
 # the crash window ends before the leave
@@ -84,4 +86,15 @@ expect_ok "$cli" simulate --nodes 15 --report --trace t.json --metrics m.json --
 expect_ok "$cli" simulate --nodes 15 --faults drop=0.1,dup=0.05 --metrics f.json
 expect_ok "$cli" metrics --nodes 15
 expect_ok "$cli" latency --nodes 15
+# the sequential runs on Baselines.Algorithm: the static baselines, the
+# per-request profile, the sweep, the adversary, the lease graph, and a
+# recorded workload replayed
+expect_ok "$cli" simulate --nodes 15 --policy astrolabe
+expect_ok "$cli" simulate --nodes 15 --policy mds2
+expect_ok "$cli" profile --nodes 15
+expect_ok "$cli" sweep --nodes 15
+expect_ok "$cli" adversary
+expect_ok "$cli" dot --nodes 15
+expect_ok "$cli" record --nodes 15 -o w.trace
+expect_ok "$cli" replay w.trace --nodes 15
 exit $fail

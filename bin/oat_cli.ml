@@ -85,19 +85,6 @@ let parse_ab s =
     | _ -> Error (Printf.sprintf "bad (a,b) spec %S" s))
   | _ -> Error (Printf.sprintf "bad (a,b) spec %S" s)
 
-let build_algo spec tree =
-  match spec with
-  | "rww" -> Ok (Baselines.Algorithm.rww tree)
-  | "always" -> Ok (Baselines.Algorithm.of_policy Oat.Ab_policy.always_lease tree)
-  | "never" -> Ok (Baselines.Algorithm.of_policy Oat.Ab_policy.never_lease tree)
-  | "astrolabe" -> Ok (Baselines.Algorithm.astrolabe tree)
-  | "mds2" | "mds-2" -> Ok (Baselines.Algorithm.mds2 tree)
-  | s when String.length s > 3 && String.sub s 0 3 = "ab:" -> (
-    match parse_ab (String.sub s 3 (String.length s - 3)) with
-    | Ok (a, b) -> Ok (Baselines.Algorithm.ab ~a ~b tree)
-    | Error e -> Error e)
-  | other -> Error (Printf.sprintf "unknown policy %S" other)
-
 (* Lease-policy specs drivable through Mechanism.Make directly (where the
    telemetry instrumentation lives); the standalone astrolabe baseline
    bypasses the mechanism and cannot be traced. *)
@@ -115,6 +102,23 @@ let build_lease_policy spec =
       "\"astrolabe\" is a standalone baseline; telemetry needs a lease \
        policy (rww, always, never, ab:A,B)"
   | other -> Error (Printf.sprintf "unknown lease policy %S" other)
+
+(* Every spec as a sequential algorithm: the two static baselines by
+   name, and the lease policies through the mechanism. *)
+let build_algo spec tree =
+  match spec with
+  | "astrolabe" -> Ok (Baselines.Algorithm.astrolabe tree)
+  | "mds2" | "mds-2" -> Ok (Baselines.Algorithm.mds2 tree)
+  | spec ->
+    Result.map
+      (fun policy -> Baselines.Algorithm.of_policy policy tree)
+      (build_lease_policy spec)
+
+(* The uniform workload every subcommand generates from its seed. *)
+let mixed tree ~requests ~read_fraction seed =
+  Workload.Generate.mixed
+    { Workload.Generate.default_spec with n_requests = requests; read_fraction }
+    tree (Sm.create seed)
 
 (* Output files named by --trace/--metrics/--series: their directory is
    checked before the run starts, so a bad path costs no simulation; a
@@ -138,12 +142,12 @@ module M = Oat.Mechanism.Make (Agg.Ops.Sum)
 
 let kind_name i = Simul.Kind.to_string (Simul.Kind.of_index i)
 
-(* Drive sigma through an instrumented mechanism on virtual time
-   (mirrors Analysis.Latency.run_timed, with telemetry plugged in and
-   every combine checked against the exact aggregate).  [latency]
-   records each request issue->settle on the virtual-hop clock;
-   [series] stores one sample per request (the single-domain "window"
-   is the request index). *)
+(* Drive sigma through an instrumented mechanism on virtual time: a
+   virtual-time algorithm, as in Analysis.Latency.run_timed, with
+   telemetry plugged in, run and judged by Baselines.Algorithm.run.
+   [latency] records each request issue->settle on the virtual-hop
+   clock; [series] stores one sample per request (the single-domain
+   "window" is the request index). *)
 let run_instrumented ?(latency = Telemetry.Latency.null)
     ?(series = Telemetry.Series.null) tree sigma ~policy ~metrics ~sink =
   let dclock = Simul.Devent.create ~latency:Simul.Devent.unit_latency in
@@ -153,14 +157,13 @@ let run_instrumented ?(latency = Telemetry.Latency.null)
       tree ~policy
   in
   let net = M.network sys and handler = M.handler sys in
-  let latest = Array.make (Tree.n_nodes tree) 0.0 in
   let idx = ref 0 in
-  let observe_start () =
+  let step start =
     if Telemetry.Latency.enabled latency then
       Telemetry.Latency.issue latency (Simul.Devent.now dclock);
-    if Telemetry.Series.enabled series then Gc.minor_words () else 0.
-  in
-  let observe_end g0 d =
+    let g0 = if Telemetry.Series.enabled series then Gc.minor_words () else 0. in
+    start ();
+    let d = Simul.Devent.drain dclock net ~handler in
     if Telemetry.Latency.enabled latency then
       Telemetry.Latency.settle_oldest latency
         ~time:(Simul.Devent.now dclock)
@@ -171,37 +174,32 @@ let run_instrumented ?(latency = Telemetry.Latency.null)
         ~gc_words:(int_of_float (Gc.minor_words () -. g0));
     incr idx
   in
-  List.iter
-    (fun (q : float Oat.Request.t) ->
-      match q.op with
-      | Oat.Request.Write v ->
-        latest.(q.node) <- v;
-        let g0 = observe_start () in
-        M.write sys ~node:q.node v;
-        observe_end g0 (Simul.Devent.drain dclock net ~handler)
-      | Oat.Request.Combine ->
-        let result = ref None in
-        let g0 = observe_start () in
-        M.combine sys ~node:q.node (fun value -> result := Some value);
-        observe_end g0 (Simul.Devent.drain dclock net ~handler);
-        (match !result with
-        | None -> or_die (Error "combine did not complete")
-        | Some value ->
-          let expected = Array.fold_left ( +. ) 0.0 latest in
-          if
-            Float.abs (value -. expected)
-            > 1e-6 *. Float.max 1.0 (Float.abs expected)
-          then or_die (Error "strict consistency violated")))
-    sigma;
+  let combine ~node =
+    let result = ref None in
+    step (fun () -> M.combine sys ~node (fun value -> result := Some value));
+    match !result with
+    | Some value -> value
+    | None -> or_die (Error "combine did not complete")
+  in
+  (try
+     ignore
+       (Baselines.Algorithm.run
+          {
+            Baselines.Algorithm.name = M.policy_name sys;
+            write = (fun ~node v -> step (fun () -> M.write sys ~node v));
+            combine;
+            message_total = (fun () -> Simul.Network.total net);
+          }
+          sigma)
+   with Failure msg -> or_die (Error msg));
   (sys, Simul.Devent.now dclock)
 
 (* ---- sharded simulate runs (--domains) ---- *)
 
 (* The paper's sequential executions through Simul.Sharded: one domain
-   per shard, every combine checked against the exact prefix aggregate
-   (precomputed on the main domain — sequential semantics make each
-   combine's answer the sum of all earlier writes, independently of the
-   shard count). *)
+   per shard, every combine judged by Consistency.Strict (sequential
+   semantics make each combine's answer the sum of all earlier writes,
+   independently of the shard count). *)
 let run_sharded tree sigma ~policy ~part ~trace ~series ~latency =
   let sys = M.create tree ~policy in
   let sh =
@@ -211,31 +209,37 @@ let run_sharded tree sigma ~policy ~part ~trace ~series ~latency =
   M.set_outbox sys
     ~send:(Simul.Sharded.route sh)
     ~pool_for:(Simul.Sharded.pool_for sh);
-  let latest = Array.make (Tree.n_nodes tree) 0.0 in
   let sigma = Array.of_list sigma in
+  (* nan until answered: a float store allocates nothing on the shard
+     domains *)
   let answers = Array.make (Array.length sigma) nan in
-  let expected = Array.make (Array.length sigma) nan in
   let requests =
     Array.mapi
       (fun i (q : float Oat.Request.t) ->
-        match q.op with
-        | Oat.Request.Write v ->
-          latest.(q.node) <- v;
-          (q.node, fun () -> M.write sys ~node:q.node v)
-        | Oat.Request.Combine ->
-          expected.(i) <- Array.fold_left ( +. ) 0.0 latest;
-          (q.node, fun () -> M.combine sys ~node:q.node (fun v -> answers.(i) <- v)))
+        ( q.node,
+          match q.op with
+          | Oat.Request.Write v -> fun () -> M.write sys ~node:q.node v
+          | Oat.Request.Combine ->
+            fun () -> M.combine sys ~node:q.node (fun v -> answers.(i) <- v) ))
       sigma
   in
   Simul.Sharded.run_sequential sh ~requests;
-  Array.iteri
-    (fun i e ->
-      if not (Float.is_nan e) then
-        if Float.is_nan answers.(i) then
-          or_die (Error "combine did not complete")
-        else if Float.abs (answers.(i) -. e) > 1e-6 *. Float.max 1.0 (Float.abs e)
-        then or_die (Error "strict consistency violated"))
-    expected;
+  let result i =
+    let a = answers.(i) in
+    {
+      Oat.Request.request = sigma.(i);
+      returned = (if Float.is_nan a then None else Some a);
+    }
+  in
+  (match
+     Consistency.Strict.violations
+       (module Agg.Ops.Sum)
+       ~n_nodes:(Tree.n_nodes tree)
+       (List.init (Array.length sigma) result)
+   with
+  | [] -> ()
+  | v :: _ ->
+    or_die (Error (Format.asprintf "%a" Consistency.Strict.pp_violation v)));
   (sys, sh)
 
 (* ---- simulate --churn ---- *)
@@ -376,17 +380,7 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
   check_out_file "--trace" trace_out;
   check_out_file "--metrics" metrics_out;
   check_out_file "--series" series_out;
-  let rng = Sm.create seed in
-  let sigma =
-    Workload.Generate.mixed
-      {
-        Workload.Generate.n_requests = requests;
-        read_fraction;
-        write_skew = 0.0;
-        read_skew = 0.0;
-      }
-      tree rng
-  in
+  let sigma = mixed tree ~requests ~read_fraction seed in
   match churn with
   | Some spec_str ->
     if faults <> None then
@@ -708,16 +702,7 @@ let simulate_cmd =
 let metrics_run seed tree_kind n requests read_fraction policy json =
   let tree = or_die (build_tree tree_kind n seed) in
   let policy = or_die (build_lease_policy policy) in
-  let sigma =
-    Workload.Generate.mixed
-      {
-        Workload.Generate.n_requests = requests;
-        read_fraction;
-        write_skew = 0.0;
-        read_skew = 0.0;
-      }
-      tree (Sm.create seed)
-  in
+  let sigma = mixed tree ~requests ~read_fraction seed in
   let metrics = Telemetry.Metrics.create () in
   let _sys, _makespan =
     run_instrumented tree sigma ~policy ~metrics ~sink:Telemetry.Sink.null
@@ -805,15 +790,8 @@ let sweep seed tree_kind n requests =
       List.iter
         (fun (_, make) ->
           let sigma =
-            Workload.Generate.mixed
-              {
-                Workload.Generate.n_requests = requests;
-                read_fraction = p;
-                write_skew = 0.0;
-                read_skew = 0.0;
-              }
-              tree
-              (Sm.create (seed + int_of_float (p *. 100.0)))
+            mixed tree ~requests ~read_fraction:p
+              (seed + int_of_float (p *. 100.0))
           in
           Printf.printf "  %14d" (Baselines.Algorithm.run (make tree) sigma))
         Baselines.Algorithm.all_static_and_adaptive;
@@ -830,16 +808,7 @@ let sweep_cmd =
 
 let record seed tree_kind n requests read_fraction out =
   let tree = or_die (build_tree tree_kind n seed) in
-  let sigma =
-    Workload.Generate.mixed
-      {
-        Workload.Generate.n_requests = requests;
-        read_fraction;
-        write_skew = 0.0;
-        read_skew = 0.0;
-      }
-      tree (Sm.create seed)
-  in
+  let sigma = mixed tree ~requests ~read_fraction seed in
   or_die (Workload.Trace_io.save out sigma);
   Printf.printf "wrote %d requests to %s (tree %s, n=%d, seed %d)\n"
     (List.length sigma) out tree_kind n seed
@@ -894,16 +863,7 @@ let replay_cmd =
 let dot seed tree_kind n requests read_fraction =
   let module M = Oat.Mechanism.Make (Agg.Ops.Sum) in
   let tree = or_die (build_tree tree_kind n seed) in
-  let sigma =
-    Workload.Generate.mixed
-      {
-        Workload.Generate.n_requests = requests;
-        read_fraction;
-        write_skew = 0.0;
-        read_skew = 0.0;
-      }
-      tree (Sm.create seed)
-  in
+  let sigma = mixed tree ~requests ~read_fraction seed in
   let sys = M.create tree ~policy:Oat.Rww.policy in
   ignore (M.run_sequential sys sigma);
   print_string
@@ -923,16 +883,7 @@ let dot_cmd =
 
 let latency seed tree_kind n requests read_fraction =
   let tree = or_die (build_tree tree_kind n seed) in
-  let sigma =
-    Workload.Generate.mixed
-      {
-        Workload.Generate.n_requests = requests;
-        read_fraction;
-        write_skew = 0.0;
-        read_skew = 0.0;
-      }
-      tree (Sm.create seed)
-  in
+  let sigma = mixed tree ~requests ~read_fraction seed in
   Printf.printf
     "combine latency under unit hop latency (%s, n=%d, p(read)=%.2f):\n"
     tree_kind (Tree.n_nodes tree) read_fraction;
@@ -963,16 +914,7 @@ let latency_cmd =
 let profile seed tree_kind n requests read_fraction policy_spec =
   let tree = or_die (build_tree tree_kind n seed) in
   let policy = or_die (build_lease_policy policy_spec) in
-  let sigma =
-    Workload.Generate.mixed
-      {
-        Workload.Generate.n_requests = requests;
-        read_fraction;
-        write_skew = 0.0;
-        read_skew = 0.0;
-      }
-      tree (Sm.create seed)
-  in
+  let sigma = mixed tree ~requests ~read_fraction seed in
   let prof = Analysis.Profile.run tree ~policy sigma in
   Printf.printf "per-request message costs (%s on %s, n=%d):\n"
     prof.Analysis.Profile.policy tree_kind (Tree.n_nodes tree);

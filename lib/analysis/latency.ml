@@ -12,35 +12,38 @@ let run_timed ?(inter_arrival = 0.0) tree ~policy sigma =
   let policy = policy ~now:(fun () -> Simul.Devent.now clock) in
   let sys = M.create ~on_send:(Simul.Devent.notify clock) tree ~policy in
   let net = M.network sys and handler = M.handler sys in
-  let n = Tree.n_nodes tree in
-  let latest = Array.make n 0.0 in
+  let step start =
+    Simul.Devent.advance_to clock (Simul.Devent.now clock +. inter_arrival);
+    start ();
+    ignore (Simul.Devent.drain clock net ~handler)
+  in
   let latencies = ref [] in
-  List.iter
-    (fun (q : float Oat.Request.t) ->
-      Simul.Devent.advance_to clock (Simul.Devent.now clock +. inter_arrival);
-      match q.op with
-      | Oat.Request.Write v ->
-        latest.(q.node) <- v;
-        M.write sys ~node:q.node v;
-        ignore (Simul.Devent.drain clock net ~handler)
-      | Oat.Request.Combine ->
+  let combine ~node =
+    let finished = ref None in
+    step (fun () ->
         let t0 = Simul.Devent.now clock in
-        let finished = ref None in
-        M.combine sys ~node:q.node (fun value ->
-            finished := Some (value, Simul.Devent.now clock));
-        ignore (Simul.Devent.drain clock net ~handler);
-        (match !finished with
-        | None -> failwith "Latency.run: combine did not complete"
-        | Some (value, t1) ->
-          let expected = Array.fold_left ( +. ) 0.0 latest in
-          if Float.abs (value -. expected) > 1e-6 *. Float.max 1.0 (Float.abs expected)
-          then failwith "Latency.run: strict consistency violated";
-          latencies := (t1 -. t0) :: !latencies))
-    sigma;
+        M.combine sys ~node (fun value ->
+            finished := Some (value, Simul.Devent.now clock -. t0)));
+    match !finished with
+    | None -> failwith "Latency.run: combine did not complete"
+    | Some (value, latency) ->
+      latencies := latency :: !latencies;
+      value
+  in
+  let messages =
+    Baselines.Algorithm.run
+      {
+        Baselines.Algorithm.name = M.policy_name sys;
+        write = (fun ~node v -> step (fun () -> M.write sys ~node v));
+        combine;
+        message_total = (fun () -> Simul.Network.total net);
+      }
+      sigma
+  in
   {
     policy = M.policy_name sys;
     combine_latencies = List.rev !latencies;
-    messages = M.message_total sys;
+    messages;
     virtual_makespan = Simul.Devent.now clock;
   }
 

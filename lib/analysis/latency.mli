@@ -26,9 +26,14 @@ val run :
   float Oat.Request.t list ->
   result
 (** Execute sequentially (each request starts once the network is quiet)
-    under unit hop latency, checking strict consistency.
-    [inter_arrival] (default 0) advances the virtual clock between
-    requests, so time-based policies can observe idle periods. *)
+    under unit hop latency: a virtual-time {!Baselines.Algorithm.t}
+    whose requests advance the clock by [inter_arrival] (default 0, so
+    time-based policies can observe idle periods), start, and drain
+    with {!Simul.Devent.drain}, run by {!Baselines.Algorithm.run}, so
+    every combine is judged by {!Consistency.Strict}.  A combine's
+    latency is its completion time minus its start.
+    @raise Failure on a consistency violation or a combine that does
+    not complete. *)
 
 val run_timed :
   ?inter_arrival:float ->

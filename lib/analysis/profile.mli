@@ -14,8 +14,9 @@ type t = {
 
 val run :
   Tree.t -> policy:Oat.Policy.factory -> float Oat.Request.t list -> t
-(** Sequential execution; strict consistency is checked as a side
-    effect. *)
+(** {!Baselines.Algorithm.costs} split by request kind: the one
+    sequential loop, its combines judged by {!Consistency.Strict}.
+    @raise Failure on a consistency violation. *)
 
 val combine_summary : t -> Stats.summary
 val write_summary : t -> Stats.summary

@@ -1,5 +1,3 @@
-module M = Oat.Mechanism.Make (Agg.Ops.Sum)
-
 type run = {
   policy : string;
   online_cost : int;
@@ -11,35 +9,18 @@ type run = {
 }
 
 let measure tree ~policy sigma =
-  let sys = M.create tree ~policy in
-  let n = Tree.n_nodes tree in
-  let latest = Array.make n 0.0 in
-  let n_combines = ref 0 and n_writes = ref 0 in
-  List.iter
-    (fun (q : float Oat.Request.t) ->
-      match q.op with
-      | Oat.Request.Write v ->
-        incr n_writes;
-        latest.(q.node) <- v;
-        M.write_sync sys ~node:q.node v
-      | Oat.Request.Combine ->
-        incr n_combines;
-        let got = M.combine_sync sys ~node:q.node in
-        let want = Array.fold_left ( +. ) 0.0 latest in
-        if Float.abs (got -. want) > 1e-6 *. Float.max 1.0 (Float.abs want) then
-          failwith
-            (Printf.sprintf
-               "Ratio.measure: strict consistency violated at combine@%d: got %g, want %g"
-               q.node got want))
-    sigma;
+  let algo = Baselines.Algorithm.of_policy policy tree in
+  let online_cost = Baselines.Algorithm.run algo sigma in
+  let n_requests = List.length sigma in
+  let n_combines = List.length (List.filter Oat.Request.is_combine sigma) in
   {
-    policy = M.policy_name sys;
-    online_cost = M.message_total sys;
+    policy = algo.Baselines.Algorithm.name;
+    online_cost;
     opt_lease_cost = Offline.Opt_lease.total tree sigma;
     nice_cost = Offline.Nice_bound.total tree sigma;
-    n_requests = List.length sigma;
-    n_combines = !n_combines;
-    n_writes = !n_writes;
+    n_requests;
+    n_combines;
+    n_writes = n_requests - n_combines;
   }
 
 let ratio num den =

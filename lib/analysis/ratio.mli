@@ -1,10 +1,10 @@
 (** Competitive-ratio measurement.
 
     Runs an online lease-based algorithm sequentially over a request
-    sequence, counts its messages, and compares against the two offline
-    yardsticks of the paper: the per-edge lease-based optimum (Theorem 1
-    promises <= 5/2 against it) and the nice lower bound (Theorem 2
-    promises <= 5). *)
+    sequence ({!Baselines.Algorithm.run}), counts its messages, and
+    compares against the two offline yardsticks of the paper: the
+    per-edge lease-based optimum (Theorem 1 promises <= 5/2 against it)
+    and the nice lower bound (Theorem 2 promises <= 5). *)
 
 type run = {
   policy : string;
@@ -19,9 +19,10 @@ type run = {
 val measure :
   Tree.t -> policy:Oat.Policy.factory -> float Oat.Request.t list -> run
 (** Execute the sequence under the SUM operator with the given policy
-    and compute both bounds.  Also asserts strict consistency of every
-    combine (raises [Failure] on a violation — which Lemma 3.12 rules
-    out for lease-based policies). *)
+    through {!Baselines.Algorithm.run} (the one sequential loop, its
+    combines judged by {!Consistency.Strict}) and compute both bounds.
+    Raises [Failure] on a consistency violation, which Lemma 3.12 rules
+    out for lease-based policies. *)
 
 val vs_opt_lease : run -> float
 (** [online / opt_lease], or 1 if the bound is 0 (then online must be 0

@@ -68,5 +68,4 @@ module Make (Op : Agg.Operator.S) = struct
   let combine t ~node = gval t node
 
   let message_total t = Simul.Network.total t.net
-  let reset_message_counters t = Simul.Network.reset_counters t.net
 end

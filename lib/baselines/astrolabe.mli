@@ -23,5 +23,4 @@ module Make (Op : Agg.Operator.S) : sig
   (** Answered locally; never sends messages. *)
 
   val message_total : t -> int
-  val reset_message_counters : t -> unit
 end

@@ -108,7 +108,11 @@ module Make (Op : Agg.Operator.S) : sig
         events only where handler executions are serialised.
       - [clock] stamps events; both the mechanism and the network
         default to the network's op-tick clock, so pass
-        [Simul.Devent.clock] to put everything on virtual time.
+        [Simul.Devent.clock] to put everything on virtual time.  After
+        {!set_outbox} that network carries nothing and its clock no
+        longer advances: every event the mechanism records would carry
+        the hand-off's tick (0.0 on a fresh system), so pass [~clock]
+        to stamp them on a clock that moves.
 
       [detached] (default [[]]) lists nodes that start outside the
       active aggregation tree (see {!depart}/{!join}); the remaining
@@ -189,7 +193,7 @@ module Make (Op : Agg.Operator.S) : sig
   val run_to_quiescence : ?max_deliveries:int -> t -> int
   (** Deliver queued messages until quiescent; returns deliveries.
       @raise Simul.Engine.Divergence past [max_deliveries] (default
-      {!Simul.Engine.default_max_deliveries}). *)
+      [10^8], as {!Simul.Engine.run_to_quiescence}). *)
 
   (** {1 Crash and recovery}
 

@@ -3,18 +3,16 @@ module Make (Op : Agg.Operator.S) = struct
 
   type t = {
     tree_for : string -> Tree.t;
-    default_policy : Policy.factory;
     instances : (string, M.t) Hashtbl.t;
     mutable order : string list;  (* reversed creation order *)
   }
 
-  let create ?(default_policy = Rww.policy) tree_for =
-    { tree_for; default_policy; instances = Hashtbl.create 16; order = [] }
+  let create tree_for = { tree_for; instances = Hashtbl.create 16; order = [] }
 
   let declare t ?policy name =
     if Hashtbl.mem t.instances name then
       invalid_arg (Printf.sprintf "Multi.declare: attribute %S already exists" name);
-    let policy = Option.value policy ~default:t.default_policy in
+    let policy = Option.value policy ~default:Rww.policy in
     Hashtbl.replace t.instances name (M.create (t.tree_for name) ~policy);
     t.order <- name :: t.order
 

@@ -17,14 +17,13 @@
 module Make (Op : Agg.Operator.S) : sig
   type t
 
-  val create : ?default_policy:Policy.factory -> (string -> Tree.t) -> t
-  (** [create tree_for] — no attributes yet; the default policy (RWW
-      unless overridden) is used by attributes created on demand.  An
-      attribute's tree is [tree_for attr], built once when the
-      attribute is created. *)
+  val create : (string -> Tree.t) -> t
+  (** [create tree_for] — no attributes yet.  An attribute's tree is
+      [tree_for attr], built once when the attribute is created. *)
 
   val declare : t -> ?policy:Policy.factory -> string -> unit
-  (** Create an attribute explicitly, optionally with its own policy.
+  (** Create an attribute explicitly, optionally with its own policy
+      (default RWW).
       @raise Invalid_argument if it already exists. *)
 
   val attributes : t -> string list
@@ -33,9 +32,8 @@ module Make (Op : Agg.Operator.S) : sig
   val mem : t -> string -> bool
 
   val write : t -> attr:string -> node:int -> Op.t -> unit
-  (** Sequential write to one attribute.  Creates the attribute with the
-      default policy if it does not exist (SDIMS-style on-demand
-      creation). *)
+  (** Sequential write to one attribute.  Creates the attribute under
+      RWW if it does not exist (SDIMS-style on-demand creation). *)
 
   val combine : t -> attr:string -> node:int -> Op.t
   (** Sequential combine on one attribute.

@@ -23,11 +23,9 @@ type row = {
 val literal_rows : row list
 (** The 21 rows exactly as printed in Figure 5, in the paper's order. *)
 
-val derived_rows : row list
-(** The rows generated from {!Transition_system.transitions}. *)
-
 val rows_coincide : unit -> bool
-(** The two row sets are equal as multisets. *)
+(** {!literal_rows} and the rows generated from
+    {!Transition_system.transitions} are equal as multisets. *)
 
 val var_index : [ `C | `Phi of Transition_system.state ] -> int
 (** Column layout of the LP: [c] first, then Phi in state order. *)

@@ -69,11 +69,6 @@ module Make (Op : Agg.Operator.S) : sig
   (** Sum of {!divergence} over {!active_edges}; the quantity
       {!sync} drives to [0]. *)
 
-  val sync_edge : ?stats:stats -> mech -> a:int -> b:int -> int
-  (** Reconcile one edge both ways; returns ghost writes shipped ([0]
-      = the endpoints already agreed and only the root summaries were
-      exchanged). *)
-
   val sync : ?stats:stats -> mech -> int
   (** Sweep every active edge until a full sweep ships nothing (at
       most the active tree's diameter plus one sweeps); returns total

@@ -21,9 +21,6 @@ exception Divergence of { deliveries : int; budget : int }
     [deliveries] is the count reached when the guard fired; [budget] the
     configured limit. *)
 
-val default_max_deliveries : int
-(** Default delivery budget: [10^8]. *)
-
 val run_to_quiescence :
   ?max_deliveries:int ->
   Network.t ->
@@ -32,7 +29,7 @@ val run_to_quiescence :
 (** Deliver messages until the network is quiescent.  Returns the number
     of deliveries performed.
     @raise Divergence if more than [max_deliveries] (default
-    {!default_max_deliveries}) deliveries occur. *)
+    [10^8]) deliveries occur. *)
 
 val run_stream :
   ?max_deliveries:int ->
@@ -85,4 +82,4 @@ val run_concurrent :
     settle split across the settling batch as their message cost; the
     final drain settles the rest.  Same seed, same quantiles.
     @raise Divergence if total deliveries exceed [max_deliveries]
-    (default {!default_max_deliveries}). *)
+    (default [10^8]). *)

@@ -227,6 +227,14 @@ let mailbox_hwm t s =
 let phase_id t w s phase = -((((w * t.k) + s) * 3) + phase + 1)
 let decision_id t w = -((w * t.k * 3) + 3)
 
+(* One edge of a superstep span, on shard [s]'s ring and its
+   supersteps lane (node -1).  Callers test [t.tracing] first. *)
+let span t s ~edge ~time ~name ~id =
+  Telemetry.Sink.record t.ring_sinks.(s)
+    (match edge with
+    | `Begin -> Telemetry.Sink.Span_begin { time; shard = s; node = -1; name; id }
+    | `End -> Telemetry.Sink.Span_end { time; shard = s; node = -1; name; id })
+
 (* End-of-window fleet observability.  Runs in the end barrier's serial
    section: every other domain is parked on the condition variable, so
    all per-shard counters, pools and mailboxes are stable plain reads.
@@ -417,26 +425,12 @@ let run_windowed t ~worker_inits ~serial_step =
            is parked at the barrier, so the serial writer races with
            nothing. *)
         if t.tracing then
-          Telemetry.Sink.record t.ring_sinks.(0)
-            (Telemetry.Sink.Span_begin
-               {
-                 time = float_of_int window +. 0.9;
-                 shard = 0;
-                 node = -1;
-                 name = "decision";
-                 id = decision_id t window;
-               });
+          span t 0 ~edge:`Begin ~time:(float_of_int window +. 0.9)
+            ~name:"decision" ~id:(decision_id t window);
         let nw = serial_step window in
         if t.tracing then
-          Telemetry.Sink.record t.ring_sinks.(0)
-            (Telemetry.Sink.Span_end
-               {
-                 time = float_of_int window +. 1.0;
-                 shard = 0;
-                 node = -1;
-                 name = "decision";
-                 id = decision_id t window;
-               });
+          span t 0 ~edge:`End ~time:(float_of_int window +. 1.0)
+            ~name:"decision" ~id:(decision_id t window);
         if nw < 0 then ctl.stop <- true
         else if !executed >= max_windows then begin
           ctl.err <- Some (Horizon { windows = !executed; budget = max_windows });
@@ -450,15 +444,8 @@ let run_windowed t ~worker_inits ~serial_step =
          clock read it *)
       t.cur_w.(s) <- !w;
       if t.tracing then
-        Telemetry.Sink.record t.ring_sinks.(s)
-          (Telemetry.Sink.Span_begin
-             {
-               time = float_of_int !w;
-               shard = s;
-               node = -1;
-               name = "ingress";
-               id = phase_id t !w s 0;
-             });
+        span t s ~edge:`Begin ~time:(float_of_int !w) ~name:"ingress"
+          ~id:(phase_id t !w s 0);
       let inb =
         try ingress t s ~parity:((!w - 1) land 1)
         with e ->
@@ -466,30 +453,16 @@ let run_windowed t ~worker_inits ~serial_step =
           -1
       in
       if t.tracing then
-        Telemetry.Sink.record t.ring_sinks.(s)
-          (Telemetry.Sink.Span_end
-             {
-               time = float_of_int !w +. 0.25;
-               shard = s;
-               node = -1;
-               name = "ingress";
-               id = phase_id t !w s 0;
-             });
+        span t s ~edge:`End ~time:(float_of_int !w +. 0.25) ~name:"ingress"
+          ~id:(phase_id t !w s 0);
       (* time only the busy section (initiations + local drain), not
          the barrier wait: its worst case bounds every GC pause the
          domain's data plane can suffer *)
       let t0 = if t.timed then t.wall () else 0. in
       let g0 = if t.sampling then Gc.minor_words () else 0. in
       if t.tracing then
-        Telemetry.Sink.record t.ring_sinks.(s)
-          (Telemetry.Sink.Span_begin
-             {
-               time = float_of_int !w +. 0.3;
-               shard = s;
-               node = -1;
-               name = "drain";
-               id = phase_id t !w s 1;
-             });
+        span t s ~edge:`Begin ~time:(float_of_int !w +. 0.3) ~name:"drain"
+          ~id:(phase_id t !w s 1);
       (if inb >= 0 then
          try
            let inits = worker_inits s !w in
@@ -504,15 +477,8 @@ let run_windowed t ~worker_inits ~serial_step =
              Telemetry.Metrics.incr t.m_stalls.(s)
          with e -> record_error ctl e);
       if t.tracing then
-        Telemetry.Sink.record t.ring_sinks.(s)
-          (Telemetry.Sink.Span_end
-             {
-               time = float_of_int !w +. 0.9;
-               shard = s;
-               node = -1;
-               name = "drain";
-               id = phase_id t !w s 1;
-             });
+        span t s ~edge:`End ~time:(float_of_int !w +. 0.9) ~name:"drain"
+          ~id:(phase_id t !w s 1);
       if t.sampling then
         t.win_gc.(s) <- int_of_float (Gc.minor_words () -. g0);
       if t.timed then begin
@@ -772,8 +738,6 @@ let is_quiescent t =
 let fleet_metrics t = Telemetry.Metrics.merge (Array.to_list t.mets)
 let audit t = t.audit
 let latency t = t.latency
-let series t = t.series
-let tracing t = t.tracing
 
 let fleet_events t =
   if not t.tracing then []

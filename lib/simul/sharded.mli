@@ -286,16 +286,9 @@ val latency : t -> Telemetry.Latency.t
 (** The recorder passed to {!create} ({!Telemetry.Latency.null} if
     none). *)
 
-val series : t -> Telemetry.Series.t
-(** The sampler passed to {!create} ({!Telemetry.Series.null} if
-    none). *)
-
 val audit : t -> Telemetry.Audit.t
 (** The always-on conservation auditor: [Audit.checks] counts ledger
     cross-checks performed (three per executed window). *)
-
-val tracing : t -> bool
-(** Whether {!create} was given a positive [trace] capacity. *)
 
 val fleet_events : t -> Telemetry.Sink.event list
 (** All per-shard ring events, merged and stably sorted by event time

@@ -6,14 +6,15 @@
    on the track of the node where it happened.  Events on the control
    lane ([node = -1]: the sharded engine's window-superstep spans
    ingress/drain/decision) land on a "supersteps" thread per shard.
-   Timestamps are virtual times scaled by [time_scale] (default 1000,
-   so one virtual time unit displays as one millisecond — the "ts"
-   field is in microseconds). *)
+   Timestamps are virtual times scaled by [time_scale], so one virtual
+   time unit displays as one millisecond (the "ts" field is in
+   microseconds). *)
 
 let default_kind_name i = "kind" ^ string_of_int i
+let time_scale = 1000.0
 
-let chrome_trace ?(kind_name = default_kind_name) ?(time_scale = 1000.0)
-    ?n_nodes ?(shards = 0) events =
+let chrome_trace ?(kind_name = default_kind_name) ?n_nodes ?(shards = 0)
+    events =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   let first = ref true in

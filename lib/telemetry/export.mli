@@ -10,7 +10,6 @@
 
 val chrome_trace :
   ?kind_name:(int -> string) ->
-  ?time_scale:float ->
   ?n_nodes:int ->
   ?shards:int ->
   Sink.event list ->
@@ -18,8 +17,8 @@ val chrome_trace :
 (** [kind_name] maps the integer kind indices carried by [Sent] /
     [Delivered] events back to names (pass the simulator's
     [Kind.to_string ∘ Kind.of_index]; defaults to ["kind<i>"]).
-    [time_scale] (default 1000) converts event times to the microsecond
-    ["ts"] field, so one virtual time unit displays as 1 ms.  [n_nodes]
+    Event times are scaled by 1000 into the microsecond ["ts"] field,
+    so one virtual time unit displays as 1 ms.  [n_nodes]
     emits named per-node tracks (pid 0).  [shards] (default 0) names
     the first [shards] processes ["shard <s>"], each with a
     ["supersteps"] thread (tid -1) carrying the sharded engine's

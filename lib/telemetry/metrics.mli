@@ -103,21 +103,17 @@ val escape_json : string -> string
 (** The body of a JSON string literal: quotes, backslashes and control
     characters escaped.  Shared with {!Export}. *)
 
-val merge_into : t -> t -> unit
-(** [merge_into dst src] folds every metric of [src] into [dst],
-    creating missing ones: counters add, gauges take the maximum of both
-    value and high-water mark, histograms merge bucket-wise (count, sum
-    and max included) — exact, so merged quantiles equal those of a
-    single registry fed the union of observations.  [src] is left
-    untouched.
-    @raise Invalid_argument if a name is registered in [dst] with a
-    different metric type. *)
-
 val merge : t list -> t
-(** [merge ts] is a fresh registry holding the fold of [merge_into] over
-    [ts] left to right — the fleet view of per-shard registries.
-    Commutative and associative up to snapshot equality; [merge []] is
-    an empty registry. *)
+(** [merge ts] is a fresh registry holding every metric of [ts], folded
+    left to right — the fleet view of per-shard registries: counters
+    add, gauges take the maximum of both value and high-water mark,
+    histograms merge bucket-wise (count, sum and max included) — exact,
+    so merged quantiles equal those of a single registry fed the union
+    of observations.  The inputs are left untouched.  Commutative and
+    associative up to snapshot equality; [merge []] is an empty
+    registry.
+    @raise Invalid_argument if a name is registered under two metric
+    types. *)
 
 val reset : t -> unit
 (** Zero every metric (counters, gauge values and high-water marks,

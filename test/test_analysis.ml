@@ -145,7 +145,12 @@ let test_profile_totals_match () =
     + List.fold_left ( + ) 0 p.Analysis.Profile.write_costs
   in
   let run = Analysis.Ratio.measure tree ~policy:Oat.Rww.policy sigma in
-  Alcotest.(check int) "profile sums to total" run.Analysis.Ratio.online_cost total
+  Alcotest.(check int) "profile sums to total" run.Analysis.Ratio.online_cost total;
+  (* Both read Algorithm.costs; the mechanism's ledger counts apart. *)
+  let module M = Oat.Mechanism.Make (Agg.Ops.Sum) in
+  let sys = M.create tree ~policy:Oat.Rww.policy in
+  ignore (M.run_sequential sys sigma);
+  Alcotest.(check int) "profile sums to the ledger" (M.message_total sys) total
 
 let test_histogram () =
   let h = Analysis.Profile.histogram [ 2; 0; 2; 1; 2 ] in

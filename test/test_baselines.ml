@@ -138,6 +138,19 @@ let test_driver_cost_ordering () =
   Alcotest.(check bool) "write-heavy: rww near best" true
     (rww_wh <= 3 * min astro_wh mds_wh)
 
+let test_run_rejects_wrong_combine () =
+  (* A combine answering the aggregate plus one: the oracle must name
+     the first bad combine, by position in the sequence and node. *)
+  let tree = Tree.Build.path 3 in
+  let rww = Baselines.Algorithm.rww tree in
+  let off_by_one =
+    { rww with combine = (fun ~node -> rww.combine ~node +. 1.0) }
+  in
+  let sigma = Oat.Request.[ write 0 2.0; write 2 3.0; combine 1; combine 0 ] in
+  Alcotest.check_raises "first bad combine"
+    (Failure "rww: combine #2 at node 1 returned 6., expected 5.")
+    (fun () -> ignore (Baselines.Algorithm.run off_by_one sigma))
+
 let test_astrolabe_equals_warm_always_lease () =
   (* After the lease structure is fully warmed, the always-lease policy
      must incur exactly Astrolabe's per-write flood cost. *)
@@ -148,16 +161,11 @@ let test_astrolabe_equals_warm_always_lease () =
   for u = 0 to n - 1 do
     ignore (always.Baselines.Algorithm.combine ~node:u)
   done;
-  always.Baselines.Algorithm.reset_counters ();
+  let writes = List.init 10 (fun i -> Oat.Request.write (i mod n) (float_of_int i)) in
   let astro = Baselines.Algorithm.astrolabe tree in
-  for i = 0 to 9 do
-    let node = i mod n in
-    always.Baselines.Algorithm.write ~node (float_of_int i);
-    astro.Baselines.Algorithm.write ~node (float_of_int i)
-  done;
   Alcotest.(check int) "same flood cost"
-    (astro.Baselines.Algorithm.message_total ())
-    (always.Baselines.Algorithm.message_total ())
+    (Baselines.Algorithm.run astro writes)
+    (Baselines.Algorithm.run always writes)
 
 let suite =
   [
@@ -171,4 +179,6 @@ let suite =
     Alcotest.test_case "warm always-lease = astrolabe" `Quick
       test_astrolabe_equals_warm_always_lease;
     QCheck_alcotest.to_alcotest prop_mds2_closed_form;
+    Alcotest.test_case "run rejects a wrong combine" `Quick
+      test_run_rejects_wrong_combine;
   ]

@@ -116,7 +116,7 @@ let test_step () =
   Alcotest.(check bool) "one step" true (step ());
   Alcotest.(check bool) "then quiescent" false (step ())
 
-let test_pop_random_exhausts () =
+let test_deliver_random_exhausts () =
   let rng = Sm.create 77 in
   let t = Tree.Build.star 5 in
   let net = Simul.Network.create t in
@@ -161,8 +161,8 @@ let test_run_concurrent_initiates_all () =
 
 (* Random delivery must only ever surface channels that the O(edges)
    debug view [nonempty_channels] also reports. *)
-let prop_pop_random_subset_of_nonempty =
-  QCheck.Test.make ~count:100 ~name:"pop_random returns a nonempty channel"
+let prop_deliver_random_subset_of_nonempty =
+  QCheck.Test.make ~count:100 ~name:"deliver_random returns a nonempty channel"
     QCheck.(pair (int_range 2 24) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Sm.create seed in
@@ -448,9 +448,10 @@ let suite =
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "run_to_quiescence relay" `Quick test_run_to_quiescence_relay;
     Alcotest.test_case "single step" `Quick test_step;
-    Alcotest.test_case "pop_random exhausts" `Quick test_pop_random_exhausts;
+    Alcotest.test_case "deliver_random exhausts" `Quick
+      test_deliver_random_exhausts;
     Alcotest.test_case "run_concurrent" `Quick test_run_concurrent_initiates_all;
-    QCheck_alcotest.to_alcotest prop_pop_random_subset_of_nonempty;
+    QCheck_alcotest.to_alcotest prop_deliver_random_subset_of_nonempty;
     Alcotest.test_case "registry invariants under fuzz" `Quick test_fuzz_invariants;
     Alcotest.test_case "frame-pool bookkeeping under fuzz" `Quick
       test_fuzz_frame_pool;
