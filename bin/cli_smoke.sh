@@ -66,6 +66,15 @@ expect_error "$cli" simulate --tree path --nodes 5 --churn flap=3@1+10*1:5,leave
 expect_error "$cli" simulate --tree path --nodes 5 --churn flap=3@1+10*1:5,leave=4@5 --domains 2
 expect_error "$cli" simulate --read-fraction 2
 expect_error "$cli" simulate --domains 0
+# negative counts are refused in their argument terms
+expect_error "$cli" simulate --requests=-5
+expect_error "$cli" sweep --requests=-1
+expect_error "$cli" adversary --rounds=-1
+# flags that do not apply are refused, not ignored
+expect_error "$cli" simulate --nodes 7 --faults drop=0.1 --trace t.json
+expect_error "$cli" simulate --nodes 7 --churn drop=0.1 --domains 2
+expect_error "$cli" simulate --nodes 15 --partition weighted
+expect_error "$cli" simulate --churn leave=6@20 --tree path -n 7 --domains 2 --partition naive
 expect_error "$cli" simulate --policy bogus
 expect_error "$cli" simulate --policy bogus --report
 expect_error "$bench" --gcgate
@@ -84,6 +93,7 @@ expect_ok "$cli" simulate --tree path --nodes 5 --churn crash=3@1+3,leave=4@5 --
 expect_ok "$cli" simulate --nodes 15 --report --trace t.json --metrics m.json --series s.csv
 expect_ok "$cli" simulate --nodes 15 --report --trace t.json --metrics m.json --series s.csv --domains 2
 expect_ok "$cli" simulate --nodes 15 --faults drop=0.1,dup=0.05 --metrics f.json
+expect_ok "$cli" simulate --nodes 15 --domains 2 --partition weighted
 expect_ok "$cli" metrics --nodes 15
 expect_ok "$cli" latency --nodes 15
 # the sequential runs on Baselines.Algorithm: the static baselines, the

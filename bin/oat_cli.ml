@@ -34,9 +34,22 @@ let tree_arg =
   in
   Arg.(value & opt string "random" & info [ "tree" ] ~docv:"KIND" ~doc)
 
+(* A count argument checked in its term, so a negative count ends in
+   one line before any command runs. *)
+let count_arg long ~default ~docv ~doc =
+  let check k =
+    if k >= 0 then k
+    else
+      or_die (Error (Printf.sprintf "--%s must be at least 0 (got %d)" long k))
+  in
+  let arg =
+    Arg.value (Arg.opt Arg.int default (Arg.info [ long ] ~docv ~doc))
+  in
+  Term.(const check $ arg)
+
 let requests_arg =
-  let doc = "Number of requests to generate." in
-  Arg.(value & opt int 1000 & info [ "requests" ] ~docv:"COUNT" ~doc)
+  count_arg "requests" ~default:1000 ~docv:"COUNT"
+    ~doc:"Number of requests to generate."
 
 let read_fraction_arg =
   let doc = "Fraction of requests that are combines (reads), in [0, 1]." in
@@ -242,163 +255,130 @@ let run_sharded tree sigma ~policy ~part ~trace ~series ~latency =
     or_die (Error (Format.asprintf "%a" Consistency.Strict.pp_violation v)));
   (sys, sh)
 
-(* ---- simulate --churn ---- *)
+(* ---- simulate: output every run shares ---- *)
 
-(* A plan, parsed, that fits the tree: every node it names exists, and
-   its leaves and joins, replayed in time order from the initial
-   membership, are legal moves (a leave takes an active leaf whose
-   handoff neighbour is up, a join needs an active neighbour).  Checked
-   before any output, so a plan that Fault.Runner or Fault.Churn would
-   reject ends in one line. *)
-let plan_for tree spec_str =
-  let spec = or_die (Fault.Plan.spec_of_string spec_str) in
-  let n = Tree.n_nodes tree in
-  let outside what u =
-    if u >= n then
-      or_die (Error (Printf.sprintf "%s: node %d outside the tree (n=%d)" what u n))
-  in
-  List.iter (fun (c : Fault.Plan.crash) -> outside "crash" c.node) spec.crashes;
-  List.iter (fun (f : Fault.Plan.flap) -> outside "flap" f.fnode) spec.flaps;
-  List.iter (fun (c : Fault.Plan.churn) -> outside "churn" c.cnode) spec.churn;
-  List.iter (outside "detached") spec.detached;
-  let dyn =
-    try Tree.Dyn.create ~detached:spec.detached tree
-    with Invalid_argument m -> or_die (Error ("detached: " ^ m))
-  in
-  (* Both engines crash and restart before membership moves at equal
-     times, and a restart's Hello has not reached the leaver at that
-     instant, so a window covers both of its ends. *)
-  let windows = Fault.Plan.crash_windows spec in
-  let down_window h t =
-    List.find_opt
-      (fun (w : Fault.Plan.crash) ->
-        w.node = h && w.at <= t && t <= w.at +. w.down_for)
-      windows
-  in
-  List.iter
-    (fun (c : Fault.Plan.churn) ->
-      let move, legal =
-        match c.ckind with
-        | Fault.Plan.Leave ->
-          ( "leave",
-            Result.bind (Tree.Dyn.can_detach dyn c.cnode) (fun h ->
-                match down_window h c.cat with
-                | Some w ->
-                  Error
-                    (Printf.sprintf "handoff neighbour %d is down in [%g,%g]" h
-                       w.at (w.at +. w.down_for))
-                | None -> Ok (ignore (Tree.Dyn.detach dyn c.cnode))) )
-        | Fault.Plan.Join ->
-          ("join", Result.map (fun _ -> ignore (Tree.Dyn.attach dyn c.cnode))
-                     (Tree.Dyn.can_attach dyn c.cnode))
-      in
-      match legal with
-      | Ok () -> ()
-      | Error m ->
-        or_die
-          (Error (Printf.sprintf "churn: node %d cannot %s at %g: %s" c.cnode move c.cat m)))
-    (List.stable_sort
-       (fun (a : Fault.Plan.churn) b -> compare a.cat b.cat)
-       spec.churn);
-  spec
+(* --metrics FILE: JSON if it ends in .json, aligned text otherwise. *)
+let write_metrics ?(note = "") m path =
+  write_out path
+    (if Filename.check_suffix path ".json" then Telemetry.Metrics.to_json m
+     else Telemetry.Metrics.to_text m);
+  Printf.printf "metrics:           %s%s\n" path note
 
-(* Churn runs: membership events (leave/join/flap/detached, plus any
-   wire faults) from a Fault.Plan spec, with the Merkle anti-entropy
-   pass healing ghost-log divergence at the end.  Single-domain goes
-   through Fault.Runner on virtual time; --domains N compiles the plan
-   into reconfiguration-barrier phases (Fault.Churn) and runs them on
-   the sharded engine, repartitioning at every barrier. *)
-let simulate_churn seed tree_kind tree sigma ~requests ~read_fraction ~policy
-    ~spec_str ~domains =
-  let spec = plan_for tree spec_str in
-  let policy = or_die (build_lease_policy policy) in
+let print_header tree_kind tree ~requests ~read_fraction seed =
   Printf.printf "tree:              %s (n=%d, diameter=%d)\n" tree_kind
     (Tree.n_nodes tree) (Tree.diameter tree);
   Printf.printf "workload:          %d requests, read fraction %.2f, seed %d\n"
-    requests read_fraction seed;
-  Printf.printf "churn plan:        %s\n" (Fault.Plan.spec_to_string spec);
-  if domains > 1 then begin
-    (* Barrier scheduling has no wire to corrupt: reject probabilistic
-       fields instead of silently ignoring them. *)
-    if
-      spec.Fault.Plan.drop > 0.0
-      || spec.Fault.Plan.duplicate > 0.0
-      || spec.Fault.Plan.reorder > 0.0
-      || spec.Fault.Plan.delay > 0.0
-    then
+    requests read_fraction seed
+
+let print_causal violations =
+  Printf.printf "causal consistency: %s\n"
+    (if violations = 0 then "verified (ghost-log checker)" else "VIOLATED")
+
+(* ---- simulate --faults / --churn ---- *)
+
+(* A plan, parsed, that fits the tree (Fault.Plan.check), before any
+   output: a plan Fault.Runner or Fault.Churn would reject ends in one
+   line. *)
+let plan_for tree spec_str =
+  or_die
+    (Result.bind (Fault.Plan.spec_of_string spec_str) (Fault.Plan.check tree))
+
+(* A plan on one domain: Fault.Runner, the mechanism over the reliable
+   transport over a faulty network, on virtual time.  --faults and
+   --churn differ only in the plan's label and in [repair], the Merkle
+   anti-entropy pass that heals ghost-log divergence at the end of a
+   --churn run. *)
+let run_plan ~header ~label ~repair ~metrics_out seed tree spec ~policy sigma =
+  header ();
+  Printf.printf "%-19s%s\n" label (Fault.Plan.spec_to_string spec);
+  let metrics = Telemetry.Metrics.create () in
+  let plan = Fault.Plan.create ~metrics ~seed spec in
+  let module R = Fault.Runner.Make (Agg.Ops.Sum) in
+  let o = R.run ~metrics ~plan ~repair ~tree ~policy ~requests:sigma () in
+  Format.printf "%a@." R.pp_outcome o;
+  print_causal o.R.causal_violations;
+  let diverged = repair && o.R.divergence_after <> 0 in
+  if repair then
+    Printf.printf "anti-entropy:      %s\n"
+      (if diverged then "DIVERGED" else "converged (zero divergence)");
+  Option.iter (write_metrics metrics) metrics_out;
+  if o.R.causal_violations > 0 || diverged then exit 1
+
+(* --churn on --domains N: the plan compiled into reconfiguration-barrier
+   phases (Fault.Churn) on the sharded engine, repartitioned at every
+   barrier, healed by the anti-entropy pass at the end. *)
+let run_churn_sharded ~header ~domains tree spec ~policy sigma =
+  let module C = Fault.Churn.Make (Agg.Ops.Sum) in
+  let phases =
+    try C.phases_of_plan ~spec ~requests:sigma ()
+    with Invalid_argument _ ->
       or_die
         (Error
            "--churn with --domains schedules events at quiescent barriers; \
-            drop/dup/reorder/delay do not apply (drop them from the spec)");
-    let module C = Fault.Churn.Make (Agg.Ops.Sum) in
-    let phases = C.phases_of_plan ~spec ~requests:sigma () in
-    let o =
-      C.run_sharded ~repair:true ~detached:spec.Fault.Plan.detached ~domains
-        ~tree ~policy ~phases ()
-    in
-    Printf.printf "domains:           %d (repartitioned at every barrier)\n"
-      domains;
-    Printf.printf "phases:            %d (%d leaves, %d joins, %d crashes)\n"
-      (List.length phases) o.C.leaves o.C.joins o.C.crashes;
-    Printf.printf "requests:          %d issued, %d skipped (down/detached)\n"
-      o.C.issued o.C.skipped;
-    Printf.printf "messages:          %d\n" o.C.logical_msgs;
-    Printf.printf "divergence:        %d before repair, %d after\n"
-      o.C.divergence_before o.C.divergence_after;
-    Format.printf "repair:            %a@." Repair.pp_stats o.C.repair_stats;
-    Printf.printf "causal consistency: %s\n"
-      (if o.C.causal_violations = 0 then "verified (ghost-log checker)"
-       else "VIOLATED");
-    Printf.printf "conservation audit: clean (checked every phase)\n";
-    if o.C.causal_violations > 0 || o.C.divergence_after <> 0 then exit 1
-  end
-  else begin
-    let metrics = Telemetry.Metrics.create () in
-    let plan = Fault.Plan.create ~metrics ~seed spec in
-    let module R = Fault.Runner.Make (Agg.Ops.Sum) in
-    let o = R.run ~metrics ~plan ~repair:true ~tree ~policy ~requests:sigma () in
-    Format.printf "%a@." R.pp_outcome o;
-    Printf.printf "causal consistency: %s\n"
-      (if o.R.causal_violations = 0 then "verified (ghost-log checker)"
-       else "VIOLATED");
-    Printf.printf "anti-entropy:      %s\n"
-      (if o.R.divergence_after = 0 then "converged (zero divergence)"
-       else "DIVERGED");
-    if o.R.causal_violations > 0 || o.R.divergence_after <> 0 then exit 1
-  end
+            drop/dup/reorder/delay do not apply (drop them from the spec)")
+  in
+  header ();
+  Printf.printf "churn plan:        %s\n" (Fault.Plan.spec_to_string spec);
+  let o =
+    C.run_sharded ~repair:true ~detached:spec.Fault.Plan.detached ~domains
+      ~tree ~policy ~phases ()
+  in
+  Printf.printf "domains:           %d (repartitioned at every barrier)\n"
+    domains;
+  Printf.printf "phases:            %d (%d leaves, %d joins, %d crashes)\n"
+    (List.length phases) o.C.leaves o.C.joins o.C.crashes;
+  Printf.printf "requests:          %d issued, %d skipped (down/detached)\n"
+    o.C.issued o.C.skipped;
+  Printf.printf "messages:          %d\n" o.C.logical_msgs;
+  Printf.printf "divergence:        %d before repair, %d after\n"
+    o.C.divergence_before o.C.divergence_after;
+  Format.printf "repair:            %a@." Repair.pp_stats o.C.repair_stats;
+  print_causal o.C.causal_violations;
+  Printf.printf "conservation audit: clean (checked every phase)\n";
+  if o.C.causal_violations > 0 || o.C.divergence_after <> 0 then exit 1
 
 (* ---- simulate ---- *)
 
-let metrics_body path m =
-  if Filename.check_suffix path ".json" then Telemetry.Metrics.to_json m
-  else Telemetry.Metrics.to_text m
-
 let simulate seed tree_kind n requests read_fraction policy trace_out
-    metrics_out series_out report_flag faults domains partition_strategy churn
-    =
+    metrics_out series_out report_flag faults domains partition churn =
   let tree = or_die (build_tree tree_kind n seed) in
   check_out_file "--trace" trace_out;
   check_out_file "--metrics" metrics_out;
   check_out_file "--series" series_out;
+  if partition <> None && (churn <> None || domains <= 1) then
+    or_die
+      (Error "--partition applies only with --domains above 1, without --churn");
   let sigma = mixed tree ~requests ~read_fraction seed in
-  match churn with
-  | Some spec_str ->
-    if faults <> None then
-      or_die (Error "--churn subsumes --faults (one spec grammar); pick one");
+  let header () = print_header tree_kind tree ~requests ~read_fraction seed in
+  match (churn, faults) with
+  | Some _, Some _ ->
+    or_die (Error "--churn subsumes --faults (one spec grammar); pick one")
+  | Some spec_str, None ->
     if report_flag || trace_out <> None || series_out <> None || metrics_out <> None
     then
       or_die (Error "--churn does not combine with --report/--trace/--metrics/--series");
-    simulate_churn seed tree_kind tree sigma ~requests ~read_fraction ~policy
-      ~spec_str ~domains
-  | None ->
+    let spec = plan_for tree spec_str in
+    let policy = or_die (build_lease_policy policy) in
+    if domains > 1 then
+      run_churn_sharded ~header ~domains tree spec ~policy sigma
+    else
+      run_plan ~header ~label:"churn plan:" ~repair:true ~metrics_out:None seed
+        tree spec ~policy sigma
+  | None, Some spec_str ->
+    if domains > 1 then
+      or_die (Error "--domains does not combine with --faults");
+    if report_flag || trace_out <> None || series_out <> None then
+      or_die
+        (Error "--faults does not combine with --report, --trace or --series");
+    let spec = plan_for tree spec_str in
+    let policy = or_die (build_lease_policy policy) in
+    run_plan ~header ~label:"fault plan:" ~repair:false ~metrics_out seed tree
+      spec ~policy sigma
+  | None, None ->
   let report name cost =
     let opt = Offline.Opt_lease.total tree sigma in
     let nice = Offline.Nice_bound.total tree sigma in
-    Printf.printf "tree:              %s (n=%d, diameter=%d)\n" tree_kind
-      (Tree.n_nodes tree) (Tree.diameter tree);
-    Printf.printf
-      "workload:          %d requests, read fraction %.2f, seed %d\n" requests
-      read_fraction seed;
+    header ();
     Printf.printf "algorithm:         %s\n" name;
     Printf.printf "messages:          %d\n" cost;
     Printf.printf "offline lease OPT: %d  (ratio %.3f)\n" opt
@@ -408,17 +388,13 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
     Printf.printf "strict consistency: verified (every combine checked)\n"
   in
   if domains > 1 then begin
-    (match faults with
-    | None -> ()
-    | Some _ -> or_die (Error "--domains does not combine with --faults"));
     let policy = or_die (build_lease_policy policy) in
     let part =
-      match partition_strategy with
-      | "naive" -> Tree.Partition.create tree ~shards:domains
-      | "weighted" ->
+      match partition with
+      | None | Some `Naive -> Tree.Partition.create tree ~shards:domains
+      | Some `Weighted ->
         Tree.Partition.create_weighted tree ~shards:domains
           ~weights:(Tree.Partition.subtree_weights tree)
-      | s -> or_die (Error (Printf.sprintf "unknown --partition strategy %S" s))
     in
     let trace = match trace_out with Some _ -> 1 lsl 20 | None -> 0 in
     let series =
@@ -477,12 +453,9 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
         (if dropped > 0 then Printf.sprintf ", %d oldest dropped" dropped
          else "")
     | None -> ());
-    (match metrics_out with
-    | Some path ->
-      write_out path
-        (metrics_body path (Simul.Sharded.fleet_metrics sh));
-      Printf.printf "metrics:           %s (fleet-merged)\n" path
-    | None -> ());
+    Option.iter
+      (write_metrics ~note:" (fleet-merged)" (Simul.Sharded.fleet_metrics sh))
+      metrics_out;
     (match series_out with
     | Some path ->
       let body =
@@ -496,104 +469,69 @@ let simulate seed tree_kind n requests read_fraction policy trace_out
          if d > 0 then Printf.sprintf ", %d oldest dropped" d else "")
     | None -> ())
   end
-  else
-  match faults with
-  | Some spec_str ->
-    (* faulty run: mechanism over the reliable transport over a network
-       with the seeded fault plan installed (see Fault.Runner) *)
-    if report_flag || series_out <> None then
-      or_die (Error "--faults does not combine with --report or --series");
-    let spec = plan_for tree spec_str in
+  else if
+    trace_out = None && metrics_out = None && series_out = None
+    && not report_flag
+  then begin
+    let algo = or_die (build_algo policy tree) in
+    let cost = Baselines.Algorithm.run algo sigma in
+    report algo.Baselines.Algorithm.name cost
+  end
+  else begin
     let policy = or_die (build_lease_policy policy) in
     let metrics = Telemetry.Metrics.create () in
-    let plan = Fault.Plan.create ~metrics ~seed spec in
-    let module R = Fault.Runner.Make (Agg.Ops.Sum) in
-    let o = R.run ~metrics ~plan ~tree ~policy ~requests:sigma () in
-    Printf.printf "tree:              %s (n=%d, diameter=%d)\n" tree_kind
-      (Tree.n_nodes tree) (Tree.diameter tree);
-    Printf.printf
-      "workload:          %d requests, read fraction %.2f, seed %d\n" requests
-      read_fraction seed;
-    Printf.printf "fault plan:        %s\n"
-      (Fault.Plan.spec_to_string (Fault.Plan.spec plan));
-    Format.printf "%a@." R.pp_outcome o;
-    Printf.printf "causal consistency: %s\n"
-      (if o.R.causal_violations = 0 then "verified (ghost-log checker)"
-       else "VIOLATED");
-    (match metrics_out with
+    let ring =
+      match trace_out with
+      | Some _ -> Some (Telemetry.Sink.ring ~capacity:(1 lsl 20))
+      | None -> None
+    in
+    let sink =
+      match ring with
+      | Some r -> Telemetry.Sink.of_ring r
+      | None -> Telemetry.Sink.null
+    in
+    let latency =
+      if report_flag then Telemetry.Latency.create () else Telemetry.Latency.null
+    in
+    let series =
+      match series_out with
+      | Some _ -> Telemetry.Series.create ()
+      | None -> Telemetry.Series.null
+    in
+    let sys, makespan =
+      run_instrumented ~latency ~series tree sigma ~policy ~metrics ~sink
+    in
+    report (M.policy_name sys) (M.message_total sys);
+    Printf.printf "virtual makespan:  %.0f hops\n" makespan;
+    if report_flag then begin
+      print_string (Telemetry.Metrics.to_text metrics);
+      print_string (Telemetry.Latency.to_text latency)
+    end;
+    (match (trace_out, ring) with
+    | Some path, Some r ->
+      let events = Telemetry.Sink.ring_events r in
+      write_out path
+        (Telemetry.Export.chrome_trace ~kind_name
+           ~n_nodes:(Tree.n_nodes tree) events);
+      let dropped = Telemetry.Sink.ring_dropped r in
+      Printf.printf "trace:             %s (%d events%s)\n" path
+        (List.length events)
+        (if dropped > 0 then Printf.sprintf ", %d oldest dropped" dropped
+         else "")
+    | _ -> ());
+    Option.iter (write_metrics metrics) metrics_out;
+    (match series_out with
     | Some path ->
-      write_out path (metrics_body path metrics);
-      Printf.printf "metrics:           %s\n" path
-    | None -> ());
-    if o.R.causal_violations > 0 then exit 1
-  | None ->
-    if
-      trace_out = None && metrics_out = None && series_out = None
-      && not report_flag
-    then begin
-      let algo = or_die (build_algo policy tree) in
-      let cost = Baselines.Algorithm.run algo sigma in
-      report algo.Baselines.Algorithm.name cost
-    end
-    else begin
-      let policy = or_die (build_lease_policy policy) in
-      let metrics = Telemetry.Metrics.create () in
-      let ring =
-        match trace_out with
-        | Some _ -> Some (Telemetry.Sink.ring ~capacity:(1 lsl 20))
-        | None -> None
+      let body =
+        if Filename.check_suffix path ".json" then
+          Telemetry.Series.to_json series
+        else Telemetry.Series.to_csv series
       in
-      let sink =
-        match ring with
-        | Some r -> Telemetry.Sink.of_ring r
-        | None -> Telemetry.Sink.null
-      in
-      let latency =
-        if report_flag then Telemetry.Latency.create () else Telemetry.Latency.null
-      in
-      let series =
-        match series_out with
-        | Some _ -> Telemetry.Series.create ()
-        | None -> Telemetry.Series.null
-      in
-      let sys, makespan =
-        run_instrumented ~latency ~series tree sigma ~policy ~metrics ~sink
-      in
-      report (M.policy_name sys) (M.message_total sys);
-      Printf.printf "virtual makespan:  %.0f hops\n" makespan;
-      if report_flag then begin
-        print_string (Telemetry.Metrics.to_text metrics);
-        print_string (Telemetry.Latency.to_text latency)
-      end;
-      (match (trace_out, ring) with
-      | Some path, Some r ->
-        let events = Telemetry.Sink.ring_events r in
-        write_out path
-          (Telemetry.Export.chrome_trace ~kind_name
-             ~n_nodes:(Tree.n_nodes tree) events);
-        let dropped = Telemetry.Sink.ring_dropped r in
-        Printf.printf "trace:             %s (%d events%s)\n" path
-          (List.length events)
-          (if dropped > 0 then Printf.sprintf ", %d oldest dropped" dropped
-           else "")
-      | _ -> ());
-      (match metrics_out with
-      | Some path ->
-        write_out path (metrics_body path metrics);
-        Printf.printf "metrics:           %s\n" path
-      | None -> ());
-      (match series_out with
-      | Some path ->
-        let body =
-          if Filename.check_suffix path ".json" then
-            Telemetry.Series.to_json series
-          else Telemetry.Series.to_csv series
-        in
-        write_out path body;
-        Printf.printf "series:            %s (%d requests sampled)\n" path
-          (Telemetry.Series.length series)
-      | None -> ())
-    end
+      write_out path body;
+      Printf.printf "series:            %s (%d requests sampled)\n" path
+        (Telemetry.Series.length series)
+    | None -> ())
+  end
 
 let trace_arg =
   let doc =
@@ -634,10 +572,12 @@ let faults_arg =
     "Run under a seeded fault plan and report recovery behaviour.  $(docv) \
      is comma-separated: drop=P, dup=P, reorder=P[:DEPTH], delay=P[:MAX], \
      crash=NODE@AT+DOWNTIME (repeatable), e.g. \
-     'drop=0.1,dup=0.05,crash=3@40+25'.  The mechanism then runs over a \
-     reliable transport (sequence numbers, acks, retransmission) on a \
-     faulty network; the execution history is checked causally and the \
-     whole run is deterministic in --seed.  Requires a lease policy."
+     'drop=0.1,dup=0.05,crash=3@40+25', plus the --churn membership \
+     fields.  The mechanism then runs over a reliable transport \
+     (sequence numbers, acks, retransmission) on a faulty network; the \
+     execution history is checked causally and the whole run is \
+     deterministic in --seed.  Combines with --metrics, but not with \
+     --report, --trace, --series or --domains.  Requires a lease policy."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 
@@ -663,11 +603,13 @@ let partition_arg =
      equal node-count ranges; $(b,weighted) splits on subtree sizes (the \
      static cost model for rootward lease cascades, where a node's delivery \
      load is its subtree size), minimising the bottleneck shard.  The \
-     per-shard table in the report shows the resulting load balance."
+     per-shard table in the report shows the resulting load balance.  \
+     Applies only with --domains above 1 and without --churn (which \
+     repartitions at every barrier); absent means $(b,naive)."
   in
   Arg.(
     value
-    & opt (enum [ ("naive", "naive"); ("weighted", "weighted") ]) "naive"
+    & opt (some (enum [ ("naive", `Naive); ("weighted", `Weighted) ])) None
     & info [ "partition" ] ~docv:"STRATEGY" ~doc)
 
 let churn_arg =
@@ -769,7 +711,7 @@ let adversary_cmd =
   let a_arg = Arg.(value & opt int 1 & info [ "a" ] ~docv:"A" ~doc:"Combine threshold.") in
   let b_arg = Arg.(value & opt int 2 & info [ "b" ] ~docv:"B" ~doc:"Write budget.") in
   let rounds_arg =
-    Arg.(value & opt int 500 & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Adversary rounds.")
+    count_arg "rounds" ~default:500 ~docv:"ROUNDS" ~doc:"Adversary rounds."
   in
   Cmd.v (Cmd.info "adversary" ~doc) Term.(const adversary $ a_arg $ b_arg $ rounds_arg)
 

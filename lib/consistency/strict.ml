@@ -17,13 +17,18 @@ let violations (type a) (module Op : Agg.Operator.S with type t = a) ~n_nodes
       (fun acc -> function Some v -> Op.combine acc v | None -> Op.combine acc Op.identity)
       Op.identity latest
   in
+  (* Folded once per run of combines: only a write changes the
+     operands, and their order never changes. *)
+  let folded = ref (lazy (fold ())) in
   let acc = ref [] in
   List.iteri
     (fun position (r : a Oat.Request.result) ->
       match (r.request.op, r.returned) with
-      | Oat.Request.Write v, _ -> latest.(r.request.node) <- Some v
+      | Oat.Request.Write v, _ ->
+        latest.(r.request.node) <- Some v;
+        folded := lazy (fold ())
       | Oat.Request.Combine, Some got ->
-        let expected = fold () in
+        let expected = Lazy.force !folded in
         if not (Op.equal got expected) then
           acc :=
             {

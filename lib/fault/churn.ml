@@ -23,7 +23,8 @@ module Make (Op : Agg.Operator.S) = struct
   module M = Oat.Mechanism.Make (Op)
   module R = Repair.Make (Op)
 
-  type event = Crash of int | Restart of int | Leave of int | Join of int
+  type event = Plan.event =
+    | Crash of int | Restart of int | Leave of int | Join of int
 
   type phase = { events : event list; requests : Op.t Oat.Request.t list }
 
@@ -75,27 +76,36 @@ module Make (Op : Agg.Operator.S) = struct
       c.c_joins <- c.c_joins + 1;
       M.join sys ~node:u
 
-  (* Membership is constant within a phase (events fire only at its
-     barrier), so the skip decision is made when the phase's request
-     array is built — identically on both engines. *)
-  let eligible sys (q : Op.t Oat.Request.t) =
-    M.alive sys q.Oat.Request.node && M.attached sys q.Oat.Request.node
+  (* One request of a phase: counted skipped when its node is down or
+     detached, or counted issued and returned as its node and thunk.
+     Membership is constant within a phase (events fire only at its
+     barrier), so both engines decide alike. *)
+  let issue sys c (q : Op.t Oat.Request.t) =
+    let node = q.Oat.Request.node in
+    if not (M.alive sys node && M.attached sys node) then begin
+      c.c_skipped <- c.c_skipped + 1;
+      None
+    end
+    else begin
+      c.c_issued <- c.c_issued + 1;
+      Some
+        ( node,
+          match q.Oat.Request.op with
+          | Oat.Request.Write v -> fun () -> M.write sys ~node v
+          | Oat.Request.Combine ->
+            fun () ->
+              M.combine sys ~node (fun v ->
+                  c.c_returned <- Some v :: c.c_returned) )
+    end
 
-  let finish ?(repair = false) sys ~n ~logical_msgs c =
+  let finish ?repair sys ~n ~logical_msgs c =
     (* Causal consistency is judged on the protocol's own history,
        before anti-entropy: repair admits are per-origin catch-up
        batches, not causally interleaved request history. *)
     let logs = Array.init n (fun u -> M.log sys u) in
     let violations = Consistency.Causal.check (module Op) ~n_nodes:n ~logs in
-    let divergence_before = R.total_divergence sys in
-    let repair_stats = Repair.fresh_stats () in
-    let divergence_after =
-      if repair then begin
-        ignore (R.sync ~stats:repair_stats sys);
-        M.check_invariants sys;
-        R.total_divergence sys
-      end
-      else divergence_before
+    let divergence_before, divergence_after, repair_stats =
+      R.heal ?repair sys
     in
     {
       issued = c.c_issued;
@@ -144,17 +154,12 @@ module Make (Op : Agg.Operator.S) = struct
         List.iter (apply_event dyn sys c) ph.events;
         drain ();
         List.iter
-          (fun (q : Op.t Oat.Request.t) ->
-            if not (eligible sys q) then c.c_skipped <- c.c_skipped + 1
-            else begin
-              c.c_issued <- c.c_issued + 1;
-              (match q.Oat.Request.op with
-              | Oat.Request.Write v -> M.write sys ~node:q.Oat.Request.node v
-              | Oat.Request.Combine ->
-                M.combine sys ~node:q.Oat.Request.node (fun v ->
-                    c.c_returned <- Some v :: c.c_returned));
-              drain ()
-            end)
+          (fun q ->
+            Option.iter
+              (fun (_, start) ->
+                start ();
+                drain ())
+              (issue sys c q))
           ph.requests)
       phases;
     M.check_invariants sys;
@@ -204,26 +209,7 @@ module Make (Op : Agg.Operator.S) = struct
           sh := make_sh ()
         end;
         let requests =
-          ph.requests
-          |> List.filter_map (fun (q : Op.t Oat.Request.t) ->
-                 if not (eligible sys q) then begin
-                   c.c_skipped <- c.c_skipped + 1;
-                   None
-                 end
-                 else begin
-                   c.c_issued <- c.c_issued + 1;
-                   let node = q.Oat.Request.node in
-                   match q.Oat.Request.op with
-                   | Oat.Request.Write v ->
-                     Some (node, fun () -> M.write sys ~node v)
-                   | Oat.Request.Combine ->
-                     Some
-                       ( node,
-                         fun () ->
-                           M.combine sys ~node (fun v ->
-                               c.c_returned <- Some v :: c.c_returned) )
-                 end)
-          |> Array.of_list
+          Array.of_list (List.filter_map (issue sys c) ph.requests)
         in
         Simul.Sharded.run_sequential !sh ~requests;
         drained "phase")
@@ -235,26 +221,17 @@ module Make (Op : Agg.Operator.S) = struct
     finish ?repair sys ~n ~logical_msgs:(M.message_total sys) c
 
   (* ---------------------------------------------------------------- *)
-  (* Compile a timed plan into barrier phases: churn and crash events
-     sort by time, and each request (on the runner's timeline,
-     (i+1) * Plan.request_spacing) lands in the phase after the last
-     event before it.                                                  *)
+  (* Compile a timed plan into barrier phases: each request (on the
+     runner's timeline, (i+1) * Plan.request_spacing) lands in the phase
+     after the last event of Plan.timeline before it.                  *)
 
   let phases_of_plan ~(spec : Plan.spec) ~requests () =
-    let timed_events =
-      List.concat_map
-        (fun (cr : Plan.crash) ->
-          [ (cr.at, Crash cr.node); (cr.at +. cr.down_for, Restart cr.node) ])
-        (Plan.crash_windows spec)
-      @ List.map
-          (fun (c : Plan.churn) ->
-            ( c.cat,
-              match c.ckind with
-              | Plan.Leave -> Leave c.cnode
-              | Plan.Join -> Join c.cnode ))
-          spec.churn
-      |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-    in
+    if spec.drop > 0.0 || spec.duplicate > 0.0 || spec.reorder > 0.0
+       || spec.delay > 0.0
+    then
+      invalid_arg
+        "Fault.Churn.phases_of_plan: barrier phases have no wire to \
+         corrupt (drop, dup, reorder and delay must be 0)";
     let reqs =
       List.mapi
         (fun i q -> (float_of_int (i + 1) *. Plan.request_spacing, q))
@@ -277,6 +254,6 @@ module Make (Op : Agg.Operator.S) = struct
           { events = List.map snd same; requests } :: tl
         | tl -> { events = List.map snd same; requests = [] } :: tl)
     in
-    build timed_events reqs
+    build (Plan.timeline spec) reqs
     |> List.filter (fun ph -> ph.events <> [] || ph.requests <> [])
 end

@@ -21,11 +21,13 @@
     swapped, so repartitioning moves no protocol state. *)
 
 module Make (Op : Agg.Operator.S) : sig
-  type event =
+  type event = Plan.event =
     | Crash of int
     | Restart of int
     | Leave of int  (** {!Oat.Mechanism.Make.depart} *)
     | Join of int  (** {!Oat.Mechanism.Make.join} *)
+  (** {!Plan.event}, re-exported so a scripted phase names its events
+      here. *)
 
   type phase = { events : event list; requests : Op.t Oat.Request.t list }
   (** Events fire (in order) at the phase's barrier; requests then run
@@ -49,6 +51,8 @@ module Make (Op : Agg.Operator.S) : sig
     divergence_before : int;  (** ghost divergence across active edges *)
     divergence_after : int;  (** 0 when [repair] ran *)
     repair_stats : Repair.stats;
+        (** the two divergences and these stats are
+            {!Repair.Make.heal}'s, the end-of-run step {!Runner} shares *)
   }
 
   val run_engine :
@@ -62,8 +66,10 @@ module Make (Op : Agg.Operator.S) : sig
   (** Single-domain reference: the mechanism's internal network,
       drained to quiescence around every event batch and every
       request.  [repair] (default false) runs a Merkle anti-entropy
-      pass ({!Repair.Make.sync}) at the end.  [detached] nodes start
-      outside the active tree.
+      pass ({!Repair.Make.heal}) at the end.  [detached] nodes start
+      outside the active tree.  It shares its request loop with
+      {!run_sharded}: each request is counted skipped or issued, and
+      an issued one runs as the same thunk on both engines.
       @raise Invalid_argument on an illegal event (crashing a crashed
       node, detaching a non-leaf, joining with no attached
       neighbour, ...). *)
@@ -89,13 +95,14 @@ module Make (Op : Agg.Operator.S) : sig
     requests:Op.t Oat.Request.t list ->
     unit ->
     phase list
-  (** Compile a timed {!Plan.spec} into barrier phases: crash windows
-      (explicit plus flap expansion) become [Crash]/[Restart] pairs,
-      churn events become [Leave]/[Join], all sorted by time; request
+  (** Compile a timed {!Plan.spec} into barrier phases: the request
+      timeline is cut at the events of {!Plan.timeline}, so request
       [i] (issued at [(i+1) *. Plan.request_spacing], as {!Runner}
       injects it) lands in the phase after the last event at or before
-      its time.  Co-timed events share one barrier.  The spec's
-      probabilistic fields are ignored (barrier scheduling has no wire
-      to corrupt); its [detached] list is {e not} applied here — pass
-      it to [run_engine]/[run_sharded] directly. *)
+      its time, and co-timed events share one barrier in timeline
+      order.  The spec's [detached] list is {e not} applied here —
+      pass it to [run_engine]/[run_sharded] directly — and the tree
+      fit is {!Plan.check}'s to decide.
+      @raise Invalid_argument if the spec has a drop, dup, reorder or
+      delay probability: barrier scheduling has no wire to corrupt. *)
 end

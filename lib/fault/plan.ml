@@ -252,6 +252,77 @@ let validate s =
       nodes_involved;
     (match !err with Some m -> Error m | None -> Ok s)
 
+(* ---- the timeline and the tree check ----------------------------- *)
+
+type event = Crash of int | Restart of int | Leave of int | Join of int
+
+(* Each crash window's crash and restart, then every churn event, stably
+   sorted by time: at equal times crash windows come first, in
+   [crash_windows] order, and churn events keep their spec order.  Both
+   drivers consume this list, so they order co-timed events alike. *)
+let timeline s =
+  List.concat_map
+    (fun c -> [ (c.at, Crash c.node); (c.at +. c.down_for, Restart c.node) ])
+    (crash_windows s)
+  @ List.map
+      (fun c ->
+        (c.cat, match c.ckind with Leave -> Leave c.cnode | Join -> Join c.cnode))
+      s.churn
+  |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+
+let check tree s =
+  let ( let* ) = Result.bind in
+  let n = Tree.n_nodes tree in
+  let outside what nodes =
+    match List.find_opt (fun u -> u >= n) nodes with
+    | Some u ->
+      Error (Printf.sprintf "%s: node %d outside the tree (n=%d)" what u n)
+    | None -> Ok ()
+  in
+  let* s = validate s in
+  let* () = outside "crash" (List.map (fun c -> c.node) s.crashes) in
+  let* () = outside "flap" (List.map (fun f -> f.fnode) s.flaps) in
+  let* () = outside "churn" (List.map (fun c -> c.cnode) s.churn) in
+  let* () = outside "detached" s.detached in
+  let* dyn =
+    match Tree.Dyn.create ~detached:s.detached tree with
+    | dyn -> Ok dyn
+    | exception Invalid_argument m -> Error ("detached: " ^ m)
+  in
+  (* Both drivers crash and restart before membership moves at equal
+     times, and a restart's Hello has not reached the leaver at that
+     instant, so a window covers both of its ends. *)
+  let down h t =
+    List.find_opt
+      (fun w -> w.node = h && w.at <= t && t <= w.at +. w.down_for)
+      (crash_windows s)
+  in
+  let replay acc (t, ev) =
+    let* () = acc in
+    let move u what legal =
+      Result.map_error
+        (Printf.sprintf "churn: node %d cannot %s at %g: %s" u what t)
+        legal
+    in
+    match ev with
+    | Crash _ | Restart _ -> Ok ()
+    | Leave u ->
+      move u "leave"
+        (let* h = Tree.Dyn.can_detach dyn u in
+         match down h t with
+         | Some w ->
+           Error
+             (Printf.sprintf "handoff neighbour %d is down in [%g,%g]" h w.at
+                (w.at +. w.down_for))
+         | None -> Ok (ignore (Tree.Dyn.detach dyn u)))
+    | Join u ->
+      move u "join"
+        (Result.map
+           (fun _ -> ignore (Tree.Dyn.attach dyn u))
+           (Tree.Dyn.can_attach dyn u))
+  in
+  Result.map (fun () -> s) (List.fold_left replay (Ok ()) (timeline s))
+
 (* ---- spec parsing / printing ------------------------------------- *)
 
 exception Bad of string
@@ -360,7 +431,9 @@ let spec_to_string s =
 
 (* ---- plans -------------------------------------------------------- *)
 
-type tel = {
+type t = {
+  seed : int;
+  spec : spec;
   c_drop : Telemetry.Metrics.counter;
   c_dup : Telemetry.Metrics.counter;
   c_reorder : Telemetry.Metrics.counter;
@@ -371,53 +444,24 @@ type tel = {
   c_join : Telemetry.Metrics.counter;
 }
 
-type t = {
-  seed : int;
-  spec : spec;
-  mutable drops : int;
-  mutable dups : int;
-  mutable reorders : int;
-  mutable delays : int;
-  mutable crash_count : int;
-  mutable leave_count : int;
-  mutable join_count : int;
-  tel : tel option;
-}
-
-let create ?metrics ~seed spec =
+let create ?(metrics = Telemetry.Metrics.create ()) ~seed spec =
   let spec =
     match validate spec with
     | Ok s -> s
     | Error m -> invalid_arg ("Fault.Plan.create: " ^ m)
   in
-  let tel =
-    match metrics with
-    | None -> None
-    | Some m ->
-      let c = Telemetry.Metrics.counter m in
-      Some
-        {
-          c_drop = c "fault.injected.drop";
-          c_dup = c "fault.injected.duplicate";
-          c_reorder = c "fault.injected.reorder";
-          c_delay = c "fault.injected.delay";
-          c_crash = c "fault.injected.crash";
-          c_restart = c "fault.injected.restart";
-          c_leave = c "fault.injected.leave";
-          c_join = c "fault.injected.join";
-        }
-  in
+  let c name = Telemetry.Metrics.counter metrics ("fault.injected." ^ name) in
   {
     seed;
     spec;
-    drops = 0;
-    dups = 0;
-    reorders = 0;
-    delays = 0;
-    crash_count = 0;
-    leave_count = 0;
-    join_count = 0;
-    tel;
+    c_drop = c "drop";
+    c_dup = c "duplicate";
+    c_reorder = c "reorder";
+    c_delay = c "delay";
+    c_crash = c "crash";
+    c_restart = c "restart";
+    c_leave = c "leave";
+    c_join = c "join";
   }
 
 let seed t = t.seed
@@ -435,36 +479,13 @@ let keyed t ~stream ~src ~dst ~attempt =
   in
   Prng.Splitmix.create ((k * 786_433) + attempt)
 
-let count_drop t =
-  t.drops <- t.drops + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_drop
+let count_crash t = Telemetry.Metrics.incr t.c_crash
 
-let count_dup t =
-  t.dups <- t.dups + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_dup
+let count_restart t = Telemetry.Metrics.incr t.c_restart
 
-let count_reorder t =
-  t.reorders <- t.reorders + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_reorder
+let count_leave t = Telemetry.Metrics.incr t.c_leave
 
-let count_delay t =
-  t.delays <- t.delays + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_delay
-
-let count_crash t =
-  t.crash_count <- t.crash_count + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_crash
-
-let count_restart t =
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_restart
-
-let count_leave t =
-  t.leave_count <- t.leave_count + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_leave
-
-let count_join t =
-  t.join_count <- t.join_count + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.c_join
+let count_join t = Telemetry.Metrics.incr t.c_join
 
 let hook t ~src ~dst ~attempt =
   let g = keyed t ~stream:0 ~src ~dst ~attempt in
@@ -473,14 +494,14 @@ let hook t ~src ~dst ~attempt =
   let duplicate = Prng.Splitmix.bernoulli g t.spec.duplicate in
   let reorder = Prng.Splitmix.bernoulli g t.spec.reorder in
   if drop then begin
-    count_drop t;
+    Telemetry.Metrics.incr t.c_drop;
     { Simul.Network.drop = true; duplicate = false; reorder_depth = 0 }
   end
   else begin
-    if duplicate then count_dup t;
+    if duplicate then Telemetry.Metrics.incr t.c_dup;
     let reorder_depth =
       if reorder then begin
-        count_reorder t;
+        Telemetry.Metrics.incr t.c_reorder;
         1 + Prng.Splitmix.int g t.spec.reorder_depth
       end
       else 0
@@ -500,25 +521,25 @@ let latency t ~base =
       let b = base ~src ~dst in
       let g = keyed t ~stream:1 ~src ~dst ~attempt:n in
       if Prng.Splitmix.bernoulli g t.spec.delay then begin
-        count_delay t;
+        Telemetry.Metrics.incr t.c_delay;
         b +. float_of_int (1 + Prng.Splitmix.int g t.spec.delay_max)
       end
       else b
   end
 
-let drops t = t.drops
+let drops t = Telemetry.Metrics.counter_value t.c_drop
 
-let duplicates t = t.dups
+let duplicates t = Telemetry.Metrics.counter_value t.c_dup
 
-let reorders t = t.reorders
+let reorders t = Telemetry.Metrics.counter_value t.c_reorder
 
-let delays t = t.delays
+let delays t = Telemetry.Metrics.counter_value t.c_delay
 
-let crashes_executed t = t.crash_count
+let crashes_executed t = Telemetry.Metrics.counter_value t.c_crash
 
-let leaves_executed t = t.leave_count
+let leaves_executed t = Telemetry.Metrics.counter_value t.c_leave
 
-let joins_executed t = t.join_count
+let joins_executed t = Telemetry.Metrics.counter_value t.c_join
 
 (* ---- seeded churn synthesis --------------------------------------- *)
 

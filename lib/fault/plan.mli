@@ -74,7 +74,38 @@ val validate : spec -> (spec, string) result
 
 val crash_windows : spec -> crash list
 (** Every crash window the plan schedules: the explicit [crashes] plus
-    the expansion of each flap.  This is the list drivers execute. *)
+    the expansion of each flap. *)
+
+(** {1 The timeline and the tree check} *)
+
+type event =
+  | Crash of int
+  | Restart of int
+  | Leave of int  (** {!Oat.Mechanism.Make.depart} *)
+  | Join of int  (** {!Oat.Mechanism.Make.join} *)
+(** A node event of a plan: what {!Runner} schedules on virtual time
+    and {!Churn} fires at its barriers. *)
+
+val timeline : spec -> (float * event) list
+(** The plan's node events in time order: a [Crash] at the start and a
+    [Restart] at the end of every window of {!crash_windows}, then
+    every churn event, stably sorted by time.  At equal times crash
+    windows come first, in {!crash_windows} order, and churn events
+    keep their spec order.  {!Runner} schedules this list and
+    {!Churn.Make.phases_of_plan} cuts the request timeline at it, so
+    the two drivers order co-timed events alike. *)
+
+val check : Tree.t -> spec -> (spec, string) result
+(** Whether a plan fits a tree, decided before any run: the spec
+    {!validate}s, every node it names is in the tree, the [detached]
+    nodes leave a connected active set, and {!timeline} replayed on a
+    {!Tree.Dyn} from that membership makes only legal moves.  A leave
+    takes an active leaf whose handoff neighbour is outside every crash
+    window, the window closed at both ends (a restart's Hello has not
+    reached the leaver at the restart's instant); a join needs an
+    attached neighbour.  The error is one line, e.g.
+    ["churn: node 4 cannot leave at 5: handoff neighbour 3 is down in
+    [1,11]"].  {!Runner.Make.run} and [oat-cli simulate] both use it. *)
 
 val request_spacing : float
 (** The request timeline {!Runner} and {!Churn} share: request [i]
@@ -103,8 +134,11 @@ type t
     counters. *)
 
 val create : ?metrics:Telemetry.Metrics.t -> seed:int -> spec -> t
-(** [metrics] registers counters [fault.injected.drop], [.duplicate],
-    [.reorder], [.delay], [.crash], [.restart], [.leave], [.join].
+(** Registers the counters [fault.injected.drop], [.duplicate],
+    [.reorder], [.delay], [.crash], [.restart], [.leave] and [.join] in
+    [metrics] (default: a registry of the plan's own).  They are the
+    plan's only count: {!drops} ... {!joins_executed} read them, so two
+    plans that share a registry report summed counts.
     @raise Invalid_argument if the spec does not {!validate}. *)
 
 val seed : t -> int
@@ -124,7 +158,7 @@ val latency : t -> base:(src:int -> dst:int -> float) -> src:int -> dst:int -> f
     [count_crash]/[count_restart]/[count_leave]/[count_join] are called
     by the driver ({!Runner}) when it executes a scheduled
     crash/restart/leave/join, so that all [fault.injected.*] counters
-    live in one place. *)
+    live in one place; the readers below read the same counters. *)
 
 val count_crash : t -> unit
 val count_restart : t -> unit

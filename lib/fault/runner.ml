@@ -83,6 +83,10 @@ module Make (Op : Agg.Operator.S) = struct
   let run ?metrics ?plan ?rto_max ?(jitter = 0.0) ?(repair = false) ~tree
       ~policy ~requests () =
     let n = Tree.n_nodes tree in
+    let spec = match plan with None -> Plan.none | Some p -> Plan.spec p in
+    (match Plan.check tree spec with
+    | Ok _ -> ()
+    | Error m -> invalid_arg ("Fault.Runner.run: " ^ m));
     let base = Dev.unit_latency in
     let latency =
       match plan with None -> base | Some p -> Plan.latency p ~base
@@ -97,12 +101,9 @@ module Make (Op : Agg.Operator.S) = struct
         ?fault:(Option.map Plan.hook plan)
         ~on_send:(Dev.notify dev) ~clock:(Dev.clock dev) tree
     in
-    let detached =
-      match plan with None -> [] | Some p -> (Plan.spec p).detached
-    in
     let s =
-      M.create ~ghost:true ?metrics ~detached ~clock:(Dev.clock dev) tree
-        ~policy
+      M.create ~ghost:true ?metrics ~detached:spec.detached
+        ~clock:(Dev.clock dev) tree ~policy
     in
     (* acks share the mechanism's frame pool: one leak audit covers the
        whole data plane *)
@@ -113,58 +114,45 @@ module Make (Op : Agg.Operator.S) = struct
         ~timer:dev ~net:phys ~deliver:(M.handler s) ()
     in
     M.set_outbox s ~send:(Rel.send rel) ~pool_for:(fun _ -> pool);
-    (* Crash/restart schedule.  Transport first on both edges: the
+    (* The plan's timeline.  Transport first on both crash edges: the
        crash voids in-flight frames before the mechanism's failure
        notifications send recovery traffic, and the restart gives the
-       mechanism fresh sessions for its Hello exchange. *)
-    (match plan with
-    | None -> ()
-    | Some p ->
-      List.iter
-        (fun (c : Plan.crash) ->
-          if c.node < 0 || c.node >= n then
-            invalid_arg
-              (Printf.sprintf "Fault.Runner.run: crash node %d outside tree"
-                 c.node);
-          Dev.at dev c.at (fun () ->
-              Plan.count_crash p;
-              Rel.crash rel ~node:c.node;
-              M.crash s ~node:c.node);
-          Dev.at dev
-            (c.at +. c.down_for)
-            (fun () ->
-              Plan.count_restart p;
-              Rel.restart rel ~node:c.node;
-              M.restart s ~node:c.node))
-        (Plan.crash_windows (Plan.spec p));
-      (* Membership schedule.  The transport stays up through both
-         transitions: a departed node's channels idle (the mechanism
-         discards frames across detached slots at both ends), and a
-         join's Hello resync rides the established sessions.  A leave
-         waits while the leaver still counts a neighbour down: after its
-         handoff neighbour restarts, the Hello announcing it reaches the
-         leaver a hop later, and later still under drops, so the leave
-         is put off one time unit at a time and counted when it runs. *)
-      let rec leave node () =
-        if Oat.Mechanism.IntSet.is_empty (M.known_down s node) then begin
-          Plan.count_leave p;
-          M.depart s ~node
-        end
-        else Dev.after dev 1.0 (leave node)
-      in
-      List.iter
-        (fun (c : Plan.churn) ->
-          if c.cnode < 0 || c.cnode >= n then
-            invalid_arg
-              (Printf.sprintf "Fault.Runner.run: churn node %d outside tree"
-                 c.cnode);
-          Dev.at dev c.cat (fun () ->
-              match c.ckind with
-              | Plan.Leave -> leave c.cnode ()
-              | Plan.Join ->
-                Plan.count_join p;
-                M.join s ~node:c.cnode))
-        (Plan.spec p).churn);
+       mechanism fresh sessions for its Hello exchange.  The transport
+       stays up through membership moves: a departed node's channels
+       idle (the mechanism discards frames across detached slots at
+       both ends), and a join's Hello resync rides the established
+       sessions.  A leave waits while the leaver still counts a
+       neighbour down: after its handoff neighbour restarts, the Hello
+       announcing it reaches the leaver a hop later, and later still
+       under drops, so the leave is put off one time unit at a time and
+       counted when it runs. *)
+    Option.iter
+      (fun p ->
+        let rec leave node () =
+          if Oat.Mechanism.IntSet.is_empty (M.known_down s node) then begin
+            Plan.count_leave p;
+            M.depart s ~node
+          end
+          else Dev.after dev 1.0 (leave node)
+        in
+        List.iter
+          (fun (at, ev) ->
+            Dev.at dev at (fun () ->
+                match (ev : Plan.event) with
+                | Crash node ->
+                  Plan.count_crash p;
+                  Rel.crash rel ~node;
+                  M.crash s ~node
+                | Restart node ->
+                  Plan.count_restart p;
+                  Rel.restart rel ~node;
+                  M.restart s ~node
+                | Leave node -> leave node ()
+                | Join node ->
+                  Plan.count_join p;
+                  M.join s ~node))
+          (Plan.timeline spec))
+      plan;
     let n_requests = List.length requests in
     let issued = ref 0 and skipped = ref 0 in
     let writes = ref 0 and combines = ref 0 in
@@ -206,30 +194,10 @@ module Make (Op : Agg.Operator.S) = struct
        request history, and need not interleave causally. *)
     let logs = Array.init n (fun u -> M.log s u) in
     let violations = Consistency.Causal.check (module Op) ~n_nodes:n ~logs in
-    (* Anti-entropy pass at quiescence: measure how far neighbouring
-       ghost logs drifted during the run, then (if asked) reconcile
-       until the active tree agrees.  Runs after the audits because it
-       mutates ghost state; re-audited below when it does. *)
-    let divergence_before = R.total_divergence s in
-    let repair_stats = Repair.fresh_stats () in
-    let divergence_after =
-      if repair then begin
-        ignore (R.sync ~stats:repair_stats s);
-        M.check_invariants s;
-        R.total_divergence s
-      end
-      else divergence_before
+    let divergence_before, divergence_after, repair_stats =
+      R.heal ~repair s
     in
-    let fd, fu, fr, fy, fc =
-      match plan with
-      | None -> (0, 0, 0, 0, 0)
-      | Some p ->
-        ( Plan.drops p,
-          Plan.duplicates p,
-          Plan.reorders p,
-          Plan.delays p,
-          Plan.crashes_executed p )
-    in
+    let count f = match plan with None -> 0 | Some p -> f p in
     let completed = !exact + !partial in
     {
       n_requests;
@@ -246,13 +214,13 @@ module Make (Op : Agg.Operator.S) = struct
       dedup_drops = Rel.dedup_drops rel;
       stale_drops = Rel.stale_drops rel;
       teardown_drops = Rel.teardown_drops rel;
-      faults_dropped = fd;
-      faults_duplicated = fu;
-      faults_reordered = fr;
-      faults_delayed = fy;
-      crashes = fc;
-      leaves = (match plan with None -> 0 | Some p -> Plan.leaves_executed p);
-      joins = (match plan with None -> 0 | Some p -> Plan.joins_executed p);
+      faults_dropped = count Plan.drops;
+      faults_duplicated = count Plan.duplicates;
+      faults_reordered = count Plan.reorders;
+      faults_delayed = count Plan.delays;
+      crashes = count Plan.crashes_executed;
+      leaves = count Plan.leaves_executed;
+      joins = count Plan.joins_executed;
       events;
       makespan = Dev.now dev;
       mean_combine_latency =

@@ -14,8 +14,9 @@
       protocol cost, and the physical network counts frames on the
       wire.
 
-    Crashes and restarts from the plan's schedule fire as timers and
-    hit transport and mechanism together; requests are injected on the
+    The plan is {!Plan.check}ed against the tree first; its
+    {!Plan.timeline} then fires as timers, crashes and restarts hitting
+    transport and mechanism together; requests are injected on the
     plan's request timeline ({!Plan.request_spacing}).  The run then
     drains to quiescence and the execution history is checked causally
     ({!Consistency.Causal.check}).  Everything is deterministic in
@@ -90,30 +91,38 @@ module Make (Op : Agg.Operator.S) : sig
       the wire, so data frames, acks and retransmissions), mechanism
       ([mech.*]), transport ([net.retransmits], ...) and plan
       ([fault.injected.*]); pass the same registry given to
-      [Plan.create].  With no [plan] the stack still runs over the
-      transport, fault-free.
+      [Plan.create].  The outcome's [faults_dropped] ... [joins] read
+      the plan's counters and [retransmits] ... [teardown_drops] the
+      transport's, so with one registry per run they equal its rows.
+      With no [plan] the stack still runs over the transport,
+      fault-free.
 
-      The plan's crash windows (explicit plus flap expansion) hit
-      transport and mechanism together; its churn schedule drives
-      {!Oat.Mechanism.Make.depart}/[join].  A leave is put off one time
-      unit at a time while the leaver still counts a neighbour down
-      ({!Oat.Mechanism.Make.known_down}): a restarted handoff
-      neighbour's Hello reaches it a hop after the restart, later
-      under drops.  [leaves] counts the departures run.  Requests whose node is
-      down {e or detached} at injection time are counted [skipped].
+      The events of {!Plan.timeline} are scheduled in its order, so
+      co-timed events keep it (Devent breaks ties by scheduling
+      order): crash windows hit transport and mechanism together, and
+      churn events drive {!Oat.Mechanism.Make.depart}/[join].  A leave
+      is put off one time unit at a time while the leaver still counts
+      a neighbour down ({!Oat.Mechanism.Make.known_down}): a restarted
+      handoff neighbour's Hello reaches it a hop after the restart,
+      later under drops.  [leaves] counts the departures run.  Requests
+      whose node is down {e or detached} at injection time are counted
+      [skipped].
       Nodes in the spec's [detached] list start outside the active
       tree.
 
-      After the drain and audits, ghost-log divergence across active
-      edges is measured ([divergence_before]); with [repair = true]
-      (default false) a Merkle anti-entropy pass ({!Repair.Make.sync})
-      then reconciles the active tree to [divergence_after = 0],
-      with message cost in [repair_stats].
+      After the drain, the audits and the causal verdict,
+      {!Repair.Make.heal} measures ghost-log divergence across active
+      edges ([divergence_before]); with [repair = true] (default
+      false) its Merkle anti-entropy pass then reconciles the active
+      tree to [divergence_after = 0], with message cost in
+      [repair_stats].
 
       Audits {!Oat.Mechanism.Make.check_invariants} and both network
       layers' invariants after the drain, and fails if any layer is
       not quiescent.
-      @raise Invalid_argument if a scheduled crash or churn event
-      names a node outside the tree, or a churn event is illegal at
-      execution time (departing non-leaf, leaver down). *)
+      @raise Invalid_argument before any work if the plan does not
+      {!Plan.check} against [tree]: a node outside the tree, a
+      disconnected [detached] set, or an illegal leave or join (a
+      leave whose handoff neighbour is in a crash window, its ends
+      included, is one). *)
 end

@@ -10,8 +10,3 @@ let project tree ~u ~v sigma =
 
 let with_noops reqs =
   Cost_model.N :: List.concat_map (fun q -> [ q; Cost_model.N ]) reqs
-
-let all_projections tree sigma =
-  List.map
-    (fun (u, v) -> ((u, v), project tree ~u ~v sigma))
-    (Tree.ordered_pairs tree)

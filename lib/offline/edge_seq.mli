@@ -15,7 +15,3 @@ val with_noops : Cost_model.req list -> Cost_model.req list
     end, and between every pair of successive requests, giving an
     offline algorithm the explicit option to drop the lease between
     requests. *)
-
-val all_projections :
-  Tree.t -> 'v Oat.Request.t list -> ((int * int) * Cost_model.req list) list
-(** sigma(u,v) for every ordered pair of neighbours. *)

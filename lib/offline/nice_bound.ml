@@ -11,6 +11,5 @@ let per_pair = epochs
 
 let total tree sigma =
   List.fold_left
-    (fun acc (_, proj) -> acc + per_pair proj)
-    0
-    (Edge_seq.all_projections tree sigma)
+    (fun acc (u, v) -> acc + per_pair (Edge_seq.project tree ~u ~v sigma))
+    0 (Tree.ordered_pairs tree)

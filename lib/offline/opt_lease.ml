@@ -62,8 +62,9 @@ let per_pair_brute_force sigma_uv =
   in
   go false reqs
 
+(* One projection at a time: all 2(n-1) of them at once would hold
+   the workload 2(n-1) times over. *)
 let total tree sigma =
   List.fold_left
-    (fun acc (_, proj) -> acc + per_pair proj)
-    0
-    (Edge_seq.all_projections tree sigma)
+    (fun acc (u, v) -> acc + per_pair (Edge_seq.project tree ~u ~v sigma))
+    0 (Tree.ordered_pairs tree)

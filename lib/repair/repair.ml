@@ -184,4 +184,16 @@ module Make (Op : Agg.Operator.S) = struct
       if moved = 0 then continue_ := false
     done;
     !total
+
+  (* The drivers' end-of-run step: it runs after their audits because
+     [sync] mutates ghost state, and re-audits when it does. *)
+  let heal ?(repair = false) m =
+    let before = total_divergence m in
+    let stats = fresh_stats () in
+    if not repair then (before, before, stats)
+    else begin
+      ignore (sync ~stats m);
+      M.check_invariants m;
+      (before, total_divergence m, stats)
+    end
 end

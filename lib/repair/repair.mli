@@ -75,4 +75,14 @@ module Make (Op : Agg.Operator.S) : sig
       ghost writes shipped.  Postcondition: [total_divergence m = 0]
       — every alive, attached node agrees with its neighbours on the
       durable write history. *)
+
+  val heal : ?repair:bool -> mech -> int * int * stats
+  (** The end-of-run step of [Fault.Runner] and [Fault.Churn], run
+      at quiescence after their audits and their causal verdict:
+      measure {!total_divergence}, then with [repair] (default false)
+      {!sync}, re-audit the mechanism
+      ({!Oat.Mechanism.Make.check_invariants}) and measure again.
+      Returns [(divergence_before, divergence_after, stats)];
+      without [repair] the two divergences are equal and [stats] is
+      all zero. *)
 end

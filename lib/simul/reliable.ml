@@ -34,13 +34,6 @@ type chan = {
   ooo : (int, Frame.t) Hashtbl.t; (* receiver: buffered out-of-order *)
 }
 
-type rel_tel = {
-  m_retransmits : Telemetry.Metrics.counter;
-  m_dedup : Telemetry.Metrics.counter;
-  m_stale : Telemetry.Metrics.counter;
-  m_teardown : Telemetry.Metrics.counter;
-}
-
 type t = {
   tree : Tree.t;
   net : Network.t;
@@ -55,18 +48,17 @@ type t = {
   jitter : float;         (* timer spread factor; 0 = exact backoff *)
   jseed : int;
   mutable unacked_total : int;
-  mutable retransmits : int;
-  mutable dedup_drops : int;
-  mutable stale_drops : int;
-  mutable teardown_drops : int;
-  tel : rel_tel option;
+  retransmits : Telemetry.Metrics.counter;
+  dedup_drops : Telemetry.Metrics.counter;
+  stale_drops : Telemetry.Metrics.counter;
+  teardown_drops : Telemetry.Metrics.counter;
 }
 
 (* Each expiry doubles the channel's timeout, up to [max_rto]. *)
 let backoff = 2.0
 
-let create ?metrics ?pool ?(rto = 4.0) ?(max_rto = 64.0)
-    ?(jitter = 0.0) ?(seed = 0) ~timer ~net ~deliver () =
+let create ?(metrics = Telemetry.Metrics.create ()) ?pool ?(rto = 4.0)
+    ?(max_rto = 64.0) ?(jitter = 0.0) ?(seed = 0) ~timer ~net ~deliver () =
   if rto <= 0.0 || max_rto < rto then
     invalid_arg "Reliable.create: need rto > 0, max_rto >= rto";
   if Float.is_nan jitter || jitter < 0.0 then
@@ -74,18 +66,6 @@ let create ?metrics ?pool ?(rto = 4.0) ?(max_rto = 64.0)
   let tree = Network.tree net in
   let n = Tree.n_nodes tree in
   let n_chans = Tree.n_channels tree in
-  let tel =
-    match metrics with
-    | None -> None
-    | Some m ->
-      Some
-        {
-          m_retransmits = Telemetry.Metrics.counter m "net.retransmits";
-          m_dedup = Telemetry.Metrics.counter m "net.dedup_drops";
-          m_stale = Telemetry.Metrics.counter m "net.stale_drops";
-          m_teardown = Telemetry.Metrics.counter m "net.teardown_drops";
-        }
-  in
   {
     tree;
     net;
@@ -114,11 +94,10 @@ let create ?metrics ?pool ?(rto = 4.0) ?(max_rto = 64.0)
     jitter;
     jseed = seed;
     unacked_total = 0;
-    retransmits = 0;
-    dedup_drops = 0;
-    stale_drops = 0;
-    teardown_drops = 0;
-    tel;
+    retransmits = Telemetry.Metrics.counter metrics "net.retransmits";
+    dedup_drops = Telemetry.Metrics.counter metrics "net.dedup_drops";
+    stale_drops = Telemetry.Metrics.counter metrics "net.stale_drops";
+    teardown_drops = Telemetry.Metrics.counter metrics "net.teardown_drops";
   }
 
 let cid t ~src ~dst =
@@ -130,22 +109,6 @@ let cid t ~src ~dst =
 
 let src_of t ci = Tree.channel_src t.tree ci
 let dst_of t ci = Tree.channel_dst t.tree ci
-
-let count_dedup t =
-  t.dedup_drops <- t.dedup_drops + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.m_dedup
-
-let count_stale t =
-  t.stale_drops <- t.stale_drops + 1;
-  match t.tel with None -> () | Some x -> Telemetry.Metrics.incr x.m_stale
-
-let count_teardown t k =
-  if k > 0 then begin
-    t.teardown_drops <- t.teardown_drops + k;
-    match t.tel with
-    | None -> ()
-    | Some x -> Telemetry.Metrics.add x.m_teardown k
-  end
 
 (* One physical transmission: the network queue takes one reference. *)
 let transmit t ~src ~dst f =
@@ -184,11 +147,7 @@ and on_timer t ci g =
        frames, header stamps and all; no re-encode *)
     let src = src_of t ci and dst = dst_of t ci in
     Queue.iter (fun f -> transmit t ~src ~dst f) c.unacked;
-    let k = Queue.length c.unacked in
-    t.retransmits <- t.retransmits + k;
-    (match t.tel with
-    | None -> ()
-    | Some x -> Telemetry.Metrics.add x.m_retransmits k);
+    Telemetry.Metrics.add t.retransmits (Queue.length c.unacked);
     c.rto_cur <- Float.min t.max_rto (c.rto_cur *. backoff);
     arm t ci
   end
@@ -233,7 +192,7 @@ let send_ack t ~src ~dst c =
 let handle t ~src ~dst f =
   if not t.up.(dst) then begin
     (* frame addressed to a crashed node: lost with the node *)
-    count_teardown t 1;
+    Telemetry.Metrics.incr t.teardown_drops;
     Frame.release f
   end
   else if Frame.kind f = Kind.index Kind.Ack then begin
@@ -242,7 +201,7 @@ let handle t ~src ~dst f =
     let stale =
       Frame.s_inc f <> t.inc.(src) || Frame.r_inc f <> t.inc.(dst)
     in
-    if stale then count_stale t
+    if stale then Telemetry.Metrics.incr t.stale_drops
     else begin
       let ci = cid t ~src:dst ~dst:src in
       let c = t.chans.(ci) in
@@ -261,14 +220,14 @@ let handle t ~src ~dst f =
     Frame.release f
   end
   else if Frame.s_inc f <> t.inc.(src) || Frame.r_inc f <> t.inc.(dst) then begin
-    count_stale t;
+    Telemetry.Metrics.incr t.stale_drops;
     Frame.release f
   end
   else begin
     let seq = Frame.seq f in
     let c = t.chans.(cid t ~src ~dst) in
     if seq < c.r_next then begin
-      count_dedup t;
+      Telemetry.Metrics.incr t.dedup_drops;
       Frame.release f;
       (* re-ack so a sender that lost our ack makes progress *)
       send_ack t ~src ~dst c
@@ -290,7 +249,7 @@ let handle t ~src ~dst f =
     end
     else begin
       if Hashtbl.mem c.ooo seq then begin
-        count_dedup t;
+        Telemetry.Metrics.incr t.dedup_drops;
         Frame.release f
       end
       else Hashtbl.replace c.ooo seq f;
@@ -304,7 +263,7 @@ let teardown t ci =
   Queue.iter Frame.release c.unacked;
   Queue.clear c.unacked;
   t.unacked_total <- t.unacked_total - k;
-  count_teardown t k;
+  Telemetry.Metrics.add t.teardown_drops k;
   Hashtbl.iter (fun _ f -> Frame.release f) c.ooo;
   Hashtbl.reset c.ooo;
   c.gen <- c.gen + 1;
@@ -341,13 +300,13 @@ let unacked t = t.unacked_total
 
 let is_quiescent t = t.unacked_total = 0
 
-let retransmits t = t.retransmits
+let retransmits t = Telemetry.Metrics.counter_value t.retransmits
 
-let dedup_drops t = t.dedup_drops
+let dedup_drops t = Telemetry.Metrics.counter_value t.dedup_drops
 
-let stale_drops t = t.stale_drops
+let stale_drops t = Telemetry.Metrics.counter_value t.stale_drops
 
-let teardown_drops t = t.teardown_drops
+let teardown_drops t = Telemetry.Metrics.counter_value t.teardown_drops
 
 let check_invariants t =
   let fail fmt =

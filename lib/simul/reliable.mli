@@ -58,9 +58,12 @@ val create :
     a stateless hash of ([seed], channel, lifetime arm index): long
     crash windows no longer expire every incident channel's timer in
     lock-step, and the same ([seed], workload) still reproduces byte
-    for byte.  [metrics] registers [net.retransmits],
-    [net.dedup_drops], [net.stale_drops] and [net.teardown_drops]
-    counters.
+    for byte.  The counters [net.retransmits], [net.dedup_drops],
+    [net.stale_drops] and [net.teardown_drops] live in [metrics]
+    (default: a registry of the transport's own).  They are the
+    transport's only count: {!retransmits} ... {!teardown_drops} read
+    them, so two transports that share a registry report summed
+    counts.
     @raise Invalid_argument unless [rto > 0], [max_rto >= rto] and
     [jitter >= 0]. *)
 

@@ -255,7 +255,43 @@ let test_plan_rejections () =
   (* crash window straddling a leave *)
   rejected "crash=5@8+5,leave=5@10";
   (* duplicate detached *)
-  rejected "detached=3,detached=3"
+  rejected "detached=3,detached=3";
+  (* Plan.check: the plan against a tree, as every driver and the CLI
+     see it *)
+  let misfit tree s expected =
+    match P.check tree (parse s) with
+    | Ok _ -> Alcotest.failf "plan %S should not fit" s
+    | Error m -> Alcotest.(check string) s expected m
+  in
+  let binary = Tree.Build.binary 7 and path = Tree.Build.path 5 in
+  misfit binary "crash=99@1+1" "crash: node 99 outside the tree (n=7)";
+  misfit binary "flap=7@1+1*2:5" "flap: node 7 outside the tree (n=7)";
+  misfit binary "leave=7@1" "churn: node 7 outside the tree (n=7)";
+  misfit binary "detached=7" "detached: node 7 outside the tree (n=7)";
+  misfit binary "detached=1"
+    "detached: Tree.Dyn.create: active set is disconnected";
+  misfit binary "leave=0@1"
+    "churn: node 0 cannot leave at 1: node has 2 active neighbours (need \
+     exactly 1)";
+  misfit path "detached=3,detached=4,join=4@10"
+    "churn: node 4 cannot join at 10: no active capacity-neighbour to \
+     attach to";
+  (* the handoff neighbour's crash window is closed at both ends *)
+  misfit path "crash=3@5+4,leave=4@5"
+    "churn: node 4 cannot leave at 5: handoff neighbour 3 is down in [5,9]";
+  misfit path "crash=3@1+4,leave=4@5"
+    "churn: node 4 cannot leave at 5: handoff neighbour 3 is down in [1,5]";
+  let fits = parse "crash=3@1+3,leave=4@5,join=4@20,detached=0" in
+  Alcotest.(check bool) "a plan that fits comes back unchanged" true
+    (P.check path fits = Ok fits);
+  (* the runner decides with the same check, before any work *)
+  Alcotest.check_raises "runner refuses a plan outside its tree"
+    (Invalid_argument "Fault.Runner.run: crash: node 99 outside the tree (n=7)")
+    (fun () ->
+      ignore
+        (R.run
+           ~plan:(P.create ~seed:1 (parse "crash=99@1+1"))
+           ~tree:binary ~policy:Oat.Rww.policy ~requests:[] ()))
 
 let test_synth_churn_deterministic_and_valid () =
   let tree = Tree.Build.binary 15 in
@@ -292,7 +328,23 @@ let test_phases_of_plan_partitions_timeline () =
       (first.C.events = []);
     Alcotest.(check int) "requests before the first event" 12
       (List.length first.C.requests)
-  | [] -> Alcotest.fail "no phases")
+  | [] -> Alcotest.fail "no phases");
+  (* co-timed events: the crash window first, whatever the spec order,
+     and both at one barrier *)
+  let spec = parse "leave=5@30,crash=3@30+4" in
+  Alcotest.(check bool) "timeline puts the crash before the leave" true
+    (P.timeline spec = [ (30.0, P.Crash 3); (30.0, P.Leave 5); (34.0, P.Restart 3) ]);
+  let barriers =
+    List.filter_map
+      (fun ph -> if ph.C.events = [] then None else Some ph.C.events)
+      (C.phases_of_plan ~spec ~requests ())
+  in
+  Alcotest.(check bool) "one barrier for the crash and the leave" true
+    (barriers = [ [ C.Crash 3; C.Leave 5 ]; [ C.Restart 3 ] ]);
+  (* barrier phases have no wire: a drop probability is refused *)
+  match C.phases_of_plan ~spec:(parse "drop=0.1") ~requests () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "phases_of_plan accepted drop=0.1"
 
 (* -------- full runner stack under churn ---------------------------- *)
 

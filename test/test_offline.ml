@@ -56,7 +56,12 @@ let test_with_noops () =
 
 let test_all_projections_cover () =
   let tree = Tree.Build.star 4 in
-  let projs = Offline.Edge_seq.all_projections tree [ w 1; r 2 ] in
+  let projs =
+    List.map
+      (fun (u, v) ->
+        ((u, v), Offline.Edge_seq.project tree ~u ~v [ w 1; r 2 ]))
+      (Tree.ordered_pairs tree)
+  in
   Alcotest.(check int) "one per ordered pair" 6 (List.length projs);
   (* The write at leaf 1 is a W for (1,0); the combine at leaf 2 lies in
      subtree(0,1), so it is an R for the same pair. *)

@@ -199,10 +199,15 @@ let test_runner_metrics_count_the_wire () =
       R.run ~metrics ~plan ~tree:(Tree.Build.binary 9) ~policy:Oat.Rww.policy
         ~requests:(workload 9 30) ()
     in
-    let sent k =
-      Telemetry.Metrics.counter_value
-        (Telemetry.Metrics.counter metrics ("net.sent." ^ Simul.Kind.to_string k))
+    let row name =
+      Telemetry.Metrics.counter_value (Telemetry.Metrics.counter metrics name)
     in
+    (* the outcome reads the registry: one count, not two *)
+    Alcotest.(check int) "retransmits = net.retransmits" (row "net.retransmits")
+      o.R.retransmits;
+    Alcotest.(check int) "faults dropped = fault.injected.drop"
+      (row "fault.injected.drop") o.R.faults_dropped;
+    let sent k = row ("net.sent." ^ Simul.Kind.to_string k) in
     (o, sent, List.fold_left (fun acc k -> acc + sent k) 0 Simul.Kind.all)
   in
   let o, sent, wire = run "drop=0" in
